@@ -21,10 +21,10 @@ from iuq import (
 testbed = Mm1Testbed()
 rates = np.array([0.5, 1.5])
 
-one = testbed.run(rates, np.random.default_rng(0))
-print("one cycle: area", round(one.y, 3), "length", round(one.a, 3))
-print("  interarrivals:", np.round(one.trace.blocks[0], 3))
-print("  services:     ", np.round(one.trace.blocks[1], 3))
+one = testbed.simulate(rates, 1, np.random.default_rng(0))
+print("one cycle: area", round(one.y[0], 3), "length", round(one.a[0], 3))
+print("  interarrivals: count", int(one.counts[0, 0]), "sum", round(one.sums[0, 0], 3))
+print("  services:      count", int(one.counts[0, 1]), "sum", round(one.sums[0, 1], 3))
 
 oracle = true_eta_oracle(testbed, rates, 200_000, np.random.default_rng(1))
 closed = mm1_steady_state_mean(0.5, 1.5)

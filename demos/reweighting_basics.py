@@ -1,7 +1,9 @@
-"""Likelihood-ratio reweighting on exponential input traces.
+"""Likelihood-ratio reweighting from a run's draw counts and sums.
 
 Runs simulated at one parameter can stand in for runs at another: multiply
-each run's output by the density ratio of its consumed inputs.  This script
+each run's output by the density ratio of its consumed inputs.  For an
+exponential family that ratio depends on the run only through how many
+draws it took from each coordinate and what they summed to.  This script
 checks the two identities everything downstream relies on, entirely by
 Monte Carlo:
 
@@ -11,7 +13,7 @@ Monte Carlo:
 
 import numpy as np
 
-from iuq import IndependentExponentials, InputTrace
+from iuq import IndependentExponentials
 
 rng = np.random.default_rng(7)
 model = IndependentExponentials(1)
@@ -19,11 +21,12 @@ model = IndependentExponentials(1)
 theta = np.array([1.0])   # rates used to generate the runs
 target = np.array([1.4])  # rates we want answers for
 
-# one "run" consumes three draws; its trace is just those values
-trace = InputTrace((model.sample(theta, rng, size=3)[:, 0],))
-print("single trace:", np.round(trace.blocks[0], 3))
-print("log LR to target:", model.log_lr(trace, theta, target))
-print("antisymmetry check:", model.log_lr(trace, target, theta))
+# one "run" consumes three draws; its statistics are their count and sum
+draws = model.sample(theta, rng, size=3)[:, 0]
+count, total = np.array([float(draws.size)]), np.array([draws.sum()])
+print("single run draws:", np.round(draws, 3), " count", count[0], " sum", round(total[0], 3))
+print("log LR to target:", model.log_weights(count, total, theta, target))
+print("antisymmetry check:", model.log_weights(count, total, target, theta))
 
 # identity 1: weights average to one
 n, s = 500_000, 3

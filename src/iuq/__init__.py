@@ -34,7 +34,6 @@ from .estimators import (
     build_run_table,
     klr_fallback_k1,
     klr_ratio,
-    knn_query,
     knn_ratio,
     std_ratio,
 )
@@ -54,8 +53,8 @@ from .harness import (
 )
 from .input_models import (
     EstimationError,
+    ExponentialFamily,
     IndependentExponentials,
-    InputTrace,
     MultivariateNormalKnownCov,
 )
 from .reference import REFERENCE_ETA, reference_eta
@@ -68,13 +67,9 @@ from .simulators import (
     SanConfig,
     SanTestbed,
     SimBatch,
-    SimRun,
     bs_price,
-    erm_run,
     make_testbed,
-    mm1_cycle,
     mm1_steady_state_mean,
-    san_run,
     true_eta_oracle,
 )
 

@@ -25,7 +25,7 @@ from .harness import (
     run_macro_experiment,
     run_pilot,
 )
-from .simulators import make_testbed, true_eta_oracle
+from .simulators import TESTBEDS, make_testbed, true_eta_oracle
 
 
 def parse_config_file(path):
@@ -119,7 +119,7 @@ def build_experiment_config(args):
 
 def _add_run_parser(sub):
     p = sub.add_parser("run", help="macro coverage experiment")
-    p.add_argument("--model", choices=("san", "mm1", "erm"))
+    p.add_argument("--model", choices=TESTBEDS)
     p.add_argument("--m", type=int, help="input data size")
     p.add_argument("--alpha", type=float, help="1 - nominal coverage (default 0.05)")
     p.add_argument("--estimator", choices=ESTIMATORS)
@@ -195,7 +195,7 @@ def main(argv=None):
     _add_run_parser(sub)
 
     p = sub.add_parser("pilot", help="variance-ratio pilot for r")
-    p.add_argument("--model", required=True, choices=("san", "mm1", "erm"))
+    p.add_argument("--model", required=True, choices=TESTBEDS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--b", type=int, default=PilotSettings.b)
@@ -207,7 +207,7 @@ def main(argv=None):
     p.add_argument("--san-topology", dest="san_topology")
 
     p = sub.add_parser("oracle", help="brute-force reference ratio")
-    p.add_argument("--model", required=True, choices=("san", "mm1", "erm"))
+    p.add_argument("--model", required=True, choices=TESTBEDS)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", help="comma-separated parameter override")

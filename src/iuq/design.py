@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .input_models import (
-    EstimationError,
-    IndependentExponentials,
-    MultivariateNormalKnownCov,
-)
+from .input_models import EstimationError
 
 
 class ConfigurationError(RuntimeError):
@@ -54,42 +50,13 @@ class SimParamSet:
     mode: str  # "bootstrap" or "ellipsoid"
 
 
-def _resampled_mles(model, theta_hat, m, count, rng):
-    """MLEs of ``count`` independent size-m parametric resamples at theta_hat.
-
-    Uses the exact sampling distribution of each family's MLE (the MLE is a
-    function of a sufficient statistic): for exponential rates the size-m
-    sample sum is Gamma(m, 1/rate) so the resampled rate is m / Gamma draw;
-    for a normal mean with known covariance the sample mean is
-    N(theta_hat, cov/m).  This is distributionally identical to materializing
-    the resample and calling ``model.mle`` on it.
-    """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if isinstance(model, IndependentExponentials):
-        if not model.in_support(theta_hat):
-            raise ValueError("theta_hat outside the positive-rate support")
-        sums = rng.gamma(shape=m, scale=1.0 / theta_hat, size=(count, model.dim))
-        bad = ~(sums > 0)
-        if bad.any():
-            sums[bad] = rng.gamma(shape=m, scale=1.0, size=int(bad.sum())) / np.broadcast_to(
-                theta_hat, sums.shape
-            )[bad]
-            if not (sums > 0).all():
-                raise EstimationError("degenerate bootstrap resample")
-        return m / sums
-    if isinstance(model, MultivariateNormalKnownCov):
-        noise = model.sample(np.zeros(model.dim), rng, size=count)
-        return theta_hat + noise / math.sqrt(m)
-    raise TypeError(f"unsupported input model {type(model).__name__}")
-
-
 def bootstrap_params(model, theta_hat, m, n_tilde, rng):
     """Generate the bootstrap parameter set at theta_hat."""
     if m < 2:
         raise ValueError("resample size m must be at least 2")
     if n_tilde < 1:
         raise ValueError("bootstrap set size must be at least 1")
-    params = _resampled_mles(model, theta_hat, int(m), int(n_tilde), rng)
+    params = model.resample_mle(theta_hat, int(m), int(n_tilde), rng)
     return BootstrapSet(params=params, theta_hat=np.asarray(theta_hat, dtype=float), m=int(m))
 
 
@@ -231,7 +198,7 @@ def sample_sim_params(mode, boots, model, theta_hat, m, n, rng, mvee_tol=1e-7):
     if n < 1:
         raise ValueError("simulation set size must be at least 1")
     if mode == "bootstrap":
-        params = _resampled_mles(model, theta_hat, int(m), int(n), rng)
+        params = model.resample_mle(theta_hat, int(m), int(n), rng)
         return SimParamSet(params=params, mode=mode)
     if mode != "ellipsoid":
         raise ValueError(f"unknown sampling mode {mode!r}")

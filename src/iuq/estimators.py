@@ -42,22 +42,12 @@ class RatioEstimate:
 class NeighborIndex:
     """Euclidean k-nearest-neighbor queries over the simulation parameters.
 
-    The reference implementation is a brute-force distance scan with ties
-    broken by insertion index, which makes queries deterministic.  The
-    optional 'kdtree' backend delegates to scipy's cKDTree and is validated
-    against the scan in the test suite.
+    Queries are a brute-force distance scan with ties broken by insertion
+    index, which makes them deterministic.
     """
 
-    def __init__(self, params, backend="brute"):
+    def __init__(self, params):
         self.params = np.atleast_2d(np.asarray(params, dtype=float))
-        if backend not in ("brute", "kdtree"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
-        self._tree = None
-        if backend == "kdtree":
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(self.params)
 
     def __len__(self):
         return self.params.shape[0]
@@ -79,18 +69,10 @@ class NeighborIndex:
             eligible = np.flatnonzero(mask)
         if not 1 <= k <= eligible.size:
             raise ValueError(f"k must lie in [1, {eligible.size}], got {k}")
-        if self._tree is not None and mask is None:
-            _, idx = self._tree.query(theta, k=k)
-            return np.atleast_1d(idx).astype(int)
         diff = self.params[eligible] - theta
         dist = np.einsum("ij,ij->i", diff, diff)
         order = np.argsort(dist, kind="stable")[:k]
         return eligible[order]
-
-
-def knn_query(index, theta, k, mask=None):
-    """Functional form of ``NeighborIndex.query``."""
-    return index.query(theta, k, mask)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ and are merged by macro index.
 import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from .estimators import (
 )
 from .input_models import EstimationError
 from .reference import reference_eta
-from .simulators import make_testbed
+from .simulators import TESTBEDS, make_testbed
 
 ESTIMATORS = ("std-opt", "std-even", "knn", "klr")
 SAMPLING_MODES = ("bootstrap", "ellipsoid")
@@ -88,21 +89,34 @@ class ExperimentConfig:
     mvee_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("m must be at least 2")
+        if self.model not in TESTBEDS:
+            raise ValueError(f"model must be one of {TESTBEDS}")
+        self._check_int("m", 2)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.macros < 1:
-            raise ValueError("macro-run count must be at least 1")
+        self._check_int("macros", 1)
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
         if self.sampling not in SAMPLING_MODES:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
-        if self.r != "auto" and (not isinstance(self.r, int) or self.r < 1):
-            raise ValueError("r must be a positive integer or 'auto'")
+        if self.r != "auto":
+            self._check_int("r", 1)
+        self._check_int("seed", 0)
+        self._check_int("workers", 1)
+        self._check_int("cv_folds", 2)
+        n, _ = sample_size_rule(self.m)
+        if self.estimator in ("knn", "klr") and self.cv_folds > n:
+            raise ValueError(f"cv_folds must not exceed the n={n} simulation parameters")
+
+    def _check_int(self, name, low):
+        """Require an integer field >= low (bool excluded); store it as int."""
+        value = getattr(self, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        object.__setattr__(self, name, int(value))
 
     def resolved_r(self):
-        return DEFAULT_R[self.model] if self.r == "auto" else int(self.r)
+        return DEFAULT_R[self.model] if self.r == "auto" else self.r
 
 
 @dataclass(frozen=True)

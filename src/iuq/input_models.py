@@ -1,42 +1,29 @@
 """Parametric input-generating distributions.
 
-Each model family supports sampling, log-density evaluation, maximum
-likelihood estimation, and likelihood-ratio weights over the traces of raw
-inputs consumed by a simulation run.  Likelihood ratios are accumulated in
-log space: products of hundreds of per-draw densities overflow or underflow
-in linear space.
+Each model family supports sampling, maximum likelihood estimation, exact
+resampling of its MLE, and likelihood-ratio weights over the raw inputs
+consumed by a simulation run.  Both families are exponential families: a run
+that consumed c_j draws with sum s_j from coordinate j has the log
+likelihood ratio
+
+    sum_j  s_j (eta_j(theta_to) - eta_j(theta_from))
+         - c_j (psi_j(theta_to) - psi_j(theta_from))
+
+between two parameters, with eta the natural parameter and psi the
+per-coordinate log-partition function.  Ratios stay in log space: products
+of hundreds of per-draw densities overflow or underflow in linear space.
 
 Model objects are immutable after construction; all randomness flows
 through caller-supplied ``numpy.random.Generator`` streams.
 """
 
+import math
+
 import numpy as np
-from dataclasses import dataclass
 
 
 class EstimationError(RuntimeError):
     """Raised when an estimator cannot be computed (degenerate data/pool)."""
-
-
-@dataclass(frozen=True)
-class InputTrace:
-    """Raw inputs consumed by one simulation run.
-
-    ``blocks`` holds one array per input source: for a d-coordinate
-    exponential model, d one-dimensional arrays of the draws consumed from
-    each coordinate (lengths may differ); for a multivariate normal model a
-    single (S, d) array of the S vector draws.
-    """
-
-    blocks: tuple
-
-    def __post_init__(self):
-        if len(self.blocks) == 0 or sum(np.size(b) for b in self.blocks) == 0:
-            raise ValueError("trace must contain at least one draw")
-
-    @property
-    def size(self):
-        return int(sum(np.asarray(b).shape[0] for b in self.blocks))
 
 
 def _as_theta(theta, dim):
@@ -46,13 +33,39 @@ def _as_theta(theta, dim):
     return theta
 
 
-class IndependentExponentials:
+class ExponentialFamily:
+    """Input family whose run likelihood ratio depends on (counts, sums) only.
+
+    Subclasses supply ``natural(theta)``, the per-coordinate
+    ``log_partition(theta)`` (both map (..., d) to (..., d)),
+    ``resample_mle`` and ``_check_theta``.
+    """
+
+    def log_weights(self, counts, sums, thetas_from, theta_to):
+        """Batched log-LR from sufficient statistics.
+
+        ``counts`` and ``sums`` have shape (..., d), ``thetas_from`` broadcasts
+        against them, ``theta_to`` is a single target parameter.  Returns an
+        array of shape (...,).
+        """
+        theta_to = self._check_theta(theta_to)
+        thetas_from = np.asarray(thetas_from, dtype=float)
+        d_eta = self.natural(theta_to) - self.natural(thetas_from)
+        d_psi = self.log_partition(theta_to) - self.log_partition(thetas_from)
+        return np.sum(
+            np.asarray(sums, dtype=float) * d_eta - np.asarray(counts, dtype=float) * d_psi,
+            axis=-1,
+        )
+
+
+class IndependentExponentials(ExponentialFamily):
     """d independent exponential coordinates parameterized by rates.
 
     A parameter vector is the vector of rates (all strictly positive); one
-    realization is a d-vector with one draw per coordinate.  Traces may
-    contain unequal numbers of draws per coordinate, as happens in
-    regenerative simulations.
+    realization is a d-vector with one draw per coordinate.  Runs may
+    consume unequal numbers of draws per coordinate, as happens in
+    regenerative simulations.  Natural parameter -theta, log-partition
+    -log(theta).
     """
 
     def __init__(self, dim):
@@ -82,16 +95,6 @@ class IndependentExponentials:
             return rng.exponential(1.0 / theta)
         return rng.exponential(1.0 / theta, size=(int(size), self.dim))
 
-    def log_pdf(self, theta, z):
-        """Log joint density of one realization z; -inf outside the support."""
-        theta = self._check_theta(theta)
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise ValueError(f"realization must have shape ({self.dim},)")
-        if np.any(z < 0):
-            return -np.inf
-        return float(np.sum(np.log(theta) - theta * z))
-
     def mle(self, data):
         """Per-coordinate rate = 1 / sample mean."""
         data = np.asarray(data, dtype=float)
@@ -106,42 +109,41 @@ class IndependentExponentials:
             raise EstimationError("sample mean is zero")
         return 1.0 / means
 
-    # -- trace machinery -------------------------------------------------
+    def natural(self, theta):
+        return -np.asarray(theta, dtype=float)
 
-    def trace_stats(self, trace):
-        """Sufficient statistics (per-coordinate counts and sums) of a trace."""
-        if len(trace.blocks) != self.dim:
-            raise ValueError(f"trace must have {self.dim} blocks")
-        counts = np.array([np.asarray(b).shape[0] for b in trace.blocks], dtype=float)
-        sums = np.array([np.asarray(b, dtype=float).sum() for b in trace.blocks])
-        return counts, sums
+    def log_partition(self, theta):
+        return -np.log(theta)
 
-    def log_lr(self, trace, theta_from, theta_to):
-        """Log likelihood ratio of a trace under theta_to versus theta_from."""
-        counts, sums = self.trace_stats(trace)
-        return float(self.log_weights(counts, sums, theta_from, theta_to))
+    def resample_mle(self, theta_hat, m, count, rng):
+        """MLEs of ``count`` independent size-m parametric resamples at theta_hat.
 
-    def log_weights(self, counts, sums, thetas_from, theta_to):
-        """Batched log-LR from sufficient statistics.
-
-        ``counts`` and ``sums`` have shape (..., d), ``thetas_from`` broadcasts
-        against them, ``theta_to`` is a single target parameter.  Returns an
-        array of shape (...,).
+        The size-m sample sum is Gamma(m, 1/rate), so each resampled rate is
+        m / Gamma draw: distributionally identical to materializing the
+        resample and calling ``mle`` on it.
         """
-        theta_to = self._check_theta(theta_to)
-        thetas_from = np.asarray(thetas_from, dtype=float)
-        log_ratio = np.log(theta_to) - np.log(thetas_from)
-        return np.sum(
-            np.asarray(counts) * log_ratio - (theta_to - thetas_from) * np.asarray(sums),
-            axis=-1,
-        )
+        theta_hat = np.asarray(theta_hat, dtype=float)
+        if not self.in_support(theta_hat):
+            raise ValueError("theta_hat outside the positive-rate support")
+        sums = rng.gamma(shape=m, scale=1.0 / theta_hat, size=(count, self.dim))
+        bad = ~(sums > 0)
+        if bad.any():
+            sums[bad] = rng.gamma(shape=m, scale=1.0, size=int(bad.sum())) / np.broadcast_to(
+                theta_hat, sums.shape
+            )[bad]
+            if not (sums > 0).all():
+                raise EstimationError("degenerate bootstrap resample")
+        return m / sums
 
 
-class MultivariateNormalKnownCov:
+class MultivariateNormalKnownCov(ExponentialFamily):
     """Multivariate normal with unknown mean and fixed covariance.
 
     Only the mean vector is an unknown parameter; the covariance is known
-    and never estimated.  The MLE of the mean is the sample mean.
+    and never estimated.  The MLE of the mean is the sample mean.  With P
+    the precision matrix the natural parameter is P theta and the
+    per-coordinate log-partition theta_j (P theta)_j / 2; every coordinate
+    of a run's vector draws has the same count.
     """
 
     def __init__(self, cov):
@@ -153,8 +155,6 @@ class MultivariateNormalKnownCov:
         self.cov = cov
         self.prec = np.linalg.inv(cov)
         self.dim = cov.shape[0]
-        sign, logdet = np.linalg.slogdet(cov)
-        self._log_norm = -0.5 * (self.dim * np.log(2.0 * np.pi) + logdet)
 
     def __repr__(self):
         return f"MultivariateNormalKnownCov(dim={self.dim})"
@@ -176,14 +176,6 @@ class MultivariateNormalKnownCov:
         out = theta + z @ self._chol.T
         return out[0] if size is None else out
 
-    def log_pdf(self, theta, z):
-        theta = self._check_theta(theta)
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise ValueError(f"realization must have shape ({self.dim},)")
-        resid = z - theta
-        return float(self._log_norm - 0.5 * resid @ self.prec @ resid)
-
     def mle(self, data):
         data = np.asarray(data, dtype=float)
         if data.ndim == 1:
@@ -192,39 +184,18 @@ class MultivariateNormalKnownCov:
             raise EstimationError(f"need non-empty (m, {self.dim}) data")
         return data.mean(axis=0)
 
-    # -- trace machinery -------------------------------------------------
+    def natural(self, theta):
+        return np.asarray(theta, dtype=float) @ self.prec.T
 
-    def trace_stats(self, trace):
-        """Sufficient statistics (#draws and vector sum) of a trace.
+    def log_partition(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        return 0.5 * theta * self.natural(theta)
 
-        Returned in the same (counts, sums) layout as the exponential
-        family: counts is the draw count repeated per coordinate.
+    def resample_mle(self, theta_hat, m, count, rng):
+        """MLEs of ``count`` independent size-m parametric resamples at theta_hat.
+
+        The size-m sample mean is exactly N(theta_hat, cov/m).
         """
-        if len(trace.blocks) != 1:
-            raise ValueError("trace must hold a single (S, d) block")
-        block = np.atleast_2d(np.asarray(trace.blocks[0], dtype=float))
-        if block.shape[1] != self.dim:
-            raise ValueError(f"draws must have {self.dim} columns")
-        counts = np.full(self.dim, float(block.shape[0]))
-        return counts, block.sum(axis=0)
-
-    def log_lr(self, trace, theta_from, theta_to):
-        counts, sums = self.trace_stats(trace)
-        return float(self.log_weights(counts, sums, theta_from, theta_to))
-
-    def log_weights(self, counts, sums, thetas_from, theta_to):
-        """Batched log-LR from sufficient statistics; see the exponential twin.
-
-        For c draws with vector sum s the log ratio is
-        (mu1 - mu0)' P s - c/2 (mu1' P mu1 - mu0' P mu0) with P the precision.
-        """
-        theta_to = self._check_theta(theta_to)
-        thetas_from = np.asarray(thetas_from, dtype=float)
-        counts = np.asarray(counts, dtype=float)[..., 0]
-        sums = np.asarray(sums, dtype=float)
-        quad_to = theta_to @ self.prec @ theta_to
-        quad_from = np.einsum("...i,ij,...j->...", thetas_from, self.prec, thetas_from)
-        lin = (sums @ self.prec.T) @ theta_to - np.einsum(
-            "...i,ij,...j->...", sums, self.prec, thetas_from
-        )
-        return lin - 0.5 * counts * (quad_to - quad_from)
+        theta_hat = np.asarray(theta_hat, dtype=float)
+        noise = self.sample(np.zeros(self.dim), rng, size=count)
+        return theta_hat + noise / math.sqrt(m)

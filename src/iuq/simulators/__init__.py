@@ -1,5 +1,6 @@
 """Simulation testbeds mapping a parameter vector and a random stream to
-one run's outputs (Y, A) plus the trace of raw inputs consumed.
+runs' outputs (Y, A) plus the sufficient statistics of the raw inputs each
+run consumed.
 
 Every testbed exposes the same surface:
 
@@ -7,8 +8,7 @@ Every testbed exposes the same surface:
 ``trace_model``   family of the raw draws consumed by a run (LR weights)
 ``true_theta``    the data-generating parameter of the experiment
 ``lr_param``      map from a raw parameter to the trace-model parameter
-``run``           one simulation run returning a ``SimRun``
-``simulate``      batched runs returning arrays plus trace statistics
+``simulate``      runs at one parameter, returned as a ``SimBatch``
 """
 
 from dataclasses import dataclass
@@ -16,37 +16,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..input_models import EstimationError
-from .san import SanConfig, SanTestbed, san_run
-from .mm1 import QueueConfig, Mm1Testbed, mm1_cycle, mm1_steady_state_mean
-from .erm import ErmConfig, ErmTestbed, erm_run, bs_price
+from .san import SanConfig, SanTestbed
+from .mm1 import QueueConfig, Mm1Testbed, mm1_steady_state_mean
+from .erm import ErmConfig, ErmTestbed, bs_price
 
 __all__ = [
-    "SimRun",
     "SimBatch",
     "SanConfig",
     "SanTestbed",
-    "san_run",
     "QueueConfig",
     "Mm1Testbed",
-    "mm1_cycle",
     "mm1_steady_state_mean",
     "ErmConfig",
     "ErmTestbed",
-    "erm_run",
     "bs_price",
     "make_testbed",
     "OracleResult",
     "true_eta_oracle",
 ]
 
-
-@dataclass(frozen=True)
-class SimRun:
-    """Outputs of one simulation run: numerator Y, denominator A, input trace."""
-
-    y: float
-    a: float
-    trace: object
+TESTBEDS = ("san", "mm1", "erm")
 
 
 @dataclass(frozen=True)
@@ -72,7 +61,7 @@ def make_testbed(name, san_topology=None):
         return Mm1Testbed(QueueConfig())
     if name == "erm":
         return ErmTestbed(ErmConfig.default())
-    raise ValueError(f"unknown testbed {name!r}; expected san, mm1, or erm")
+    raise ValueError(f"unknown testbed {name!r}; expected one of {TESTBEDS}")
 
 
 @dataclass(frozen=True)

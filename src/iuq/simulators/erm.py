@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from ..input_models import InputTrace, MultivariateNormalKnownCov
+from ..input_models import MultivariateNormalKnownCov
 
 
 def bs_price(kind, spot, strike, rate, vol, ttm):
@@ -158,15 +158,3 @@ class ErmTestbed:
         y = value * a
         counts = np.ones_like(z) if collect_stats else None
         return SimBatch(y=y, a=a, counts=counts, sums=z if collect_stats else None)
-
-    def run(self, theta, rng):
-        from . import SimRun
-
-        batch = self.simulate(theta, 1, rng)
-        trace = InputTrace((batch.sums[0].reshape(1, -1),))
-        return SimRun(y=float(batch.y[0]), a=float(batch.a[0]), trace=trace)
-
-
-def erm_run(config, theta, rng):
-    """One portfolio revaluation at drift vector ``theta``."""
-    return ErmTestbed(config).run(theta, rng)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..input_models import IndependentExponentials, InputTrace
+from ..input_models import IndependentExponentials
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,10 @@ def mm1_steady_state_mean(lam, mu, capacity=10):
     return float((n * w).sum() / w.sum())
 
 
-def _one_cycle(lam, mu, capacity, rng, collect_trace):
+def _one_cycle(lam, mu, capacity, rng):
     """Simulate one regenerative cycle; returns outputs and trace tallies."""
     ia_scale = 1.0 / lam
     sv_scale = 1.0 / mu
-    interarrivals = [] if collect_trace else None
-    services = [] if collect_trace else None
     ia_count = sv_count = 0
     ia_sum = sv_sum = 0.0
 
@@ -63,8 +61,6 @@ def _one_cycle(lam, mu, capacity, rng, collect_trace):
         x = rng.exponential(ia_scale)
         ia_count += 1
         ia_sum += x
-        if collect_trace:
-            interarrivals.append(x)
         return x
 
     def draw_sv():
@@ -72,8 +68,6 @@ def _one_cycle(lam, mu, capacity, rng, collect_trace):
         x = rng.exponential(sv_scale)
         sv_count += 1
         sv_sum += x
-        if collect_trace:
-            services.append(x)
         return x
 
     # cycle opens with a customer arriving to the empty system at t = 0
@@ -102,7 +96,7 @@ def _one_cycle(lam, mu, capacity, rng, collect_trace):
             t_prev = dep_next
             n_sys -= 1
             dep_next = t_prev + pending.popleft() if n_sys >= 1 else math.inf
-    return area, cycle_len, ia_count, ia_sum, sv_count, sv_sum, interarrivals, services
+    return area, cycle_len, ia_count, ia_sum, sv_count, sv_sum
 
 
 class Mm1Testbed:
@@ -135,9 +129,7 @@ class Mm1Testbed:
         counts = np.empty((n_runs, 2)) if collect_stats else None
         sums = np.empty((n_runs, 2)) if collect_stats else None
         for j in range(n_runs):
-            area, cyc, iac, ias, svc, svs, _, _ = _one_cycle(
-                lam, mu, self.config.capacity, rng, collect_trace=False
-            )
+            area, cyc, iac, ias, svc, svs = _one_cycle(lam, mu, self.config.capacity, rng)
             y[j] = area
             a[j] = cyc
             if collect_stats:
@@ -146,20 +138,3 @@ class Mm1Testbed:
                 sums[j, self.config.arrival_index] = ias
                 sums[j, self.config.service_index] = svs
         return SimBatch(y=y, a=a, counts=counts, sums=sums)
-
-    def run(self, theta, rng):
-        from . import SimRun
-
-        lam, mu = self._rates(theta)
-        area, cyc, _, _, _, _, ia, sv = _one_cycle(
-            lam, mu, self.config.capacity, rng, collect_trace=True
-        )
-        blocks = [None, None]
-        blocks[self.config.arrival_index] = np.asarray(ia)
-        blocks[self.config.service_index] = np.asarray(sv)
-        return SimRun(y=float(area), a=float(cyc), trace=InputTrace(tuple(blocks)))
-
-
-def mm1_cycle(config, theta, rng):
-    """One regenerative cycle at ``theta``; see ``Mm1Testbed.run``."""
-    return Mm1Testbed(config).run(theta, rng)

@@ -171,16 +171,3 @@ class SanTestbed:
         counts = np.ones_like(durations) if collect_stats else None
         sums = durations if collect_stats else None
         return SimBatch(y=y, a=a, counts=counts, sums=sums)
-
-    def run(self, theta, rng):
-        from . import SimRun
-        from ..input_models import InputTrace
-
-        batch = self.simulate(theta, 1, rng)
-        trace = InputTrace(tuple(np.array([d]) for d in batch.sums[0]))
-        return SimRun(y=float(batch.y[0]), a=float(batch.a[0]), trace=trace)
-
-
-def san_run(config, theta, rng):
-    """One activity-network run at ``theta``; see ``SanTestbed.run``."""
-    return SanTestbed(config).run(theta, rng)

@@ -10,7 +10,6 @@ from iuq.estimators import (
     build_run_table,
     klr_fallback_k1,
     klr_ratio,
-    knn_query,
     knn_ratio,
     std_ratio,
 )
@@ -59,18 +58,18 @@ class TestStdRatio:
 class TestKnnQuery:
     def test_exact_match_first(self):
         index = NeighborIndex([[0.0], [1.0], [2.0]])
-        got = knn_query(index, np.array([1.0]), 2)
+        got = index.query(np.array([1.0]), 2)
         assert got[0] == 1
 
     def test_distance_ties_break_by_insertion_index(self):
         index = NeighborIndex([[1.0], [-1.0], [1.0]])
-        got = knn_query(index, np.array([0.0]), 3)
+        got = index.query(np.array([0.0]), 3)
         assert got.tolist() == [0, 1, 2]
 
     def test_mask_excludes_nearest(self):
         index = NeighborIndex([[0.0], [1.0], [2.0]])
         mask = np.array([False, True, True])
-        got = knn_query(index, np.array([0.1]), 1, mask)
+        got = index.query(np.array([0.1]), 1, mask)
         assert got.tolist() == [1]
 
     def test_matches_bruteforce_sort(self, rng):
@@ -78,17 +77,9 @@ class TestKnnQuery:
         index = NeighborIndex(pts)
         for k in (1, 5, 50):
             target = rng.normal(size=3)
-            got = knn_query(index, target, k)
+            got = index.query(target, k)
             oracle = np.argsort(np.linalg.norm(pts - target, axis=1), kind="stable")[:k]
             assert got.tolist() == oracle.tolist()
-
-    def test_kdtree_backend_agrees_with_brute(self, rng):
-        pts = rng.normal(size=(1000, 2))
-        brute = NeighborIndex(pts, backend="brute")
-        tree = NeighborIndex(pts, backend="kdtree")
-        for k in (1, 5, 50):
-            target = rng.normal(size=2)
-            assert tree.query(target, k).tolist() == brute.query(target, k).tolist()
 
     def test_k_out_of_range(self):
         index = NeighborIndex([[0.0], [1.0]])

@@ -61,6 +61,33 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(model="mm1", m=50, r=0)
 
+    @pytest.mark.parametrize(
+        "overrides, accepted",
+        [
+            ({"model": "bogus"}, False),
+            ({"cv_folds": 1}, False),
+            ({"cv_folds": 2.0}, False),
+            ({"m": 4, "cv_folds": 6}, False),  # 5 simulation parameters
+            ({"seed": -1}, False),
+            ({"workers": 0}, False),
+            ({"r": True}, False),
+            ({"r": np.int64(5)}, True),
+            ({"seed": np.int64(3), "workers": np.int32(2)}, True),
+        ],
+        ids=["model-bogus", "cv_folds-1", "cv_folds-float", "cv_folds-above-n",
+             "seed-negative", "workers-0", "r-bool", "r-numpy-int", "numpy-ints"],
+    )
+    def test_bad_fields_rejected_at_build(self, overrides, accepted):
+        kwargs = {"model": "mm1", "m": 50, **overrides}
+        if not accepted:
+            with pytest.raises(ValueError):
+                ExperimentConfig(**kwargs)
+            return
+        cfg = ExperimentConfig(**kwargs)
+        for name, value in overrides.items():
+            assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
+        assert cfg.resolved_r() == overrides.get("r", 7)
+
     def test_accepts_thousand_macros(self):
         cfg = ExperimentConfig(model="mm1", m=50, macros=1000)
         assert cfg.macros == 1000
@@ -260,6 +287,13 @@ class TestCli:
                        "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert len(load_report(str(out) + ".csv")) == 2  # flag beat config
+
+    def test_config_file_bad_model_rejected(self, tmp_path):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("model=bogus\nm=20\n")
+        proc = run_cli("run", "--config", str(cfg_file))
+        assert proc.returncode == 2
+        assert "model must be one of" in proc.stderr
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import expon, multivariate_normal
 
 from iuq.input_models import (
     EstimationError,
     IndependentExponentials,
-    InputTrace,
     MultivariateNormalKnownCov,
 )
 
@@ -45,24 +45,38 @@ class TestMvnSampling:
             MultivariateNormalKnownCov(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def family_log_density(model, theta, z):
+    """Exponential-family part of log p(z | theta): <eta(theta), z> - psi(theta).
+
+    Omits the base measure h(z), which does not depend on theta.
+    """
+    return float(model.natural(theta) @ z - model.log_partition(theta).sum())
+
+
 class TestLogPdf:
+    # the natural parameter and log-partition reproduce the log density
     def test_exponential_at_zero_boundary(self):
         model = IndependentExponentials(1)
-        assert model.log_pdf(np.array([1.0]), np.array([0.0])) == pytest.approx(0.0)
+        got = family_log_density(model, np.array([1.0]), np.array([0.0]))
+        assert got == pytest.approx(0.0)
 
     def test_exponential_rate_two(self):
         model = IndependentExponentials(1)
-        got = model.log_pdf(np.array([2.0]), np.array([1.0]))
+        got = family_log_density(model, np.array([2.0]), np.array([1.0]))
         assert got == pytest.approx(math.log(2.0) - 2.0)
 
-    def test_standard_normal_at_mode(self):
-        model = MultivariateNormalKnownCov(np.eye(1))
-        got = model.log_pdf(np.zeros(1), np.zeros(1))
-        assert got == pytest.approx(-0.5 * math.log(2.0 * math.pi))
-
-    def test_outside_support_is_minus_inf(self):
-        model = IndependentExponentials(2)
-        assert model.log_pdf(np.ones(2), np.array([1.0, -0.1])) == -np.inf
+    def test_standard_normal_at_mode(self, rng):
+        cov = np.array([[1.0, 0.3], [0.3, 2.0]])
+        model = MultivariateNormalKnownCov(cov)
+        log_det = np.linalg.slogdet(cov)[1]
+        for _ in range(10):
+            theta, z = rng.normal(size=2), rng.normal(size=2)
+            log_base = -0.5 * (2 * math.log(2.0 * math.pi) + log_det + z @ model.prec @ z)
+            got = log_base + family_log_density(model, theta, z)
+            assert got == pytest.approx(multivariate_normal.logpdf(z, theta, cov))
+        # at the mode of N(0, 1) only the normalizing constant remains
+        unit = MultivariateNormalKnownCov(np.eye(1))
+        assert family_log_density(unit, np.zeros(1), np.zeros(1)) == 0.0
 
 
 class TestMle:
@@ -102,33 +116,36 @@ class TestMle:
         assert errs[0] > errs[1] > errs[2]
 
 
-def _exp_trace(draws):
-    return InputTrace(tuple(np.atleast_1d(np.asarray(b, dtype=float)) for b in draws))
+def exp_stats(draws):
+    """(counts, sums) of per-coordinate exponential draws."""
+    counts = np.array([len(b) for b in draws], dtype=float)
+    sums = np.array([np.sum(b) for b in draws], dtype=float)
+    return counts, sums
 
 
 class TestLogLr:
     def test_identical_parameters_give_zero(self, rng):
         model = IndependentExponentials(2)
-        trace = _exp_trace([rng.exponential(1.0, size=4), rng.exponential(1.0, size=2)])
+        counts, sums = exp_stats([rng.exponential(1.0, size=4), rng.exponential(1.0, size=2)])
         theta = np.array([0.5, 1.5])
-        assert model.log_lr(trace, theta, theta) == pytest.approx(0.0)
+        assert model.log_weights(counts, sums, theta, theta) == pytest.approx(0.0)
 
     def test_single_draw_direct_ratio(self):
         model = IndependentExponentials(1)
-        trace = _exp_trace([[1.0]])
-        got = model.log_lr(trace, np.array([1.0]), np.array([2.0]))
+        got = model.log_weights(np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([2.0]))
         assert got == pytest.approx(math.log(2.0) - 1.0)
 
     def test_antisymmetry(self, rng):
         model = IndependentExponentials(2)
         for _ in range(25):
-            trace = _exp_trace(
+            counts, sums = exp_stats(
                 [rng.exponential(1.0, size=rng.integers(1, 6)) for _ in range(2)]
             )
             a = rng.uniform(0.2, 3.0, size=2)
             b = rng.uniform(0.2, 3.0, size=2)
-            assert model.log_lr(trace, a, b) == pytest.approx(-model.log_lr(trace, b, a))
-            assert model.log_lr(trace, a, a) == 0.0
+            forward = model.log_weights(counts, sums, a, b)
+            assert forward == pytest.approx(-model.log_weights(counts, sums, b, a))
+            assert model.log_weights(counts, sums, a, a) == 0.0
 
     def test_expected_weight_is_one(self, rng):
         # E[W] = 1 under the sampling measure, checked brute force
@@ -160,13 +177,17 @@ class TestLogLr:
         sums = counts * rng.uniform(0.3, 2.0, size=(8, 3))
         batch = model.log_weights(counts, sums, froms, target)
         for i in range(8):
-            blocks = []
+            single = model.log_weights(counts[i], sums[i], froms[i], target)
+            # sum of per-draw log density ratios over draws with these stats
+            direct = 0.0
             for c in range(3):
-                k = int(counts[i, c])
-                vals = np.full(k, sums[i, c] / k)
-                blocks.append(vals)
-            single = model.log_lr(InputTrace(tuple(blocks)), froms[i], target)
-            assert single == pytest.approx(batch[i])
+                draws = np.full(int(counts[i, c]), sums[i, c] / counts[i, c])
+                direct += np.sum(
+                    expon.logpdf(draws, scale=1.0 / target[c])
+                    - expon.logpdf(draws, scale=1.0 / froms[i, c])
+                )
+            assert single == batch[i]
+            assert single == pytest.approx(direct)
 
     def test_mvn_batch_matches_per_trace(self, rng):
         cov = np.array([[1.0, 0.3], [0.3, 2.0]])
@@ -175,21 +196,11 @@ class TestLogLr:
         for _ in range(10):
             frm = rng.normal(size=2)
             draws = model.sample(frm, rng, size=int(rng.integers(1, 5)))
-            trace = InputTrace((draws,))
-            counts, sums = model.trace_stats(trace)
-            direct = sum(
-                model.log_pdf(target, z) - model.log_pdf(frm, z) for z in draws
+            counts = np.full(2, float(draws.shape[0]))
+            sums = draws.sum(axis=0)
+            direct = np.sum(
+                multivariate_normal.logpdf(draws, target, cov)
+                - multivariate_normal.logpdf(draws, frm, cov)
             )
-            assert model.log_lr(trace, frm, target) == pytest.approx(direct)
             batch = model.log_weights(counts[None, :], sums[None, :], frm[None, :], target)
             assert batch[0] == pytest.approx(direct)
-
-
-class TestInputTrace:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            InputTrace((np.empty(0),))
-
-    def test_size_counts_all_blocks(self):
-        trace = _exp_trace([[1.0, 2.0], [3.0]])
-        assert trace.size == 3

@@ -28,6 +28,19 @@ class ScriptedRng:
         return self.values.pop(0)
 
 
+class RecordingRng:
+    """Wraps a generator and records each ``exponential`` draw by its scale."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = {}
+
+    def exponential(self, scale):
+        x = self.rng.exponential(scale)
+        self.draws.setdefault(scale, []).append(x)
+        return x
+
+
 class TestSanTopology:
     def test_default_is_13_arcs_9_nodes(self):
         cfg = SanConfig.default()
@@ -81,11 +94,13 @@ class TestSanRuns:
 
     def test_trace_is_one_draw_per_arc(self, rng):
         tb = SanTestbed()
-        run = tb.run(tb.true_theta, rng)
-        assert len(run.trace.blocks) == 13
-        assert all(b.shape == (1,) for b in run.trace.blocks)
-        assert run.a in (0.0, 1.0)
-        assert run.y == run.a * run.y or run.a == 1.0
+        batch = tb.simulate(tb.true_theta, 1, rng)
+        assert batch.counts.tolist() == [[1.0] * 13]
+        assert batch.sums.shape == (1, 13) and np.all(batch.sums > 0)
+        # the sums are the arc durations themselves
+        v, t = tb.path_times(batch.sums)
+        assert batch.a[0] == float(t[0] < tb.config.threshold)
+        assert batch.y[0] == v[0] * batch.a[0]
 
     def test_y_is_v_times_indicator(self, rng):
         tb = SanTestbed()
@@ -109,11 +124,10 @@ class TestSanRuns:
 
     def test_reproducible_runs(self):
         tb = SanTestbed()
-        r1 = tb.run(tb.true_theta, np.random.default_rng(7))
-        r2 = tb.run(tb.true_theta, np.random.default_rng(7))
-        assert r1.y == r2.y and r1.a == r2.a
-        for b1, b2 in zip(r1.trace.blocks, r2.trace.blocks):
-            assert np.array_equal(b1, b2)
+        b1 = tb.simulate(tb.true_theta, 1, np.random.default_rng(7))
+        b2 = tb.simulate(tb.true_theta, 1, np.random.default_rng(7))
+        for field in ("y", "a", "counts", "sums"):
+            assert np.array_equal(getattr(b1, field), getattr(b2, field))
 
 
 def replay_cycle(interarrivals, services, capacity):
@@ -151,41 +165,48 @@ class TestMm1Cycle:
     def test_single_customer_cycle(self):
         tb = Mm1Testbed()
         # draw order: initial service, then interarrival
-        run = tb.run(np.array([1.0, 1.0]), ScriptedRng([2.0, 5.0]))
-        assert run.y == pytest.approx(2.0)
-        assert run.a == pytest.approx(5.0)
-        assert run.trace.blocks[0].tolist() == [5.0]
-        assert run.trace.blocks[1].tolist() == [2.0]
+        batch = tb.simulate(np.array([1.0, 1.0]), 1, ScriptedRng([2.0, 5.0]))
+        assert batch.y[0] == pytest.approx(2.0)
+        assert batch.a[0] == pytest.approx(5.0)
+        assert batch.counts[0].tolist() == [1.0, 1.0]
+        assert batch.sums[0].tolist() == [5.0, 2.0]
 
     def test_two_customer_overlap_cycle(self):
         # hand trace: arrivals at 0 and 1; services 3.0 (first) and 1.0
         # (second, starts at 3); head count is 1 on [0,1), 2 on [1,3),
         # 1 on [3,4), 0 on [4,11); area 1 + 4 + 1 = 6
         tb = Mm1Testbed()
-        run = tb.run(np.array([1.0, 1.0]), ScriptedRng([3.0, 1.0, 10.0, 1.0]))
-        assert run.y == pytest.approx(6.0)
-        assert run.a == pytest.approx(11.0)
-        assert run.trace.blocks[0].tolist() == [1.0, 10.0]
-        assert run.trace.blocks[1].tolist() == [3.0, 1.0]
+        batch = tb.simulate(np.array([1.0, 1.0]), 1, ScriptedRng([3.0, 1.0, 10.0, 1.0]))
+        assert batch.y[0] == pytest.approx(6.0)
+        assert batch.a[0] == pytest.approx(11.0)
+        # interarrivals 1 + 10, services 3 + 1
+        assert batch.counts[0].tolist() == [2.0, 2.0]
+        assert batch.sums[0].tolist() == [11.0, 4.0]
 
     def test_blocked_arrivals_consume_no_service(self):
         # capacity 1: the second arrival (t=1) is blocked; only draws are
         # the initial service, two interarrivals
         tb = Mm1Testbed(QueueConfig(capacity=1))
-        run = tb.run(np.array([1.0, 1.0]), ScriptedRng([3.0, 1.0, 9.0]))
-        assert run.trace.blocks[0].tolist() == [1.0, 9.0]
-        assert run.trace.blocks[1].tolist() == [3.0]
-        assert run.y == pytest.approx(3.0)
-        assert run.a == pytest.approx(10.0)
+        batch = tb.simulate(np.array([1.0, 1.0]), 1, ScriptedRng([3.0, 1.0, 9.0]))
+        assert batch.counts[0].tolist() == [2.0, 1.0]
+        assert batch.sums[0].tolist() == [10.0, 3.0]
+        assert batch.y[0] == pytest.approx(3.0)
+        assert batch.a[0] == pytest.approx(10.0)
 
     def test_replay_oracle_agrees(self, rng):
         tb = Mm1Testbed()
         theta = np.array([0.9, 1.1])  # high load exercises blocking
         for _ in range(300):
-            run = tb.run(theta, rng)
-            y, a = replay_cycle(run.trace.blocks[0], run.trace.blocks[1], 10)
-            assert run.y == pytest.approx(y)
-            assert run.a == pytest.approx(a)
+            rec = RecordingRng(rng)
+            batch = tb.simulate(theta, 1, rec)
+            # distinct rates keep the two draw streams apart by scale
+            interarrivals = rec.draws[1.0 / theta[0]]
+            services = rec.draws[1.0 / theta[1]]
+            y, a = replay_cycle(interarrivals, services, 10)
+            assert batch.y[0] == pytest.approx(y)
+            assert batch.a[0] == pytest.approx(a)
+            assert batch.counts[0].tolist() == [len(interarrivals), len(services)]
+            assert batch.sums[0] == pytest.approx([sum(interarrivals), sum(services)])
 
     def test_invariants_over_random_cycles(self, rng):
         tb = Mm1Testbed()
@@ -201,12 +222,13 @@ class TestMm1Cycle:
         tb = Mm1Testbed()
         theta = np.array([0.5, 1.5])
         batch = tb.simulate(theta, 5, np.random.default_rng(3))
-        rng = np.random.default_rng(3)
+        rec = RecordingRng(np.random.default_rng(3))
         for j in range(5):
-            run = tb.run(theta, rng)
-            assert run.y == batch.y[j] and run.a == batch.a[j]
-            assert batch.counts[j, 0] == len(run.trace.blocks[0])
-            assert batch.sums[j, 1] == pytest.approx(run.trace.blocks[1].sum())
+            rec.draws.clear()
+            single = tb.simulate(theta, 1, rec)
+            assert single.y[0] == batch.y[j] and single.a[0] == batch.a[j]
+            assert batch.counts[j, 0] == len(rec.draws[1.0 / theta[0]])
+            assert batch.sums[j, 1] == pytest.approx(sum(rec.draws[1.0 / theta[1]]))
 
     def test_long_run_mean_matches_closed_form(self, rng):
         tb = Mm1Testbed()
@@ -255,9 +277,12 @@ class TestErm:
 
     def test_trace_is_one_vector_draw(self, rng):
         tb = ErmTestbed()
-        run = tb.run(tb.true_theta, rng)
-        assert len(run.trace.blocks) == 1
-        assert run.trace.blocks[0].shape == (1, 2)
+        batch = tb.simulate(tb.true_theta, 1, rng)
+        assert batch.counts.tolist() == [[1.0, 1.0]]
+        # the sums are the run's log-price increments
+        spots = np.asarray(tb.config.s0) * np.exp(batch.sums)
+        assert batch.a[0] == float(spots.sum() < tb.config.k_star)
+        assert batch.y[0] == pytest.approx(tb.portfolio_value(spots)[0] * batch.a[0])
 
     def test_threshold_is_sum_of_marginal_quantiles(self):
         cfg = ErmConfig.default()
@@ -276,9 +301,11 @@ class TestErm:
 
     def test_batch_matches_single_run(self):
         tb = ErmTestbed()
-        batch = tb.simulate(tb.true_theta, 1, np.random.default_rng(11))
-        run = tb.run(tb.true_theta, np.random.default_rng(11))
-        assert run.y == batch.y[0] and run.a == batch.a[0]
+        batch = tb.simulate(tb.true_theta, 3, np.random.default_rng(11))
+        single = tb.simulate(tb.true_theta, 1, np.random.default_rng(11))
+        assert single.a[0] == batch.a[0]
+        assert single.y[0] == pytest.approx(batch.y[0], rel=1e-12)
+        assert single.sums[0] == pytest.approx(batch.sums[0], rel=1e-12)
 
     def test_lr_param_shifts_mean(self):
         tb = ErmTestbed()
