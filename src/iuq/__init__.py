@@ -42,7 +42,6 @@ from .harness import (
     ExperimentConfig,
     MacroResult,
     MacroRow,
-    PilotSettings,
     emit_report,
     load_report,
     run_iuq_knn_klr,

@@ -56,23 +56,13 @@ def percentile_ci(estimates, alpha, estimator=""):
         raise ValueError("need at least two estimates")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    srt = np.sort(estimates)
-    lo = srt[math.ceil(srt.size * alpha / 2.0) - 1]
-    hi = srt[math.ceil(srt.size * (1.0 - alpha / 2.0)) - 1]
-    return CIResult(float(lo), float(hi), alpha, "percentile", estimates.size, estimator)
+    lo = empirical_quantile(estimates, alpha / 2.0)
+    hi = empirical_quantile(estimates, 1.0 - alpha / 2.0)
+    return CIResult(lo, hi, alpha, "percentile", estimates.size, estimator)
 
 
 def basic_ci(estimates, eta_hat_at_theta_hat, alpha, estimator=""):
     """Basic bootstrap CI, the percentile interval reflected about 2*eta_hat."""
-    estimates = np.asarray(estimates, dtype=float)
-    if estimates.size < 2:
-        raise ValueError("need at least two estimates")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    pct = percentile_ci(estimates, alpha)
     center = 2.0 * float(eta_hat_at_theta_hat)
-    srt = np.sort(estimates)
-    q_lo = srt[math.ceil(srt.size * alpha / 2.0) - 1]
-    q_hi = srt[math.ceil(srt.size * (1.0 - alpha / 2.0)) - 1]
-    return CIResult(
-        center - float(q_hi), center - float(q_lo), alpha, "basic", estimates.size, estimator
-    )
+    return CIResult(center - pct.upper, center - pct.lower, alpha, "basic", pct.n_used, estimator)

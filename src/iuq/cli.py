@@ -6,7 +6,8 @@ Subcommands:
 ``iuq pilot``   variance-ratio pilot that suggests the replication count r
 ``iuq oracle``  brute-force reference value of the target ratio
 
-A flat ``key=value`` config file can prefill any flag of ``run``; explicit
+A flat ``key=value`` config file can prefill any flag of ``run`` (keys are
+the flags' dest names, plus ``cv.folds`` and ``cv.grid``); explicit
 command-line flags take precedence.
 """
 
@@ -20,7 +21,6 @@ from .harness import (
     ESTIMATORS,
     SAMPLING_MODES,
     ExperimentConfig,
-    PilotSettings,
     emit_report,
     run_macro_experiment,
     run_pilot,
@@ -43,29 +43,6 @@ def parse_config_file(path):
     return values
 
 
-_CONFIG_KEYS = {
-    "model": str,
-    "m": int,
-    "alpha": float,
-    "estimator": str,
-    "sampling": str,
-    "r": str,
-    "macros": int,
-    "seed": int,
-    "out": str,
-    "san_topology": str,
-    "workers": int,
-    "eta_ref": float,
-    "pilot.b": int,
-    "pilot.s0": int,
-    "pilot.ds": int,
-    "pilot.c_zeta": float,
-    "pilot.max_s": int,
-    "cv.folds": int,
-    "cv.grid": str,
-}
-
-
 def _parse_r(text):
     return "auto" if text == "auto" else int(text)
 
@@ -74,51 +51,9 @@ def _parse_grid(text):
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-def build_experiment_config(args):
-    """Merge config-file values and command-line flags into a config."""
-    merged = {}
-    if args.config:
-        raw = parse_config_file(args.config)
-        unknown = set(raw) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, text in raw.items():
-            merged[key] = _CONFIG_KEYS[key](text)
-    cli_values = {
-        "model": args.model,
-        "m": args.m,
-        "alpha": args.alpha,
-        "estimator": args.estimator,
-        "sampling": args.sampling,
-        "r": args.r,
-        "macros": args.macros,
-        "seed": args.seed,
-        "out": args.out,
-        "san_topology": args.san_topology,
-        "workers": args.workers,
-        "eta_ref": args.eta_ref,
-    }
-    merged.update({k: v for k, v in cli_values.items() if v is not None})
-    if "model" not in merged or "m" not in merged:
-        raise ValueError("--model and --m are required (by flag or config file)")
-    pilot = PilotSettings(
-        b=merged.pop("pilot.b", PilotSettings.b),
-        s0=merged.pop("pilot.s0", PilotSettings.s0),
-        ds=merged.pop("pilot.ds", PilotSettings.ds),
-        c_zeta=merged.pop("pilot.c_zeta", PilotSettings.c_zeta),
-        max_s=merged.pop("pilot.max_s", PilotSettings.max_s),
-    )
-    cv_folds = merged.pop("cv.folds", 5)
-    cv_grid = merged.pop("cv.grid", None)
-    if isinstance(cv_grid, str):
-        cv_grid = _parse_grid(cv_grid)
-    if isinstance(merged.get("r"), str):
-        merged["r"] = _parse_r(merged["r"])
-    return ExperimentConfig(pilot=pilot, cv_folds=cv_folds, cv_grid=cv_grid, **merged)
-
-
-def _add_run_parser(sub):
-    p = sub.add_parser("run", help="macro coverage experiment")
+def _run_flags():
+    """The ``run`` flags, one per ExperimentConfig field of the same name."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--model", choices=TESTBEDS)
     p.add_argument("--m", type=int, help="input data size")
     p.add_argument("--alpha", type=float, help="1 - nominal coverage (default 0.05)")
@@ -132,8 +67,40 @@ def _add_run_parser(sub):
     p.add_argument("--workers", type=int, help="parallel macro workers (default 1)")
     p.add_argument("--eta-ref", dest="eta_ref", type=float,
                    help="override the pinned reference value")
-    p.add_argument("--config", help="flat key=value config file")
     return p
+
+
+RUN_FLAGS = _run_flags()
+
+
+def _config_file_keys():
+    """Config-file key -> (ExperimentConfig field, converter): every ``run``
+    flag's dest, parsed as its flag parses it, plus the CV settings."""
+    keys = {a.dest: (a.dest, a.type or str) for a in RUN_FLAGS._actions}
+    keys["cv.folds"] = ("cv_folds", int)
+    keys["cv.grid"] = ("cv_grid", _parse_grid)
+    return keys
+
+
+def build_experiment_config(args):
+    """Merge config-file values and command-line flags into a config."""
+    merged = {}
+    if args.config:
+        keys = _config_file_keys()
+        raw = parse_config_file(args.config)
+        unknown = set(raw) - set(keys)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, text in raw.items():
+            field, convert = keys[key]
+            merged[field] = convert(text)
+    for action in RUN_FLAGS._actions:
+        value = getattr(args, action.dest)
+        if value is not None:
+            merged[action.dest] = value
+    if "model" not in merged or "m" not in merged:
+        raise ValueError("--model and --m are required (by flag or config file)")
+    return ExperimentConfig(**merged)
 
 
 def _cmd_run(args):
@@ -146,14 +113,17 @@ def _cmd_run(args):
     return 0
 
 
+_PILOT_SIZES = ("b", "s0", "ds", "c_zeta", "max_s")
+
+
 def _cmd_pilot(args):
-    settings = PilotSettings(b=args.b, s0=args.s0, ds=args.ds,
-                             c_zeta=args.c_zeta, max_s=args.max_s)
+    # only the sizes given on the command line; anova_select_r holds the defaults
+    sizes = {k: v for k, v in vars(args).items() if k in _PILOT_SIZES}
     rs = []
     last = None
     for rep in range(args.repeats):
-        last = run_pilot(args.model, args.m, seed=args.seed + rep, settings=settings,
-                         san_topology=args.san_topology)
+        last = run_pilot(args.model, args.m, seed=args.seed + rep,
+                         san_topology=args.san_topology, **sizes)
         rs.append(last.r)
     out = {
         "model": args.model,
@@ -188,21 +158,22 @@ def _cmd_oracle(args):
     return 0
 
 
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(prog="iuq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_run_parser(sub)
+    p = sub.add_parser("run", parents=[RUN_FLAGS], help="macro coverage experiment")
+    p.add_argument("--config", help="flat key=value config file")
 
     p = sub.add_parser("pilot", help="variance-ratio pilot for r")
     p.add_argument("--model", required=True, choices=TESTBEDS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--b", type=int, default=PilotSettings.b)
-    p.add_argument("--s0", type=int, default=PilotSettings.s0)
-    p.add_argument("--ds", type=int, default=PilotSettings.ds)
-    p.add_argument("--c-zeta", dest="c_zeta", type=float, default=PilotSettings.c_zeta)
-    p.add_argument("--max-s", dest="max_s", type=int, default=PilotSettings.max_s)
+    p.add_argument("--b", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--s0", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--ds", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--c-zeta", dest="c_zeta", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-s", dest="max_s", type=int, default=argparse.SUPPRESS)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--san-topology", dest="san_topology")
 
@@ -212,8 +183,11 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", help="comma-separated parameter override")
     p.add_argument("--san-topology", dest="san_topology")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

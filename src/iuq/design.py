@@ -187,7 +187,7 @@ def sample_in_ellipsoid(ellipsoid, count, rng):
     return ellipsoid.center + ball @ ellipsoid.sampling_transform().T
 
 
-def sample_sim_params(mode, boots, model, theta_hat, m, n, rng, mvee_tol=1e-7):
+def sample_sim_params(mode, boots, model, theta_hat, m, n, rng):
     """Draw the simulation parameter set.
 
     ``bootstrap`` mode draws n fresh parametric-bootstrap MLEs, independent
@@ -204,7 +204,7 @@ def sample_sim_params(mode, boots, model, theta_hat, m, n, rng, mvee_tol=1e-7):
         raise ValueError(f"unknown sampling mode {mode!r}")
     if boots is None or boots.params.shape[0] == 0:
         raise ValueError("ellipsoid sampling needs a non-empty bootstrap set")
-    ell = min_enclosing_ellipsoid(boots.params, tol=mvee_tol)
+    ell = min_enclosing_ellipsoid(boots.params)
     out = np.empty((int(n), boots.params.shape[1]))
     filled = 0
     drawn = accepted = 0
@@ -276,6 +276,8 @@ def anova_select_r(sample_param, simulate, b=50, s0=10, ds=10, c_zeta=0.1,
     """
     if b < 2 or s0 < 2:
         raise ValueError("need b >= 2 pilot parameters and s0 >= 2 runs")
+    if ds < 1:
+        raise ValueError("need ds >= 1 added runs per round")
     params = sample_param(b, rng)
     ys = np.empty((b, 0))
     as_ = np.empty((b, 0))
@@ -312,19 +314,18 @@ def anova_select_r(sample_param, simulate, b=50, s0=10, ds=10, c_zeta=0.1,
 # -- cross-validated selection of the pooling size k ----------------------
 
 
-def make_folds(n, n_folds, rng=None):
-    """Partition range(n) into n_folds index arrays.
+def make_folds(n, n_folds):
+    """Partition range(n) into n_folds contiguous index arrays.
 
     When the fold count does not divide n, the first n mod n_folds folds
-    receive one extra index.  By default indices are assigned contiguously,
-    so the numerator and denominator cross-validations of one experiment
-    share the same partition (their losses then correlate and the selected
-    pool sizes agree whenever the two outputs are strongly dependent);
-    indices are shuffled when a generator is supplied.
+    receive one extra index.  The partition is deterministic, so the
+    numerator and denominator cross-validations of one experiment share it
+    (their losses then correlate and the selected pool sizes agree whenever
+    the two outputs are strongly dependent).
     """
     if not 2 <= n_folds <= n:
         raise ValueError("need 2 <= n_folds <= n")
-    idx = np.arange(n) if rng is None else rng.permutation(n)
+    idx = np.arange(n)
     base = n // n_folds
     extra = n % n_folds
     folds = []
@@ -367,7 +368,7 @@ def default_k_grid(n):
     return [2**j for j in range(1, top + 1)]
 
 
-def cv_select_k(sim_params, run_means, candidates, n_folds=5, rng=None):
+def cv_select_k(sim_params, run_means, candidates, n_folds=5):
     """K-fold cross-validated pooling size.
 
     Returns the candidate with the smallest average fold loss; ties go to
@@ -378,7 +379,7 @@ def cv_select_k(sim_params, run_means, candidates, n_folds=5, rng=None):
     n = params.shape[0]
     if not 2 <= n_folds <= n:
         raise ValueError("need 2 <= n_folds <= n")
-    folds = make_folds(n, n_folds, rng)
+    folds = make_folds(n, n_folds)
     min_train = n - max(f.size for f in folds)
     usable = []
     for k in sorted(set(int(k) for k in candidates)):

@@ -17,8 +17,9 @@ import json
 import math
 import numbers
 import os
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,13 +61,9 @@ def _rng(seed, macro, phase):
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(macro), int(phase)]))
 
 
-@dataclass(frozen=True)
-class PilotSettings:
-    b: int = 50
-    s0: int = 10
-    ds: int = 10
-    c_zeta: float = 0.1
-    max_s: int = 500
+def _is_int(value, low):
+    """True for an integer >= low; bools are excluded, numpy integers count."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
 
 
 @dataclass(frozen=True)
@@ -83,10 +80,8 @@ class ExperimentConfig:
     san_topology: str = None
     workers: int = 1
     eta_ref: float = None
-    pilot: PilotSettings = field(default_factory=PilotSettings)
     cv_folds: int = 5
     cv_grid: tuple = None
-    mvee_tol: float = 1e-7
 
     def __post_init__(self):
         if self.model not in TESTBEDS:
@@ -104,14 +99,34 @@ class ExperimentConfig:
         self._check_int("seed", 0)
         self._check_int("workers", 1)
         self._check_int("cv_folds", 2)
-        n, _ = sample_size_rule(self.m)
-        if self.estimator in ("knn", "klr") and self.cv_folds > n:
-            raise ValueError(f"cv_folds must not exceed the n={n} simulation parameters")
+        if self.cv_grid is not None:
+            grid = tuple(self.cv_grid) if isinstance(self.cv_grid, Iterable) else ()
+            if not grid or not all(_is_int(k, 1) for k in grid):
+                raise ValueError(
+                    f"cv_grid must be None or a non-empty sequence of integers >= 1, "
+                    f"got {self.cv_grid!r}"
+                )
+            object.__setattr__(self, "cv_grid", tuple(int(k) for k in grid))
+        if self.eta_ref is not None and (
+            isinstance(self.eta_ref, bool)
+            or not isinstance(self.eta_ref, numbers.Real)
+            or not math.isfinite(self.eta_ref)
+        ):
+            raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
+        if self.estimator in ("knn", "klr"):
+            n, _ = sample_size_rule(self.m)
+            if self.cv_folds > n:
+                raise ValueError(f"cv_folds must not exceed the n={n} simulation parameters")
+            min_train = n - math.ceil(n / self.cv_folds)  # n minus the largest fold
+            if self.cv_grid and min(self.cv_grid) > min_train:
+                raise ValueError(
+                    f"cv_grid needs a k <= {min_train}, the smallest training fold"
+                )
 
     def _check_int(self, name, low):
-        """Require an integer field >= low (bool excluded); store it as int."""
+        """Require an integer field >= low; store it as int."""
         value = getattr(self, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        if not _is_int(value, low):
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         object.__setattr__(self, name, int(value))
 
@@ -149,7 +164,7 @@ class MacroResult:
 
 
 def run_iuq_knn_klr(testbed, data, estimator, sampling, alpha, r, rngs,
-                    cv_folds=5, cv_grid=None, mvee_tol=1e-7):
+                    cv_folds=5, cv_grid=None):
     """Pooled-estimator pipeline on one input dataset.
 
     Bootstraps the MLE, draws an independent simulation parameter set, runs
@@ -168,9 +183,7 @@ def run_iuq_knn_klr(testbed, data, estimator, sampling, alpha, r, rngs,
     m = data.shape[0]
     n, n_tilde = sample_size_rule(m)
     boots = bootstrap_params(model, theta_hat, m, n_tilde, rngs["boot"])
-    sim = sample_sim_params(
-        sampling, boots, model, theta_hat, m, n, rngs["sim"], mvee_tol=mvee_tol
-    )
+    sim = sample_sim_params(sampling, boots, model, theta_hat, m, n, rngs["sim"])
     table = build_run_table(
         testbed, sim.params, r, rngs["runs"], collect_stats=(estimator == "klr")
     )
@@ -303,7 +316,6 @@ def _run_single_macro(cfg, macro_idx, eta_ref):
                 rngs,
                 cv_folds=cfg.cv_folds,
                 cv_grid=cfg.cv_grid,
-                mvee_tol=cfg.mvee_tol,
             )
         else:
             split = cfg.estimator.split("-", 1)[1]
@@ -388,7 +400,8 @@ def summarize(rows, failures, cfg, eta_ref):
 
 # -- reporting -------------------------------------------------------------
 
-_CSV_FIELDS = [f.name for f in dataclasses.fields(MacroRow)]
+_CSV_COLUMNS = dataclasses.fields(MacroRow)  # each field's type parses its cell
+_CSV_FIELDS = [f.name for f in _CSV_COLUMNS]
 
 
 def _format_cell(value):
@@ -421,10 +434,6 @@ def emit_report(result, path):
     return csv_path, json_path
 
 
-_INT_FIELDS = {"macro_id", "m", "n", "n_tilde", "r", "k_y", "k_a", "covered",
-               "sims_used", "seed"}
-
-
 def load_report(csv_path):
     """Parse an emitted CSV back into MacroRow records."""
     with open(csv_path) as fh:
@@ -434,27 +443,22 @@ def load_report(csv_path):
         rows = []
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            kwargs = {}
-            for name, cell in zip(_CSV_FIELDS, cells):
-                if name in _INT_FIELDS:
-                    kwargs[name] = int(cell)
-                elif name in ("estimator", "sampling"):
-                    kwargs[name] = cell
-                else:
-                    kwargs[name] = float(cell)
-            rows.append(MacroRow(**kwargs))
+            if line:
+                cells = line.split(",")
+                rows.append(MacroRow(**{f.name: f.type(cell)
+                                        for f, cell in zip(_CSV_COLUMNS, cells)}))
     return rows
 
 
 # -- pilot entry point ------------------------------------------------------
 
 
-def run_pilot(model_name, m, seed=0, settings=None, san_topology=None):
-    """Run the variance-ratio pilot on a fresh dataset from the true model."""
-    settings = settings or PilotSettings()
+def run_pilot(model_name, m, seed=0, san_topology=None, **pilot):
+    """Run the variance-ratio pilot on a fresh dataset from the true model.
+
+    Keyword arguments (``b``, ``s0``, ``ds``, ``c_zeta``, ``max_s``,
+    ``max_r``) go to ``anova_select_r``, which holds their defaults.
+    """
     testbed = make_testbed(model_name, san_topology=san_topology)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0, 99]))
     data = testbed.input_model.sample(testbed.true_theta, rng, size=m)
@@ -467,13 +471,4 @@ def run_pilot(model_name, m, seed=0, settings=None, san_topology=None):
         batch = testbed.simulate(theta, runs, rng_, collect_stats=False)
         return batch.y, batch.a
 
-    return anova_select_r(
-        sample_param,
-        simulate,
-        b=settings.b,
-        s0=settings.s0,
-        ds=settings.ds,
-        c_zeta=settings.c_zeta,
-        max_s=settings.max_s,
-        rng=rng,
-    )
+    return anova_select_r(sample_param, simulate, rng=rng, **pilot)

@@ -81,7 +81,6 @@ def true_eta_oracle(testbed, theta, budget, rng, chunk=200_000):
     if budget < 10_000:
         raise ValueError("oracle budget must be at least 10^4 runs")
     sum_y = sum_a = 0.0
-    sum_g2 = 0.0  # accumulates (Y - eta*A)^2 in a second pass-free way below
     ys = []
     as_ = []
     done = 0

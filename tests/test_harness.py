@@ -5,10 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from iuq import cli
 from iuq.harness import (
     DEFAULT_R,
     ExperimentConfig,
-    PilotSettings,
     _run_single_macro,
     emit_report,
     load_report,
@@ -73,9 +73,24 @@ class TestConfig:
             ({"r": True}, False),
             ({"r": np.int64(5)}, True),
             ({"seed": np.int64(3), "workers": np.int32(2)}, True),
+            ({"m": 20, "cv_grid": (0,)}, False),
+            ({"cv_grid": (2.5,)}, False),
+            ({"cv_grid": ()}, False),
+            ({"cv_grid": (True,)}, False),
+            ({"cv_grid": 4}, False),
+            ({"cv_grid": (2, 1000)}, True),  # k=1000 is skipped by the CV
+            ({"cv_grid": (1000,)}, False),  # above every training fold
+            ({"cv_grid": [np.int64(2), 4]}, True),
+            ({"eta_ref": float("nan")}, False),
+            ({"eta_ref": float("inf")}, False),
+            ({"eta_ref": "0.5"}, False),
+            ({"eta_ref": 0.5}, True),
         ],
         ids=["model-bogus", "cv_folds-1", "cv_folds-float", "cv_folds-above-n",
-             "seed-negative", "workers-0", "r-bool", "r-numpy-int", "numpy-ints"],
+             "seed-negative", "workers-0", "r-bool", "r-numpy-int", "numpy-ints",
+             "cv_grid-zero", "cv_grid-float", "cv_grid-empty", "cv_grid-bool",
+             "cv_grid-scalar", "cv_grid-some-usable", "cv_grid-none-usable",
+             "cv_grid-list", "eta_ref-nan", "eta_ref-inf", "eta_ref-str", "eta_ref-float"],
     )
     def test_bad_fields_rejected_at_build(self, overrides, accepted):
         kwargs = {"model": "mm1", "m": 50, **overrides}
@@ -85,7 +100,13 @@ class TestConfig:
             return
         cfg = ExperimentConfig(**kwargs)
         for name, value in overrides.items():
-            assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
+            if name == "cv_grid":
+                assert cfg.cv_grid == tuple(value)
+                assert all(type(k) is int for k in cfg.cv_grid)
+            elif name == "eta_ref":
+                assert cfg.eta_ref == value
+            else:
+                assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
         assert cfg.resolved_r() == overrides.get("r", 7)
 
     def test_accepts_thousand_macros(self):
@@ -245,9 +266,39 @@ class TestReference:
 
 class TestPilotEntry:
     def test_mm1_pilot_runs(self):
-        res = run_pilot("mm1", 50, seed=3, settings=PilotSettings(b=20, s0=10))
+        res = run_pilot("mm1", 50, seed=3, b=20, s0=10)
         assert res.r >= 1
         assert min(res.zeta_y, res.zeta_a) >= 0.1 - 1e-12
+
+
+class TestConfigFile:
+    # one non-default value per run flag, as typed on the command line
+    FLAG_VALUES = {
+        "model": "erm", "m": "30", "alpha": "0.1", "estimator": "knn",
+        "sampling": "bootstrap", "r": "4", "macros": "3", "seed": "5",
+        "out": "runs/x", "san_topology": "net.txt", "workers": "2", "eta_ref": "0.5",
+    }
+
+    def build(self, *argv):
+        return cli.build_experiment_config(cli.build_parser().parse_args(["run", *argv]))
+
+    def test_every_run_flag_is_a_config_key(self, tmp_path):
+        flags = {a.dest: a.option_strings[0] for a in cli.RUN_FLAGS._actions}
+        assert set(flags) == set(self.FLAG_VALUES)
+        default = ExperimentConfig(model="mm1", m=20)
+        for dest, text in self.FLAG_VALUES.items():
+            cfg_file = tmp_path / f"{dest}.cfg"
+            cfg_file.write_text(f"model=mm1\nm=20\n{dest}={text}\n")
+            from_file = self.build("--config", str(cfg_file))
+            from_flag = self.build("--model", "mm1", "--m", "20", flags[dest], text)
+            assert from_file == from_flag, dest
+            assert getattr(from_file, dest) != getattr(default, dest), dest
+
+    def test_cv_keys(self, tmp_path):
+        cfg_file = tmp_path / "cv.cfg"
+        cfg_file.write_text("model=mm1\nm=20\ncv.folds=3\ncv.grid=2, 4\n")
+        assert self.build("--config", str(cfg_file)) == ExperimentConfig(
+            model="mm1", m=20, cv_folds=3, cv_grid=(2, 4))
 
 
 def run_cli(*args):
@@ -280,7 +331,7 @@ class TestCli:
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(
             "model=mm1\nm=20\nestimator=std-even\nr=2\nmacros=4\nseed=1\n"
-            "pilot.b=10\ncv.folds=4\n"
+            "cv.folds=4\n"
         )
         out = tmp_path / "from_config"
         proc = run_cli("run", "--config", str(cfg_file), "--macros", "2",
@@ -298,6 +349,13 @@ class TestCli:
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("model=mm1\nm=20\nbudget=12\n")
+        proc = run_cli("run", "--config", str(cfg_file))
+        assert proc.returncode == 2
+        assert "unknown config keys" in proc.stderr
+
+    def test_run_config_rejects_pilot_keys(self, tmp_path):
+        cfg_file = tmp_path / "pilot.cfg"
+        cfg_file.write_text("model=mm1\nm=20\npilot.b=10\n")
         proc = run_cli("run", "--config", str(cfg_file))
         assert proc.returncode == 2
         assert "unknown config keys" in proc.stderr
