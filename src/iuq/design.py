@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import nearest
 from .input_models import EstimationError
+
+# held-out rows per cross-validation distance block are capped so that the
+# block's (rows, train, d) difference tensor stays within this many bytes
+CV_BLOCK_BYTES = 16 * 2**20
 
 
 class ConfigurationError(RuntimeError):
@@ -278,6 +283,10 @@ def anova_select_r(sample_param, simulate, b=50, s0=10, ds=10, c_zeta=0.1,
         raise ValueError("need b >= 2 pilot parameters and s0 >= 2 runs")
     if ds < 1:
         raise ValueError("need ds >= 1 added runs per round")
+    if max_s < s0:
+        raise ValueError(f"need max_s >= s0, got max_s={max_s}, s0={s0}")
+    if not (math.isfinite(c_zeta) and c_zeta > 0):
+        raise ValueError(f"c_zeta must be finite and positive, got {c_zeta!r}")
     params = sample_param(b, rng)
     ys = np.empty((b, 0))
     as_ = np.empty((b, 0))
@@ -343,20 +352,37 @@ def cv_losses(params, means, k, folds):
     Each held-out parameter's run mean is predicted by the average of the
     run means of its k nearest training-fold parameters.
     """
+    return _pooling_losses(params, means, [k], folds)[0]
+
+
+def _pooling_losses(params, means, ks, folds):
+    """``cv_losses`` of every k in ``ks`` from one neighbor ordering per fold.
+
+    Distances are built in blocks of held-out rows whose (rows, train, d)
+    difference tensor stays within ``CV_BLOCK_BYTES``; each block's
+    max(ks) nearest training rows are selected once and every k scores a
+    prefix of them.
+    """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if params.shape[0] != np.asarray(means).shape[0]:
         raise ValueError("params and means must align")
     means = np.asarray(means, dtype=float)
-    losses = []
+    k_max = max(ks)
+    losses = [[] for _ in ks]
     for fold in folds:
         train = np.setdiff1d(np.arange(params.shape[0]), fold)
-        if k > train.size:
-            raise ValueError(f"k={k} exceeds training-fold size {train.size}")
-        diff = params[fold][:, None, :] - params[train][None, :, :]
-        dist = np.einsum("ijk,ijk->ij", diff, diff)
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        pred = means[train][order].mean(axis=1)
-        losses.append(float(np.mean((means[fold] - pred) ** 2)))
+        if k_max > train.size:
+            raise ValueError(f"k={k_max} exceeds training-fold size {train.size}")
+        held, pool, pool_means = params[fold], params[train], means[train]
+        preds = np.empty((len(ks), fold.size))
+        step = max(1, CV_BLOCK_BYTES // pool.nbytes)
+        for lo in range(0, fold.size, step):
+            diff = held[lo : lo + step, None, :] - pool[None, :, :]
+            order = nearest(np.einsum("ijk,ijk->ij", diff, diff), k_max)
+            for j, k in enumerate(ks):
+                preds[j, lo : lo + step] = pool_means[order[:, :k]].mean(axis=1)
+        for loss, pred in zip(losses, preds):
+            loss.append(float(np.mean((means[fold] - pred) ** 2)))
     return losses
 
 
@@ -391,5 +417,5 @@ def cv_select_k(sim_params, run_means, candidates, n_folds=5):
         usable.append(k)
     if not usable:
         raise ValueError("no usable pooling-size candidates")
-    scores = [np.mean(cv_losses(params, run_means, k, folds)) for k in usable]
+    scores = [np.mean(loss) for loss in _pooling_losses(params, run_means, usable, folds)]
     return usable[int(np.argmin(scores))]

@@ -39,6 +39,34 @@ class RatioEstimate:
             raise EstimationError(f"non-finite ratio estimate ({self.method})")
 
 
+def nearest(dist, k):
+    """Indices of the k smallest entries along the last axis, smallest first.
+
+    Equals ``np.argsort(dist, axis=-1, kind="stable")[..., :k]``: ties go to
+    the smaller index.  Each row keeps the entries not above its k-th
+    smallest value and stable-sorts only those; a row that keeps more than
+    k (a tie at the k-th value, or a NaN) is sorted in full.
+    """
+    dist = np.asarray(dist)
+    n = dist.shape[-1]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    rows = dist.reshape(-1, n)
+    kth = np.partition(rows, k - 1, axis=1)[:, k - 1 : k]
+    keep = ~(rows > kth)  # at least k per row; a NaN is kept, so its row is fully sorted
+    flat = np.flatnonzero(keep)  # row-major: ascending index within a row
+    if flat.size > rows.shape[0] * k:
+        tied = keep.sum(axis=1) > k
+        out = np.empty((rows.shape[0], k), dtype=np.intp)
+        out[tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :k]
+        out[~tied] = nearest(rows[~tied], k)
+    else:
+        order = rows.ravel()[flat.reshape(-1, k)].argsort(axis=1, kind="stable")
+        order += np.arange(0, flat.size, k)[:, None]  # row offsets into flat
+        out = flat[order] % n
+    return out.reshape(dist.shape[:-1] + (k,))
+
+
 class NeighborIndex:
     """Euclidean k-nearest-neighbor queries over the simulation parameters.
 
@@ -71,8 +99,7 @@ class NeighborIndex:
             raise ValueError(f"k must lie in [1, {eligible.size}], got {k}")
         diff = self.params[eligible] - theta
         dist = np.einsum("ij,ij->i", diff, diff)
-        order = np.argsort(dist, kind="stable")[:k]
-        return eligible[order]
+        return eligible[nearest(dist, k)]
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,12 @@ def _is_int(value, low):
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
 
 
+def _is_finite_real(value):
+    """True for a finite real number other than a bool."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: str
@@ -87,8 +93,8 @@ class ExperimentConfig:
         if self.model not in TESTBEDS:
             raise ValueError(f"model must be one of {TESTBEDS}")
         self._check_int("m", 2)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        if not (_is_finite_real(self.alpha) and 0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must be a real in (0, 1), got {self.alpha!r}")
         self._check_int("macros", 1)
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
@@ -107,11 +113,7 @@ class ExperimentConfig:
                     f"got {self.cv_grid!r}"
                 )
             object.__setattr__(self, "cv_grid", tuple(int(k) for k in grid))
-        if self.eta_ref is not None and (
-            isinstance(self.eta_ref, bool)
-            or not isinstance(self.eta_ref, numbers.Real)
-            or not math.isfinite(self.eta_ref)
-        ):
+        if self.eta_ref is not None and not _is_finite_real(self.eta_ref):
             raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
         if self.estimator in ("knn", "klr"):
             n, _ = sample_size_rule(self.m)
@@ -322,6 +324,8 @@ def _run_single_macro(cfg, macro_idx, eta_ref):
             ci, diag = run_iuq_std(testbed, data, split, cfg.alpha, r, rngs)
     except EstimationError as exc:
         return macro_idx, None, str(exc)
+    except Exception as exc:
+        raise RuntimeError(f"macro {macro_idx} failed: {type(exc).__name__}: {exc}") from exc
     row = MacroRow(
         macro_id=macro_idx,
         estimator=cfg.estimator,

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..input_models import IndependentExponentials
+from ..input_models import EstimationError, IndependentExponentials
+
+# draws allowed in one regenerative cycle; with the arrival rate far above
+# the service rate a full queue takes about (lambda/mu)^capacity events to
+# empty, which no run could finish
+MAX_CYCLE_DRAWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,11 @@ def _one_cycle(lam, mu, capacity, rng):
                 pending.append(draw_sv())
                 n_sys += 1
             # else: blocked, no service draw
+            if ia_count + sv_count > MAX_CYCLE_DRAWS:
+                raise EstimationError(
+                    f"M/M/1 cycle at arrival rate {lam!r}, service rate {mu!r} "
+                    f"exceeded {MAX_CYCLE_DRAWS} draws"
+                )
         else:
             area += n_sys * (dep_next - t_prev)
             t_prev = dep_next

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvee_oracle import min_ellipse_area_bruteforce
+from iuq import design
 from iuq.design import (
     BootstrapSet,
     ConfigurationError,
@@ -259,6 +260,17 @@ class TestAnovaSelectR:
         with pytest.raises(ValueError, match="ds"):
             anova_select_r(lambda count, rng_: np.zeros((count, 1)), None, ds=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"c_zeta": 0.0}, "c_zeta"), ({"c_zeta": -0.1}, "c_zeta"),
+         ({"c_zeta": float("nan")}, "c_zeta"), ({"c_zeta": float("inf")}, "c_zeta"),
+         ({"s0": 10, "max_s": 9}, "max_s")],
+        ids=["c_zeta-zero", "c_zeta-negative", "c_zeta-nan", "c_zeta-inf", "max_s-below-s0"],
+    )
+    def test_bad_settings_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            anova_select_r(lambda count, rng_: np.zeros((count, 1)), None, **kwargs)
+
     def test_returned_r_hits_threshold(self, rng):
         def sample_param(count, rng_):
             return rng_.normal(0.0, 1.0, size=(count, 1))
@@ -284,6 +296,19 @@ class TestFolds:
         assert folds[0].tolist() == [0, 1, 2]
 
 
+def brute_cv_losses(params, means, k, folds):
+    """Per-fold losses from a full stable sort of each fold's distances."""
+    losses = []
+    for fold in folds:
+        train = np.setdiff1d(np.arange(params.shape[0]), fold)
+        diff = params[fold][:, None, :] - params[train][None, :, :]
+        dist = np.einsum("ijk,ijk->ij", diff, diff)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        pred = means[train][order].mean(axis=1)
+        losses.append(float(np.mean((means[fold] - pred) ** 2)))
+    return losses
+
+
 class TestCrossValidation:
     def test_hand_computed_losses(self):
         # params 0,1,2,3 with means 0,1,4,9; folds {0,1} and {2,3}, k=1:
@@ -293,6 +318,36 @@ class TestCrossValidation:
         means = np.array([0.0, 1.0, 4.0, 9.0])
         folds = [np.array([0, 1]), np.array([2, 3])]
         assert cv_losses(params, means, 1, folds) == [12.5, 36.5]
+
+    @pytest.mark.parametrize("n, d, integral", [(37, 1, True), (120, 3, False), (300, 2, True)])
+    def test_losses_match_bruteforce_per_k(self, rng, monkeypatch, n, d, integral):
+        # integral coordinates give many tied distances; a tiny block budget
+        # builds the distances one held-out row at a time
+        if integral:
+            params = rng.integers(0, 4, size=(n, d)).astype(float)
+        else:
+            params = rng.normal(size=(n, d))
+        means = rng.normal(size=n)
+        folds = make_folds(n, 5)
+        ks = [1, 2, 3, 8, n - max(f.size for f in folds)]
+        expected = [brute_cv_losses(params, means, k, folds) for k in ks]
+        for budget in (design.CV_BLOCK_BYTES, 1):
+            monkeypatch.setattr(design, "CV_BLOCK_BYTES", budget)
+            assert [cv_losses(params, means, k, folds) for k in ks] == expected
+            best = ks[int(np.argmin([np.mean(losses) for losses in expected]))]
+            assert cv_select_k(params, means, ks) == best
+
+    def test_tied_nonzero_losses_return_smallest_k(self):
+        # two far-apart halves, each with a constant run mean: every held-out
+        # point is predicted from the other half whatever k is, so every
+        # candidate scores exactly 1.0
+        params = np.concatenate([np.arange(5.0), 100.0 + np.arange(5.0)])[:, None]
+        means = np.repeat([0.0, 1.0], 5)
+        folds = make_folds(10, 2)
+        for k in (1, 2, 3, 5):
+            assert cv_losses(params, means, k, folds) == [1.0, 1.0]
+        assert cv_select_k(params, means, [5, 3, 2, 1], n_folds=2) == 1
+        assert cv_select_k(params, means, [4, 2, 3], n_folds=2) == 2
 
     def test_constant_response_returns_smallest_k(self, rng):
         params = rng.normal(size=(40, 1))

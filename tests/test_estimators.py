@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import kurtosis, skew
 
 from iuq.estimators import (
@@ -11,6 +14,7 @@ from iuq.estimators import (
     klr_fallback_k1,
     klr_ratio,
     knn_ratio,
+    nearest,
     std_ratio,
 )
 from iuq.input_models import EstimationError, IndependentExponentials
@@ -53,6 +57,34 @@ class TestStdRatio:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             std_ratio([1.0], [1.0, 2.0])
+
+
+@st.composite
+def tied_distances(draw, dtype, elements):
+    """1-D or 2-D arrays over a few values, so most rows tie at the k-th."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 40)),
+                           st.tuples(st.integers(1, 6), st.integers(1, 40))))
+    dist = draw(hnp.arrays(dtype, shape, elements=elements))
+    return dist, draw(st.integers(1, shape[-1]))
+
+
+class TestNearest:
+    @pytest.mark.parametrize(
+        "dtype, elements",
+        [(np.int64, st.integers(0, 3)),
+         (float, st.sampled_from([0.0, 0.5, 1.0, np.inf, np.nan]))],
+        ids=["int", "float-inf-nan"],
+    )
+    @given(data=st.data())
+    def test_equals_stable_argsort_prefix(self, dtype, elements, data):
+        dist, k = data.draw(tied_distances(dtype, elements))
+        expected = np.argsort(dist, axis=-1, kind="stable")[..., :k]
+        assert nearest(dist, k).tolist() == expected.tolist()
+
+    def test_k_out_of_range(self):
+        for k in (0, 4):
+            with pytest.raises(ValueError):
+                nearest(np.zeros(3), k)
 
 
 class TestKnnQuery:

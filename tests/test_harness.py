@@ -21,6 +21,7 @@ from iuq.harness import (
 from iuq.input_models import EstimationError
 from iuq.reference import REFERENCE_ETA, reference_eta
 from iuq.simulators import Mm1Testbed, make_testbed
+from iuq.simulators.mm1 import MAX_CYCLE_DRAWS
 
 
 def mm1_rngs(seed=0):
@@ -85,12 +86,16 @@ class TestConfig:
             ({"eta_ref": float("inf")}, False),
             ({"eta_ref": "0.5"}, False),
             ({"eta_ref": 0.5}, True),
+            ({"alpha": "0.05"}, False),
+            ({"alpha": float("nan")}, False),
+            ({"alpha": None}, False),
         ],
         ids=["model-bogus", "cv_folds-1", "cv_folds-float", "cv_folds-above-n",
              "seed-negative", "workers-0", "r-bool", "r-numpy-int", "numpy-ints",
              "cv_grid-zero", "cv_grid-float", "cv_grid-empty", "cv_grid-bool",
              "cv_grid-scalar", "cv_grid-some-usable", "cv_grid-none-usable",
-             "cv_grid-list", "eta_ref-nan", "eta_ref-inf", "eta_ref-str", "eta_ref-float"],
+             "cv_grid-list", "eta_ref-nan", "eta_ref-inf", "eta_ref-str", "eta_ref-float",
+             "alpha-str", "alpha-nan", "alpha-none"],
     )
     def test_bad_fields_rejected_at_build(self, overrides, accepted):
         kwargs = {"model": "mm1", "m": 50, **overrides}
@@ -196,6 +201,26 @@ class TestFailureHandling:
         cfg = ExperimentConfig(model="mm1", m=20, estimator="klr", r=2, macros=3)
         with pytest.raises(EstimationError, match="macro runs failed"):
             run_macro_experiment(cfg)
+
+    def test_runaway_mm1_cycle_fails_one_macro(self):
+        # seed-0 macro 31 of the m=20 klr defaults samples a simulation
+        # parameter whose regenerative cycle would not end in hours
+        cfg = ExperimentConfig(model="mm1", m=20, estimator="klr", seed=0)
+        idx, row, err = _run_single_macro(cfg, 31, 0.5)
+        assert (idx, row) == (31, None)
+        assert f"exceeded {MAX_CYCLE_DRAWS} draws" in err
+
+    def test_other_errors_name_the_macro(self, monkeypatch):
+        import iuq.harness as harness
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(harness, "run_iuq_std", broken)
+        cfg = ExperimentConfig(model="mm1", m=20, estimator="std-even", r=2, macros=3)
+        with pytest.raises(RuntimeError, match="macro 0 failed: ZeroDivisionError: boom") as info:
+            run_macro_experiment(cfg)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 @pytest.fixture(scope="module")

@@ -235,6 +235,12 @@ class TestMm1Cycle:
         res = true_eta_oracle(tb, np.array([0.5, 1.5]), 100_000, rng)
         assert abs(res.eta - mm1_steady_state_mean(0.5, 1.5)) < 4 * res.se
 
+    def test_runaway_cycle_raises(self, rng):
+        # at lambda/mu = 14.7 a full queue takes about 14.7^10 events to
+        # empty; the draw cap turns that hang into a per-macro failure
+        with pytest.raises(EstimationError, match=r"arrival rate 14\.7, service rate 1\.0"):
+            Mm1Testbed().simulate([14.7, 1.0], 1, rng)
+
     def test_closed_form_value(self):
         # rho = 1/3, capacity 10: sum(n rho^n)/sum(rho^n)
         assert mm1_steady_state_mean(0.5, 1.5) == pytest.approx(0.4999379, abs=1e-6)
