@@ -55,6 +55,7 @@ from .input_models import (
     ExponentialFamily,
     IndependentExponentials,
     MultivariateNormalKnownCov,
+    pack_stats,
 )
 from .reference import REFERENCE_ETA, reference_eta
 from .simulators import (

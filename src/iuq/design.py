@@ -216,7 +216,7 @@ def sample_sim_params(mode, boots, model, theta_hat, m, n, rng):
     while filled < n:
         want = max(int(n) - filled, 64)
         cand = sample_in_ellipsoid(ell, want, rng)
-        ok = np.fromiter((model.in_support(c) for c in cand), dtype=bool, count=want)
+        ok = model.support_mask(cand)
         drawn += want
         accepted += int(ok.sum())
         take = cand[ok][: n - filled]

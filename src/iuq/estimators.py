@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .input_models import EstimationError
+from .input_models import EstimationError, pack_stats
 
 # log-weights are clamped here before exponentiation; exp(700) is still
 # representable, anything larger would overflow to inf
@@ -68,7 +68,7 @@ def nearest(dist, k):
 
 
 class NeighborIndex:
-    """Euclidean k-nearest-neighbor queries over the simulation parameters.
+    """Euclidean k-nearest-neighbor queries over a fixed set of parameters.
 
     Queries are a brute-force distance scan with ties broken by insertion
     index, which makes them deterministic.
@@ -80,56 +80,74 @@ class NeighborIndex:
     def __len__(self):
         return self.params.shape[0]
 
-    def query(self, theta, k, mask=None):
-        """Indices of the k nearest eligible parameters, closest first.
-
-        ``mask`` marks eligible entries; ties in distance resolve to the
-        smaller index.
-        """
-        theta = np.asarray(theta, dtype=float)
+    def query(self, theta, k):
+        """Positions of the k nearest parameters, closest first; ties in
+        distance resolve to the smaller position."""
         n = len(self)
-        if mask is None:
-            eligible = np.arange(n)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (n,):
-                raise ValueError("mask must have one entry per parameter")
-            eligible = np.flatnonzero(mask)
-        if not 1 <= k <= eligible.size:
-            raise ValueError(f"k must lie in [1, {eligible.size}], got {k}")
-        diff = self.params[eligible] - theta
+        if not 1 <= k <= n:
+            raise ValueError(f"k must lie in [1, {n}], got {k}")
+        diff = self.params - np.asarray(theta, dtype=float)
         dist = np.einsum("ij,ij->i", diff, diff)
-        return eligible[nearest(dist, k)]
+        return nearest(dist, k)
 
 
 @dataclass(frozen=True)
 class RunTable:
-    """r simulation runs at each of n parameters, with cached means and the
-    per-run trace statistics needed for likelihood-ratio reweighting.
+    """r simulation runs at each of n parameters, with cached means, the
+    eligible rows, and the per-run trace statistics needed for
+    likelihood-ratio reweighting.
 
+    ``stats`` packs each run's draw sums and counts under ``trace_model``
+    (see ``input_models.pack_stats``); a table without a trace model
+    carries none and serves the k-nearest-neighbor estimator only.
     ``lr_params`` are the trace-model parameters of each simulation
-    parameter (identical to ``params`` unless the testbed maps them).
+    parameter (identical to ``params`` unless the testbed maps them);
+    ``lr_coefs`` are their likelihood-ratio coefficients.  ``pool`` lists
+    the eligible rows, those whose average denominator output is nonzero,
+    and ``index`` searches exactly those rows, so no estimator can pool an
+    ineligible one.
     """
 
     params: np.ndarray  # (n, d)
     y: np.ndarray  # (n, r)
     a: np.ndarray  # (n, r)
     trace_model: object = None
-    counts: np.ndarray = None  # (n, r, d)
-    sums: np.ndarray = None  # (n, r, d)
-    lr_params: np.ndarray = None
+    stats: np.ndarray = None  # (n, r, 2 d_trace)
+    lr_params: np.ndarray = None  # (n, d_trace)
     y_mean: np.ndarray = field(init=False)
     a_mean: np.ndarray = field(init=False)
+    pool: np.ndarray = field(init=False)  # eligible row indices, ascending
+    index: NeighborIndex = field(init=False)  # over params[pool]
+    lr_coefs: np.ndarray = field(init=False)  # (n, 2 d_trace), None without stats
 
     def __post_init__(self):
         if self.y.shape != self.a.shape or self.y.ndim != 2:
             raise ValueError("y and a must both have shape (n, r)")
         if self.params.shape[0] != self.y.shape[0]:
             raise ValueError("one parameter row per run row required")
+        if (self.trace_model is None) != (self.stats is None):
+            raise ValueError("trace statistics and a trace model come together or not at all")
+        lr_params = self.params if self.lr_params is None else self.lr_params
+        lr_coefs = None
+        if self.trace_model is not None:
+            n, r = self.y.shape
+            d = self.trace_model.dim
+            if self.stats.shape != (n, r, 2 * d):
+                raise ValueError(
+                    f"trace statistics must pack (n, r, {d}) counts and sums into shape "
+                    f"{(n, r, 2 * d)}, got {self.stats.shape}"
+                )
+            if lr_params.shape != (n, d):
+                raise ValueError(f"lr_params must have shape {(n, d)}, got {lr_params.shape}")
+            lr_coefs = self.trace_model.coefficients(lr_params)
+        a_mean = self.a.mean(axis=1)
+        pool = np.flatnonzero(a_mean != 0)
         object.__setattr__(self, "y_mean", self.y.mean(axis=1))
-        object.__setattr__(self, "a_mean", self.a.mean(axis=1))
-        if self.lr_params is None:
-            object.__setattr__(self, "lr_params", self.params)
+        object.__setattr__(self, "a_mean", a_mean)
+        object.__setattr__(self, "lr_params", lr_params)
+        object.__setattr__(self, "lr_coefs", lr_coefs)
+        object.__setattr__(self, "pool", pool)
+        object.__setattr__(self, "index", NeighborIndex(self.params[pool]))
 
     @property
     def n_params(self):
@@ -139,37 +157,37 @@ class RunTable:
     def runs_per_param(self):
         return self.y.shape[1]
 
-    def eligible(self):
-        """Mask of parameters whose average denominator output is nonzero."""
-        return self.a_mean != 0
+    def neighbors(self, theta, k_y, k_a):
+        """Rows of the max(k_y, k_a) nearest eligible parameters, closest first."""
+        if self.pool.size == 0:
+            raise EstimationError("no eligible simulation parameters to pool from")
+        if not (1 <= k_y <= self.pool.size and 1 <= k_a <= self.pool.size):
+            raise ValueError(f"pool sizes must lie in [1, {self.pool.size}]")
+        return self.pool[self.index.query(theta, max(k_y, k_a))]
 
 
 def build_run_table(testbed, params, r, rng, collect_stats=True):
     """Simulate r runs at each parameter and assemble the run table."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    n, d = params.shape
+    n = params.shape[0]
     if r < 1:
         raise ValueError("need at least one run per parameter")
     y = np.empty((n, r))
     a = np.empty((n, r))
-    counts = np.empty((n, r, d)) if collect_stats else None
-    sums = np.empty((n, r, d)) if collect_stats else None
+    stats = np.empty((n, r, 2 * testbed.trace_model.dim)) if collect_stats else None
     for j in range(n):
         batch = testbed.simulate(params[j], r, rng, collect_stats=collect_stats)
         y[j] = batch.y
         a[j] = batch.a
         if collect_stats:
-            counts[j] = batch.counts
-            sums[j] = batch.sums
-    lr_params = np.array([testbed.lr_param(p) for p in params]) if collect_stats else None
+            stats[j] = pack_stats(batch.counts, batch.sums)
     return RunTable(
         params=params,
         y=y,
         a=a,
         trace_model=testbed.trace_model if collect_stats else None,
-        counts=counts,
-        sums=sums,
-        lr_params=lr_params,
+        stats=stats,
+        lr_params=testbed.lr_param(params) if collect_stats else None,
     )
 
 
@@ -187,19 +205,13 @@ def std_ratio(y, a):
     )
 
 
-def knn_ratio(table, index, theta_tilde, k_y, k_a):
+def knn_ratio(table, theta_tilde, k_y, k_a):
     """Pooled-mean ratio over the k nearest eligible simulation parameters.
 
     Numerator and denominator pool k_y and k_a neighbors respectively, both
     taken from the same distance-ordered eligible list.
     """
-    mask = table.eligible()
-    n_eligible = int(mask.sum())
-    if n_eligible == 0:
-        raise EstimationError("no eligible simulation parameters to pool from")
-    if not (1 <= k_y <= n_eligible and 1 <= k_a <= n_eligible):
-        raise ValueError(f"pool sizes must lie in [1, {n_eligible}]")
-    nbrs = index.query(theta_tilde, max(k_y, k_a), mask=mask)
+    nbrs = table.neighbors(theta_tilde, k_y, k_a)
     num = float(table.y_mean[nbrs[:k_y]].mean())
     den = float(table.a_mean[nbrs[:k_a]].mean())
     if den == 0.0:
@@ -215,11 +227,9 @@ def _lr_run_means(table, nbrs, lr_target):
     Returns per-neighbor averages of Y*W and A*W with W the trace LR from
     each run's own parameter to the target, plus the clamp counter.
     """
-    if table.trace_model is None or table.counts is None:
+    if table.trace_model is None:
         raise EstimationError("run table carries no trace statistics")
-    log_w = table.trace_model.log_weights(
-        table.counts[nbrs], table.sums[nbrs], table.lr_params[nbrs][:, None, :], lr_target
-    )
+    log_w = table.trace_model.log_weights(table.stats[nbrs], table.lr_coefs[nbrs], lr_target)
     clamped = int(np.count_nonzero(log_w > LOG_WEIGHT_CLAMP))
     w = np.exp(np.minimum(log_w, LOG_WEIGHT_CLAMP))
     finite = np.isfinite(w)
@@ -234,7 +244,7 @@ def _lr_run_means(table, nbrs, lr_target):
     return y_lr, a_lr, clamped
 
 
-def klr_ratio(table, index, theta_tilde, k_y, k_a, lr_target=None):
+def klr_ratio(table, theta_tilde, k_y, k_a, lr_target=None):
     """Ratio of likelihood-ratio reweighted pooled means.
 
     Each pooled run is reweighted by the trace likelihood ratio from its own
@@ -242,16 +252,10 @@ def klr_ratio(table, index, theta_tilde, k_y, k_a, lr_target=None):
     the plain k-nearest-neighbor estimator.  ``lr_target`` overrides the
     target's trace-model parameter when the testbed maps parameters.
     """
-    mask = table.eligible()
-    n_eligible = int(mask.sum())
-    if n_eligible == 0:
-        raise EstimationError("no eligible simulation parameters to pool from")
-    if not (1 <= k_y <= n_eligible and 1 <= k_a <= n_eligible):
-        raise ValueError(f"pool sizes must lie in [1, {n_eligible}]")
-    theta_tilde = np.asarray(theta_tilde, dtype=float)
-    target = theta_tilde if lr_target is None else np.asarray(lr_target, dtype=float)
-    nbrs = index.query(theta_tilde, max(k_y, k_a), mask=mask)
-    y_lr, a_lr, clamped = _lr_run_means(table, nbrs, target)
+    nbrs = table.neighbors(theta_tilde, k_y, k_a)
+    y_lr, a_lr, clamped = _lr_run_means(
+        table, nbrs, theta_tilde if lr_target is None else lr_target
+    )
     num = float(y_lr[:k_y].mean())
     den = float(a_lr[:k_a].mean())
     if den == 0.0:
@@ -266,13 +270,13 @@ def klr_ratio(table, index, theta_tilde, k_y, k_a, lr_target=None):
     )
 
 
-def klr_fallback_k1(table, index, theta_tilde, lr_target=None):
+def klr_fallback_k1(table, theta_tilde, lr_target=None):
     """Reweighted ratio pooling only the nearest eligible parameter.
 
     Used in place of the standard estimator when that estimator's own
     denominator is zero.
     """
-    est = klr_ratio(table, index, theta_tilde, k_y=1, k_a=1, lr_target=lr_target)
+    est = klr_ratio(table, theta_tilde, k_y=1, k_a=1, lr_target=lr_target)
     return RatioEstimate(
         value=est.value,
         method="klr",

@@ -33,7 +33,6 @@ from .design import (
     sample_size_rule,
 )
 from .estimators import (
-    NeighborIndex,
     build_run_table,
     klr_fallback_k1,
     klr_ratio,
@@ -189,8 +188,7 @@ def run_iuq_knn_klr(testbed, data, estimator, sampling, alpha, r, rngs,
     table = build_run_table(
         testbed, sim.params, r, rngs["runs"], collect_stats=(estimator == "klr")
     )
-    mask = table.eligible()
-    n_eligible = int(mask.sum())
+    n_eligible = table.pool.size
     if n_eligible == 0:
         raise EstimationError("every simulation parameter has zero average denominator")
     grid = list(cv_grid) if cv_grid else default_k_grid(n)
@@ -199,20 +197,15 @@ def run_iuq_knn_klr(testbed, data, estimator, sampling, alpha, r, rngs,
     # pool sizes then coincide and the ratio keeps its error cancellation
     k_y = min(cv_select_k(sim.params, table.y_mean, grid, cv_folds), n_eligible)
     k_a = min(cv_select_k(sim.params, table.a_mean, grid, cv_folds), n_eligible)
-    index = NeighborIndex(sim.params)
     estimates = np.empty(n_tilde)
     if estimator == "knn":
         for i in range(n_tilde):
-            estimates[i] = knn_ratio(table, index, boots.params[i], k_y, k_a).value
+            estimates[i] = knn_ratio(table, boots.params[i], k_y, k_a).value
     else:
+        lr_targets = testbed.lr_param(boots.params)
         for i in range(n_tilde):
             estimates[i] = klr_ratio(
-                table,
-                index,
-                boots.params[i],
-                k_y,
-                k_a,
-                lr_target=testbed.lr_param(boots.params[i]),
+                table, boots.params[i], k_y, k_a, lr_target=lr_targets[i]
             ).value
     ci = percentile_ci(estimates, alpha, estimator=estimator)
     diag = {
@@ -263,18 +256,14 @@ def run_iuq_std(testbed, data, split, alpha, r, rngs):
     n_s, r_s = std_budget_split(n * r, split)
     boots = bootstrap_params(model, theta_hat, m, n_s, rngs["boot"])
     table = build_run_table(testbed, boots.params, r_s, rngs["runs"], collect_stats=True)
-    index = NeighborIndex(boots.params)
-    mask = table.eligible()
     estimates = np.empty(n_s)
     n_fallback = 0
     for i in range(n_s):
         est = std_ratio(table.y[i], table.a[i])
         if est.fallback:
-            if not mask.any():
+            if table.pool.size == 0:
                 raise EstimationError("every bootstrap parameter has zero average denominator")
-            est = klr_fallback_k1(
-                table, index, boots.params[i], lr_target=testbed.lr_param(boots.params[i])
-            )
+            est = klr_fallback_k1(table, boots.params[i], lr_target=table.lr_params[i])
             n_fallback += 1
         estimates[i] = est.value
     ci = percentile_ci(estimates, alpha, estimator=f"std-{split}")

@@ -6,12 +6,14 @@ consumed by a simulation run.  Both families are exponential families: a run
 that consumed c_j draws with sum s_j from coordinate j has the log
 likelihood ratio
 
-    sum_j  s_j (eta_j(theta_to) - eta_j(theta_from))
-         - c_j (psi_j(theta_to) - psi_j(theta_from))
+    <T, beta(theta_to) - beta(theta_from)>
 
-between two parameters, with eta the natural parameter and psi the
-per-coordinate log-partition function.  Ratios stay in log space: products
-of hundreds of per-draw densities overflow or underflow in linear space.
+between two parameters, with T = (s, c) the run's packed sufficient
+statistic and beta(theta) = (eta(theta), -psi(theta)) its coefficients:
+eta the natural parameter and psi the per-coordinate log-partition
+function.  Taking the difference of coefficients keeps the ratio exactly
+zero at theta_to = theta_from.  Ratios stay in log space: products of
+hundreds of per-draw densities overflow or underflow in linear space.
 
 Model objects are immutable after construction; all randomness flows
 through caller-supplied ``numpy.random.Generator`` streams.
@@ -33,29 +35,55 @@ def _as_theta(theta, dim):
     return theta
 
 
+def _as_thetas(thetas, dim):
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim == 0 or thetas.shape[-1] != dim:
+        raise ValueError(f"parameters must have shape (..., {dim}), got {thetas.shape}")
+    return thetas
+
+
+def pack_stats(counts, sums):
+    """Packed sufficient statistic T = (sums, counts) of shape (..., 2d)
+    from per-coordinate draw counts and sums of shape (..., d)."""
+    return np.concatenate(
+        [np.asarray(sums, dtype=float), np.asarray(counts, dtype=float)], axis=-1
+    )
+
+
 class ExponentialFamily:
     """Input family whose run likelihood ratio depends on (counts, sums) only.
 
     Subclasses supply ``natural(theta)``, the per-coordinate
-    ``log_partition(theta)`` (both map (..., d) to (..., d)),
-    ``resample_mle`` and ``_check_theta``.
+    ``log_partition(theta)`` (both map (..., d) to (..., d)), the
+    vectorised ``support_mask`` and ``resample_mle``.
     """
 
-    def log_weights(self, counts, sums, thetas_from, theta_to):
-        """Batched log-LR from sufficient statistics.
+    def in_support(self, theta):
+        """True when ``theta`` is one parameter of shape (d,) in the support."""
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return theta.shape == (self.dim,) and bool(self.support_mask(theta))
 
-        ``counts`` and ``sums`` have shape (..., d), ``thetas_from`` broadcasts
-        against them, ``theta_to`` is a single target parameter.  Returns an
-        array of shape (...,).
+    def _check_theta(self, theta):
+        theta = _as_theta(theta, self.dim)
+        if not self.support_mask(theta):
+            raise ValueError(f"parameter {theta} outside the support of {self!r}")
+        return theta
+
+    def coefficients(self, theta):
+        """LR coefficients beta(theta) = (eta(theta), -psi(theta)), (..., d) to (..., 2d)."""
+        theta = np.asarray(theta, dtype=float)
+        return np.concatenate([self.natural(theta), -self.log_partition(theta)], axis=-1)
+
+    def log_weights(self, stats, coefs_from, theta_to):
+        """Batched log-LR <T, beta(theta_to) - beta_from> of runs to ``theta_to``.
+
+        ``stats`` holds packed statistics (see ``pack_stats``) of shape
+        (..., r, 2d): r runs per batch; ``coefs_from`` holds each batch's own
+        ``coefficients``, shape (..., 2d).  Returns shape (..., r); a single
+        statistic of shape (2d,) gives a scalar.
         """
-        theta_to = self._check_theta(theta_to)
-        thetas_from = np.asarray(thetas_from, dtype=float)
-        d_eta = self.natural(theta_to) - self.natural(thetas_from)
-        d_psi = self.log_partition(theta_to) - self.log_partition(thetas_from)
-        return np.sum(
-            np.asarray(sums, dtype=float) * d_eta - np.asarray(counts, dtype=float) * d_psi,
-            axis=-1,
-        )
+        delta = self.coefficients(self._check_theta(theta_to)) - coefs_from
+        return np.matmul(stats, delta[..., None])[..., 0]
 
 
 class IndependentExponentials(ExponentialFamily):
@@ -76,17 +104,10 @@ class IndependentExponentials(ExponentialFamily):
     def __repr__(self):
         return f"IndependentExponentials(dim={self.dim})"
 
-    def in_support(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return theta.shape == (self.dim,) and bool(np.all(theta > 0)) and bool(
-            np.all(np.isfinite(theta))
-        )
-
-    def _check_theta(self, theta):
-        theta = _as_theta(theta, self.dim)
-        if not (np.all(theta > 0) and np.all(np.isfinite(theta))):
-            raise ValueError(f"rates must be strictly positive, got {theta}")
-        return theta
+    def support_mask(self, thetas):
+        """Mask over the (...,) parameters of a (..., d) array: finite positive rates."""
+        thetas = _as_thetas(thetas, self.dim)
+        return np.all((thetas > 0) & np.isfinite(thetas), axis=-1)
 
     def sample(self, theta, rng, size=None):
         """Draw i.i.d. realizations from the model; shape (size, d) or (d,)."""
@@ -159,15 +180,9 @@ class MultivariateNormalKnownCov(ExponentialFamily):
     def __repr__(self):
         return f"MultivariateNormalKnownCov(dim={self.dim})"
 
-    def in_support(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return theta.shape == (self.dim,) and bool(np.all(np.isfinite(theta)))
-
-    def _check_theta(self, theta):
-        theta = _as_theta(theta, self.dim)
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("mean vector must be finite")
-        return theta
+    def support_mask(self, thetas):
+        """Mask over the (...,) parameters of a (..., d) array: finite means."""
+        return np.all(np.isfinite(_as_thetas(thetas, self.dim)), axis=-1)
 
     def sample(self, theta, rng, size=None):
         theta = self._check_theta(theta)
@@ -185,7 +200,10 @@ class MultivariateNormalKnownCov(ExponentialFamily):
         return data.mean(axis=0)
 
     def natural(self, theta):
-        return np.asarray(theta, dtype=float) @ self.prec.T
+        # a summed elementwise product, not BLAS: one parameter and a batch
+        # containing it get the same bits, so a run's LR weight at its own
+        # parameter is exactly one
+        return np.einsum("...j,ij->...i", np.asarray(theta, dtype=float), self.prec)
 
     def log_partition(self, theta):
         theta = np.asarray(theta, dtype=float)

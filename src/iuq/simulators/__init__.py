@@ -7,7 +7,7 @@ Every testbed exposes the same surface:
 ``input_model``   parametric family of the observable input data (MLE target)
 ``trace_model``   family of the raw draws consumed by a run (LR weights)
 ``true_theta``    the data-generating parameter of the experiment
-``lr_param``      map from a raw parameter to the trace-model parameter
+``lr_param``      map from raw parameters (..., d) to trace-model parameters
 ``simulate``      runs at one parameter, returned as a ``SimBatch``
 """
 

@@ -126,7 +126,7 @@ class ErmTestbed:
         self._s0 = np.asarray(cfg.s0)
 
     def lr_param(self, theta):
-        """Trace-model mean implied by drift vector theta."""
+        """Trace-model means implied by drift vectors theta, shape (..., d)."""
         theta = np.asarray(theta, dtype=float)
         return (theta - 0.5 * self._vols**2) * self.config.horizon
 

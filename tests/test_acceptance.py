@@ -15,9 +15,9 @@ import pytest
 from mvee_oracle import min_ellipse_area_bruteforce
 from iuq.ci import empirical_quantile, percentile_ci
 from iuq.design import anova_select_r, min_enclosing_ellipsoid
-from iuq.estimators import NeighborIndex, RunTable, klr_ratio
+from iuq.estimators import RunTable, klr_ratio
 from iuq.harness import ExperimentConfig, emit_report, run_macro_experiment
-from iuq.input_models import IndependentExponentials
+from iuq.input_models import IndependentExponentials, pack_stats
 from iuq.simulators import SanTestbed, Mm1Testbed, mm1_steady_state_mean, true_eta_oracle
 
 
@@ -51,7 +51,8 @@ def test_criterion_01_lr_unbiasedness(rng):
     z = rng.exponential(1.0, size=(n, s_draws))
     y = z.sum(axis=1)
     log_w = model.log_weights(
-        np.full((n, 1), float(s_draws)), y[:, None], np.array([1.0]), np.array([1.2])
+        pack_stats(np.full((n, 1), float(s_draws)), y[:, None]),
+        model.coefficients(np.array([1.0])), np.array([1.2]),
     )
     vals = y * np.exp(log_w)
     se = vals.std(ddof=1) / math.sqrt(n)
@@ -79,10 +80,9 @@ def test_criterion_02_klr_mse_scaling():
         v = draws.sum(axis=2)
         a = (draws[:, :, 0] < 1.0).astype(float)
         table = RunTable(params=params, y=v * a, a=a, trace_model=model,
-                         counts=np.full((n, r, 1), float(s_draws)),
-                         sums=draws.sum(axis=2)[..., None])
-        index = NeighborIndex(params)
-        vals[i] = [klr_ratio(table, index, target, k, k).value for k in ks]
+                         stats=pack_stats(np.full((n, r, 1), float(s_draws)),
+                                          draws.sum(axis=2)[..., None]))
+        vals[i] = [klr_ratio(table, target, k, k).value for k in ks]
     mse = ((vals - eta_true) ** 2).mean(axis=0)
     slope = np.polyfit(np.log([r * k for k in ks]), np.log(mse), 1)[0]
     elapsed = time.time() - t0

@@ -167,6 +167,25 @@ class TestSampleSimParams:
         assert np.all(ell.membership(sim.params) <= 1.0 + 1e-9)
         assert np.all(sim.params > 0)
 
+    def test_ellipsoid_mode_keeps_supported_candidates_in_draw_order(self):
+        # a small-m cloud near zero: the ellipsoid crosses the support edge
+        model = IndependentExponentials(2)
+        theta_hat = np.array([0.05, 1.0])
+        boots = bootstrap_params(model, theta_hat, 3, 300, np.random.default_rng(4))
+        sim = sample_sim_params("ellipsoid", boots, model, theta_hat, 3, 200,
+                                np.random.default_rng(9))
+        # replay the draws with a per-candidate support test
+        ell = min_enclosing_ellipsoid(boots.params)
+        replay = np.random.default_rng(9)
+        kept, rejected = [], 0
+        while len(kept) < 200:
+            cand = sample_in_ellipsoid(ell, max(200 - len(kept), 64), replay)
+            ok = [model.in_support(c) for c in cand]
+            kept.extend(c for c, keep in zip(cand, ok) if keep)
+            rejected += ok.count(False)
+        assert rejected > 0
+        np.testing.assert_array_equal(sim.params, np.array(kept[:200]))
+
     def test_hopeless_support_rejection_errors(self, rng):
         model = IndependentExponentials(2)
         boots = BootstrapSet(

@@ -8,6 +8,7 @@ from iuq.input_models import (
     EstimationError,
     IndependentExponentials,
     MultivariateNormalKnownCov,
+    pack_stats,
 )
 
 
@@ -123,16 +124,21 @@ def exp_stats(draws):
     return counts, sums
 
 
+def log_lr(model, counts, sums, theta_from, theta_to):
+    """``log_weights`` of runs given by counts and sums, from one parameter."""
+    return model.log_weights(pack_stats(counts, sums), model.coefficients(theta_from), theta_to)
+
+
 class TestLogLr:
     def test_identical_parameters_give_zero(self, rng):
         model = IndependentExponentials(2)
         counts, sums = exp_stats([rng.exponential(1.0, size=4), rng.exponential(1.0, size=2)])
         theta = np.array([0.5, 1.5])
-        assert model.log_weights(counts, sums, theta, theta) == pytest.approx(0.0)
+        assert log_lr(model, counts, sums, theta, theta) == pytest.approx(0.0)
 
     def test_single_draw_direct_ratio(self):
         model = IndependentExponentials(1)
-        got = model.log_weights(np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([2.0]))
+        got = log_lr(model, np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([2.0]))
         assert got == pytest.approx(math.log(2.0) - 1.0)
 
     def test_antisymmetry(self, rng):
@@ -143,9 +149,9 @@ class TestLogLr:
             )
             a = rng.uniform(0.2, 3.0, size=2)
             b = rng.uniform(0.2, 3.0, size=2)
-            forward = model.log_weights(counts, sums, a, b)
-            assert forward == pytest.approx(-model.log_weights(counts, sums, b, a))
-            assert model.log_weights(counts, sums, a, a) == 0.0
+            forward = log_lr(model, counts, sums, a, b)
+            assert forward == pytest.approx(-log_lr(model, counts, sums, b, a))
+            assert log_lr(model, counts, sums, a, a) == 0.0
 
     def test_expected_weight_is_one(self, rng):
         # E[W] = 1 under the sampling measure, checked brute force
@@ -162,8 +168,9 @@ class TestLogLr:
         theta, target, s = 1.0, 1.3, 4
         z = rng.exponential(1.0 / theta, size=(400_000, s))
         g = z.sum(axis=1)
-        log_w = model.log_weights(
-            np.full((z.shape[0], 1), float(s)), g[:, None], np.array([theta]), np.array([target])
+        log_w = log_lr(
+            model, np.full((z.shape[0], 1), float(s)), g[:, None], np.array([theta]),
+            np.array([target]),
         )
         vals = g * np.exp(log_w)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -175,9 +182,9 @@ class TestLogLr:
         froms = rng.uniform(0.5, 2.0, size=(8, 3))
         counts = rng.integers(1, 5, size=(8, 3)).astype(float)
         sums = counts * rng.uniform(0.3, 2.0, size=(8, 3))
-        batch = model.log_weights(counts, sums, froms, target)
+        batch = log_lr(model, counts[:, None], sums[:, None], froms, target)[:, 0]
         for i in range(8):
-            single = model.log_weights(counts[i], sums[i], froms[i], target)
+            single = log_lr(model, counts[i], sums[i], froms[i], target)
             # sum of per-draw log density ratios over draws with these stats
             direct = 0.0
             for c in range(3):
@@ -202,5 +209,66 @@ class TestLogLr:
                 multivariate_normal.logpdf(draws, target, cov)
                 - multivariate_normal.logpdf(draws, frm, cov)
             )
-            batch = model.log_weights(counts[None, :], sums[None, :], frm[None, :], target)
+            batch = log_lr(model, counts[None, :], sums[None, :], frm, target)
             assert batch[0] == pytest.approx(direct)
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("family", ["exp", "mvn"])
+    def test_weight_at_own_parameter_is_exactly_one(self, rng, family):
+        # one parameter and a batch containing it give the same coefficients,
+        # so the log-LR of a batched run to its own parameter is exactly 0
+        if family == "exp":
+            model = IndependentExponentials(3)
+            thetas = rng.uniform(0.2, 3.0, size=(50, 3))
+        else:
+            model = MultivariateNormalKnownCov(np.array([[1.0, 0.3, 0.0],
+                                                         [0.3, 2.0, 0.4],
+                                                         [0.0, 0.4, 0.5]]))
+            thetas = rng.normal(size=(50, 3))
+        coefs = model.coefficients(thetas)
+        stats = rng.uniform(0.5, 5.0, size=(50, 4, 6))
+        for i in range(50):
+            assert np.array_equal(coefs[i], model.coefficients(thetas[i]))
+            assert np.all(model.log_weights(stats[i], coefs[i], thetas[i]) == 0.0)
+
+    def test_matches_natural_and_log_partition_difference(self, rng):
+        cov = np.array([[1.0, 0.3], [0.3, 2.0]])
+        for model in (IndependentExponentials(2), MultivariateNormalKnownCov(cov)):
+            froms = rng.uniform(0.5, 2.0, size=(5, 2))
+            target = rng.uniform(0.5, 2.0, size=2)
+            counts = rng.integers(1, 5, size=(5, 3, 2)).astype(float)
+            sums = counts * rng.uniform(0.3, 2.0, size=(5, 3, 2))
+            got = model.log_weights(pack_stats(counts, sums), model.coefficients(froms), target)
+            d_eta = model.natural(target) - model.natural(froms)[:, None, :]
+            d_psi = model.log_partition(target) - model.log_partition(froms)[:, None, :]
+            want = np.sum(sums * d_eta - counts * d_psi, axis=-1)
+            assert got.shape == (5, 3)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+class TestSupportMask:
+    SPECIAL = [0.0, -0.0, -1.0, 1e-300, 0.5, 2.0, np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("family", ["exp", "mvn"])
+    def test_matches_per_parameter_reference(self, rng, family):
+        if family == "exp":
+            model = IndependentExponentials(2)
+            def supported(t):
+                return all(x > 0 and math.isfinite(x) for x in t)
+        else:
+            model = MultivariateNormalKnownCov(np.eye(2))
+            def supported(t):
+                return all(math.isfinite(x) for x in t)
+        grid = np.array([[a, b] for a in self.SPECIAL for b in self.SPECIAL])
+        cloud = np.vstack([grid, rng.normal(size=(199, 2))])  # 280 rows
+        mask = model.support_mask(cloud)
+        assert mask.tolist() == [supported(t) for t in cloud]
+        assert [model.in_support(t) for t in cloud] == mask.tolist()
+        assert model.support_mask(cloud.reshape(-1, 4, 2)).tolist() == mask.reshape(-1, 4).tolist()
+
+    def test_wrong_dimension(self):
+        model = IndependentExponentials(2)
+        with pytest.raises(ValueError):
+            model.support_mask(np.ones((4, 3)))
+        assert not model.in_support(np.ones(3))
