@@ -17,7 +17,7 @@ from .estimators import nearest
 from .input_models import EstimationError
 
 # held-out rows per cross-validation distance block are capped so that the
-# block's (rows, train, d) difference tensor stays within this many bytes
+# arrays the block holds at once stay within this many bytes
 CV_BLOCK_BYTES = 16 * 2**20
 
 
@@ -358,10 +358,13 @@ def cv_losses(params, means, k, folds):
 def _pooling_losses(params, means, ks, folds):
     """``cv_losses`` of every k in ``ks`` from one neighbor ordering per fold.
 
-    Distances are built in blocks of held-out rows whose (rows, train, d)
-    difference tensor stays within ``CV_BLOCK_BYTES``; each block's
-    max(ks) nearest training rows are selected once and every k scores a
-    prefix of them.
+    Distances are built in blocks of held-out rows that stay within
+    ``CV_BLOCK_BYTES``; each block's max(ks) nearest training rows are
+    selected once and every k scores a prefix of them.  A held-out row
+    costs its (train, d) difference rows, its distance row, the
+    ``np.partition`` copy and keep mask of that row in ``nearest``, and
+    four max(ks)-wide index and gather rows; their sum bounds what a block
+    holds at any time.
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if params.shape[0] != np.asarray(means).shape[0]:
@@ -375,10 +378,13 @@ def _pooling_losses(params, means, ks, folds):
             raise ValueError(f"k={k_max} exceeds training-fold size {train.size}")
         held, pool, pool_means = params[fold], params[train], means[train]
         preds = np.empty((len(ks), fold.size))
-        step = max(1, CV_BLOCK_BYTES // pool.nbytes)
+        row_bytes = train.size * (8 * params.shape[1] + 8 + 8 + 1) + 4 * 8 * k_max
+        step = max(1, CV_BLOCK_BYTES // row_bytes)
         for lo in range(0, fold.size, step):
             diff = held[lo : lo + step, None, :] - pool[None, :, :]
-            order = nearest(np.einsum("ijk,ijk->ij", diff, diff), k_max)
+            dist = np.einsum("ijk,ijk->ij", diff, diff)
+            del diff  # freed before nearest's copies and the next block's differences
+            order = nearest(dist, k_max)
             for j, k in enumerate(ks):
                 preds[j, lo : lo + step] = pool_means[order[:, :k]].mean(axis=1)
         for loss, pred in zip(losses, preds):

@@ -101,11 +101,11 @@ class RunTable:
     (see ``input_models.pack_stats``); a table without a trace model
     carries none and serves the k-nearest-neighbor estimator only.
     ``lr_params`` are the trace-model parameters of each simulation
-    parameter (identical to ``params`` unless the testbed maps them);
-    ``lr_coefs`` are their likelihood-ratio coefficients.  ``pool`` lists
-    the eligible rows, those whose average denominator output is nonzero,
-    and ``index`` searches exactly those rows, so no estimator can pool an
-    ineligible one.
+    parameter (identical to ``params`` unless the testbed maps them) and
+    must lie in the trace model's support; ``lr_coefs`` are their
+    likelihood-ratio coefficients.  ``pool`` lists the eligible rows, those
+    whose average denominator output is nonzero, and ``index`` searches
+    exactly those rows, so no estimator can pool an ineligible one.
     """
 
     params: np.ndarray  # (n, d)
@@ -139,6 +139,12 @@ class RunTable:
                 )
             if lr_params.shape != (n, d):
                 raise ValueError(f"lr_params must have shape {(n, d)}, got {lr_params.shape}")
+            outside = np.flatnonzero(~self.trace_model.support_mask(lr_params))
+            if outside.size:
+                raise ValueError(
+                    f"lr_params rows {outside[:5].tolist()} lie outside the support of "
+                    f"{self.trace_model!r}"
+                )
             lr_coefs = self.trace_model.coefficients(lr_params)
         a_mean = self.a.mean(axis=1)
         pool = np.flatnonzero(a_mean != 0)
@@ -148,14 +154,6 @@ class RunTable:
         object.__setattr__(self, "lr_coefs", lr_coefs)
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "index", NeighborIndex(self.params[pool]))
-
-    @property
-    def n_params(self):
-        return self.params.shape[0]
-
-    @property
-    def runs_per_param(self):
-        return self.y.shape[1]
 
     def neighbors(self, theta, k_y, k_a):
         """Rows of the max(k_y, k_a) nearest eligible parameters, closest first."""
@@ -221,11 +219,12 @@ def knn_ratio(table, theta_tilde, k_y, k_a):
     )
 
 
-def _lr_run_means(table, nbrs, lr_target):
+def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
     """Likelihood-ratio reweighted run means of the neighbor rows.
 
-    Returns per-neighbor averages of Y*W and A*W with W the trace LR from
-    each run's own parameter to the target, plus the clamp counter.
+    Returns the averages of Y*W over the first ``k_y`` neighbor rows and of
+    A*W over the first ``k_a``, with W the trace LR from each run's own
+    parameter to the target, plus the clamp counter over all of ``nbrs``.
     """
     if table.trace_model is None:
         raise EstimationError("run table carries no trace statistics")
@@ -236,11 +235,11 @@ def _lr_run_means(table, nbrs, lr_target):
     if not finite.all():
         w = np.where(finite, w, 0.0)
         denom = np.maximum(finite.sum(axis=1), 1)
-        y_lr = (table.y[nbrs] * w).sum(axis=1) / denom
-        a_lr = (table.a[nbrs] * w).sum(axis=1) / denom
+        y_lr = (table.y[nbrs[:k_y]] * w[:k_y]).sum(axis=1) / denom[:k_y]
+        a_lr = (table.a[nbrs[:k_a]] * w[:k_a]).sum(axis=1) / denom[:k_a]
     else:
-        y_lr = (table.y[nbrs] * w).mean(axis=1)
-        a_lr = (table.a[nbrs] * w).mean(axis=1)
+        y_lr = (table.y[nbrs[:k_y]] * w[:k_y]).mean(axis=1)
+        a_lr = (table.a[nbrs[:k_a]] * w[:k_a]).mean(axis=1)
     return y_lr, a_lr, clamped
 
 
@@ -254,10 +253,10 @@ def klr_ratio(table, theta_tilde, k_y, k_a, lr_target=None):
     """
     nbrs = table.neighbors(theta_tilde, k_y, k_a)
     y_lr, a_lr, clamped = _lr_run_means(
-        table, nbrs, theta_tilde if lr_target is None else lr_target
+        table, nbrs, theta_tilde if lr_target is None else lr_target, k_y, k_a
     )
-    num = float(y_lr[:k_y].mean())
-    den = float(a_lr[:k_a].mean())
+    num = float(y_lr.mean())
+    den = float(a_lr.mean())
     if den == 0.0:
         raise EstimationError("pooled denominator vanished")
     return RatioEstimate(

@@ -9,6 +9,13 @@ Every testbed exposes the same surface:
 ``true_theta``    the data-generating parameter of the experiment
 ``lr_param``      map from raw parameters (..., d) to trace-model parameters
 ``simulate``      runs at one parameter, returned as a ``SimBatch``
+
+``simulate(theta, n_runs, rng)`` takes from ``rng`` exactly the draws its
+runs consume: when it returns, or raises, the generator stands where
+drawing those inputs one at a time would have left it.  A testbed may read
+ahead in blocks, but it gives back what it did not use before returning,
+so callers can interleave their own draws with simulations on one
+generator and get the same streams.
 """
 
 from dataclasses import dataclass

@@ -10,11 +10,20 @@ interarrival draw but never a service draw, which keeps the input trace
 equal to exactly the draws the run generated (the LR weights depend on
 this).  The final interarrival draw, which lands on the empty system and
 ends the cycle, belongs to the current cycle's trace.
+
+Draws come from the generator in blocks of standard exponentials, each
+scaled by the mean of its kind as it is consumed; this is bit for bit
+``rng.exponential(mean)``.  No block outlives one ``simulate`` call: before
+the call returns, or raises, it gives the unread tail of its last block
+back, so the generator ends exactly where one ``rng.exponential`` call per
+draw would have left it.  Callers may therefore interleave their own draws
+with simulations on one generator.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +33,10 @@ from ..input_models import EstimationError, IndependentExponentials
 # the service rate a full queue takes about (lambda/mu)^capacity events to
 # empty, which no run could finish
 MAX_CYCLE_DRAWS = 10**6
+
+# standard exponentials drawn per numpy call; the unread tail of the last
+# block is given back to the generator when a simulation returns
+EXP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -54,59 +67,79 @@ def mm1_steady_state_mean(lam, mu, capacity=10):
     return float((n * w).sum() / w.sum())
 
 
-def _one_cycle(lam, mu, capacity, rng):
-    """Simulate one regenerative cycle; returns outputs and trace tallies."""
+def _cycles(lam, mu, capacity, n_runs, rng):
+    """Simulate ``n_runs`` regenerative cycles; returns one flat list of
+    (Y, A, interarrival count, service count, interarrival sum, service sum)
+    per cycle.
+
+    Each draw is a standard exponential times the mean of its kind, which
+    is bit for bit ``rng.exponential(mean)``.  Standard exponentials are
+    read in blocks of ``EXP_BLOCK``; on return, also by an error, the
+    generator is put back to the state saved before the last block and the
+    part of that block the cycles used is drawn again, so the generator is
+    left just after the last draw used.
+    """
     ia_scale = 1.0 / lam
     sv_scale = 1.0 / mu
-    ia_count = sv_count = 0
-    ia_sum = sv_sum = 0.0
+    inf = math.inf
+    state = None  # generator state before the last block
+    blocks = 0
 
-    def draw_ia():
-        nonlocal ia_count, ia_sum
-        x = rng.exponential(ia_scale)
-        ia_count += 1
-        ia_sum += x
-        return x
+    def block():
+        nonlocal state, blocks
+        state = rng.bit_generator.state
+        blocks += 1
+        return rng.standard_exponential(EXP_BLOCK).tolist()
 
-    def draw_sv():
-        nonlocal sv_count, sv_sum
-        x = rng.exponential(sv_scale)
-        sv_count += 1
-        sv_sum += x
-        return x
-
-    # cycle opens with a customer arriving to the empty system at t = 0
-    n_sys = 1
-    pending = deque()
-    dep_next = draw_sv()
-    arr_next = draw_ia()
-    t_prev = 0.0
-    area = 0.0
-    while True:
-        if arr_next < dep_next:
-            area += n_sys * (arr_next - t_prev)
-            t_prev = arr_next
-            if n_sys == 0:
-                # arrival to the empty system closes the cycle; its service
-                # belongs to the next cycle
-                cycle_len = arr_next
-                break
-            arr_next = t_prev + draw_ia()
-            if n_sys < capacity:
-                pending.append(draw_sv())
-                n_sys += 1
-            # else: blocked, no service draw
-            if ia_count + sv_count > MAX_CYCLE_DRAWS:
-                raise EstimationError(
-                    f"M/M/1 cycle at arrival rate {lam!r}, service rate {mu!r} "
-                    f"exceeded {MAX_CYCLE_DRAWS} draws"
-                )
-        else:
-            area += n_sys * (dep_next - t_prev)
-            t_prev = dep_next
-            n_sys -= 1
-            dep_next = t_prev + pending.popleft() if n_sys >= 1 else math.inf
-    return area, cycle_len, ia_count, ia_sum, sv_count, sv_sum
+    draw = chain.from_iterable(iter(block, None)).__next__
+    out = []
+    used = ia_count = sv_count = 0  # draws of the finished cycles, of this one
+    try:
+        for _ in range(n_runs):
+            used += ia_count + sv_count
+            # cycle opens with a customer arriving to the empty system at t = 0
+            n_sys = 1
+            pending = deque()
+            dep_next = sv_sum = sv_scale * draw()
+            arr_next = ia_sum = ia_scale * draw()
+            ia_count = sv_count = 1
+            t_prev = 0.0
+            area = 0.0
+            while True:
+                if arr_next < dep_next:
+                    area += n_sys * (arr_next - t_prev)
+                    t_prev = arr_next
+                    if n_sys == 0:
+                        # arrival to the empty system closes the cycle; its
+                        # service belongs to the next cycle
+                        break
+                    x = ia_scale * draw()
+                    ia_count += 1
+                    ia_sum += x
+                    arr_next = t_prev + x
+                    if n_sys < capacity:
+                        x = sv_scale * draw()
+                        sv_count += 1
+                        sv_sum += x
+                        pending.append(x)
+                        n_sys += 1
+                    # else: blocked, no service draw
+                    if ia_count + sv_count > MAX_CYCLE_DRAWS:
+                        raise EstimationError(
+                            f"M/M/1 cycle at arrival rate {lam!r}, service rate {mu!r} "
+                            f"exceeded {MAX_CYCLE_DRAWS} draws"
+                        )
+                else:
+                    area += n_sys * (dep_next - t_prev)
+                    t_prev = dep_next
+                    n_sys -= 1
+                    dep_next = t_prev + pending.popleft() if n_sys >= 1 else inf
+            out += (area, t_prev, ia_count, sv_count, ia_sum, sv_sum)
+    finally:
+        if blocks:
+            rng.bit_generator.state = state
+            rng.standard_exponential(used + ia_count + sv_count - (blocks - 1) * EXP_BLOCK)
+    return out
 
 
 class Mm1Testbed:
@@ -134,17 +167,13 @@ class Mm1Testbed:
 
         lam, mu = self._rates(theta)
         n_runs = int(n_runs)
-        y = np.empty(n_runs)
-        a = np.empty(n_runs)
-        counts = np.empty((n_runs, 2)) if collect_stats else None
-        sums = np.empty((n_runs, 2)) if collect_stats else None
-        for j in range(n_runs):
-            area, cyc, iac, ias, svc, svs = _one_cycle(lam, mu, self.config.capacity, rng)
-            y[j] = area
-            a[j] = cyc
-            if collect_stats:
-                counts[j, self.config.arrival_index] = iac
-                counts[j, self.config.service_index] = svc
-                sums[j, self.config.arrival_index] = ias
-                sums[j, self.config.service_index] = svs
-        return SimBatch(y=y, a=a, counts=counts, sums=sums)
+        out = _cycles(lam, mu, self.config.capacity, n_runs, rng)
+        out = np.array(out, dtype=float).reshape(n_runs, 6)
+        counts = sums = None
+        if collect_stats:
+            order = [self.config.arrival_index, self.config.service_index]
+            counts = np.empty((n_runs, 2))
+            sums = np.empty((n_runs, 2))
+            counts[:, order] = out[:, 2:4]
+            sums[:, order] = out[:, 4:6]
+        return SimBatch(y=out[:, 0].copy(), a=out[:, 1].copy(), counts=counts, sums=sums)

@@ -45,6 +45,15 @@ def exp_table(params, y, a, sums=None, n_draws=1):
     )
 
 
+def knn_table(params, y, a):
+    """Assemble a RunTable without trace statistics, for knn pooling only."""
+    return RunTable(
+        params=np.atleast_2d(np.asarray(params, dtype=float)).reshape(-1, 1),
+        y=np.asarray(y, dtype=float),
+        a=np.asarray(a, dtype=float),
+    )
+
+
 class TestStdRatio:
     def test_plain_arithmetic(self):
         est = std_ratio([2.0, 4.0], [1.0, 3.0])
@@ -105,7 +114,7 @@ class TestKnnQuery:
 
     def test_mask_excludes_nearest(self):
         # the table's index covers its eligible rows only
-        table = exp_table([0.0, 1.0, 2.0], y=[[1.0]] * 3, a=[[0.0], [1.0], [1.0]])
+        table = knn_table([0.0, 1.0, 2.0], y=[[1.0]] * 3, a=[[0.0], [1.0], [1.0]])
         assert table.pool.tolist() == [1, 2]
         assert table.neighbors(np.array([0.1]), 1, 1).tolist() == [1]
 
@@ -126,7 +135,7 @@ class TestKnnQuery:
 
 class TestKnnRatio:
     def test_two_neighbor_arithmetic(self):
-        table = exp_table([0.0, 1.0], y=[[1.0], [3.0]], a=[[1.0], [1.0]])
+        table = knn_table([0.0, 1.0], y=[[1.0], [3.0]], a=[[1.0], [1.0]])
         est = knn_ratio(table, np.array([0.4]), 2, 2)
         assert est.value == pytest.approx(2.0)
 
@@ -134,25 +143,25 @@ class TestKnnRatio:
         params = rng.normal(size=(20, 1))
         y = rng.uniform(1.0, 2.0, size=(20, 3))
         a = rng.uniform(0.5, 1.0, size=(20, 3))
-        table = exp_table(params, y, a)
+        table = knn_table(params, y, a)
         est = knn_ratio(table, np.array([0.0]), 20, 20)
         assert est.value == pytest.approx(
             y.mean(axis=1).mean() / a.mean(axis=1).mean()
         )
 
     def test_nearest_neighbor_selection(self):
-        table = exp_table([0.0, 1.0, 2.0], y=[[5.0], [7.0], [9.0]], a=[[1.0]] * 3)
+        table = knn_table([0.0, 1.0, 2.0], y=[[5.0], [7.0], [9.0]], a=[[1.0]] * 3)
         est = knn_ratio(table, np.array([0.1]), 1, 1)
         assert est.value == pytest.approx(5.0)
 
     def test_eligibility_filter_skips_zero_denominators(self):
-        table = exp_table([0.0, 1.0, 2.0], y=[[5.0], [7.0], [9.0]],
+        table = knn_table([0.0, 1.0, 2.0], y=[[5.0], [7.0], [9.0]],
                           a=[[0.0], [1.0], [1.0]])
         est = knn_ratio(table, np.array([-1.0]), 1, 1)
         assert est.value == pytest.approx(7.0)  # param 0 is ineligible
 
     def test_no_eligible_parameters_errors(self):
-        table = exp_table([0.0, 1.0], y=[[1.0], [1.0]], a=[[0.0], [0.0]])
+        table = knn_table([0.0, 1.0], y=[[1.0], [1.0]], a=[[0.0], [0.0]])
         with pytest.raises(EstimationError):
             knn_ratio(table, np.array([0.0]), 1, 1)
 
@@ -275,8 +284,11 @@ class TestRunTable:
             ({"stats": np.ones((3, 2, 4)), "lr_params": np.ones((3, 1))}, "lr_params"),
             ({"stats": None}, "together"),  # model without statistics
             ({"trace_model": None}, "together"),  # statistics without a model
+            ({"lr_params": np.array([[1.0, 2.0], [0.0, 1.0], [1.0, np.inf]])},
+             r"rows \[1, 2\] lie outside the support"),  # a zero and an infinite rate
         ],
-        ids=["stat-columns", "runs", "rows", "lr-params", "model-only", "stats-only"],
+        ids=["stat-columns", "runs", "rows", "lr-params", "model-only", "stats-only",
+             "lr-params-support"],
     )
     def test_bad_trace_statistics_rejected_at_build(self, kwargs, match):
         fields = dict(params=np.ones((3, 2)), y=np.ones((3, 2)), a=np.ones((3, 2)),
@@ -365,8 +377,9 @@ class TestKlrReference:
 
 class TestKlrFallback:
     def test_single_eligible_pooled_regardless_of_distance(self):
-        table = exp_table([0.0, 50.0], y=[[1.0], [4.0]], a=[[0.0], [2.0]])
-        est = klr_fallback_k1(table, np.array([0.0]), lr_target=np.array([50.0]))
+        # the ineligible rate 1 is nearest to the target; rate 50 is pooled
+        table = exp_table([1.0, 50.0], y=[[1.0], [4.0]], a=[[0.0], [2.0]])
+        est = klr_fallback_k1(table, np.array([1.0]), lr_target=np.array([50.0]))
         assert est.fallback and est.k_y == est.k_a == 1
         # the only eligible parameter is at 50, weights at its own parameter
         # equal one when the target matches it
@@ -378,9 +391,9 @@ class TestKlrFallback:
         assert est.value == pytest.approx(0.5)
 
     def test_all_ineligible_errors(self):
-        table = exp_table([0.0, 1.0], y=[[1.0], [1.0]], a=[[0.0], [0.0]])
+        table = exp_table([1.0, 2.0], y=[[1.0], [1.0]], a=[[0.0], [0.0]])
         with pytest.raises(EstimationError):
-            klr_fallback_k1(table, np.array([0.0]))
+            klr_fallback_k1(table, np.array([1.0]))
 
 
 class TestKnnCltSanity:

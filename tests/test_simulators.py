@@ -1,8 +1,13 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iuq.design import PilotResult
+from iuq.harness import run_pilot
 from iuq.input_models import EstimationError
 from iuq.simulators import (
     ErmConfig,
@@ -16,16 +21,33 @@ from iuq.simulators import (
     mm1_steady_state_mean,
     true_eta_oracle,
 )
+from iuq.simulators.mm1 import EXP_BLOCK, MAX_CYCLE_DRAWS
 
 
 class ScriptedRng:
-    """Test double returning a fixed sequence from ``exponential``."""
+    """Test double serving a fixed script through the generator interface
+    ``simulate`` reads: blocks of ``standard_exponential`` draws and a
+    ``bit_generator.state`` to save and restore.  The state is the script
+    position, so ``position`` after a call counts the draws it kept; reads
+    past the script's end return 1.0 and leave ``position`` beyond it."""
 
     def __init__(self, values):
         self.values = list(values)
+        self.position = 0
+        self.bit_generator = self
 
-    def exponential(self, scale):
-        return self.values.pop(0)
+    @property
+    def state(self):
+        return self.position
+
+    @state.setter
+    def state(self, position):
+        self.position = position
+
+    def standard_exponential(self, size):
+        lo, self.position = self.position, self.position + size
+        block = self.values[lo : self.position]
+        return np.array(block + [1.0] * (size - len(block)))
 
 
 class RecordingRng:
@@ -39,6 +61,67 @@ class RecordingRng:
         x = self.rng.exponential(scale)
         self.draws.setdefault(scale, []).append(x)
         return x
+
+
+def reference_cycle(lam, mu, capacity, rng):
+    """One regenerative cycle with one ``rng.exponential(scale)`` call per
+    draw: the scalar reference ``Mm1Testbed.simulate`` must equal bit for
+    bit.  Returns (Y, A, interarrival count, interarrival sum, service
+    count, service sum)."""
+    ia_scale = 1.0 / lam
+    sv_scale = 1.0 / mu
+    ia_count = sv_count = 0
+    ia_sum = sv_sum = 0.0
+
+    def draw_ia():
+        nonlocal ia_count, ia_sum
+        x = rng.exponential(ia_scale)
+        ia_count += 1
+        ia_sum += x
+        return x
+
+    def draw_sv():
+        nonlocal sv_count, sv_sum
+        x = rng.exponential(sv_scale)
+        sv_count += 1
+        sv_sum += x
+        return x
+
+    n_sys = 1
+    pending = deque()
+    dep_next = draw_sv()
+    arr_next = draw_ia()
+    t_prev = 0.0
+    area = 0.0
+    while True:
+        if arr_next < dep_next:
+            area += n_sys * (arr_next - t_prev)
+            t_prev = arr_next
+            if n_sys == 0:
+                cycle_len = arr_next
+                break
+            arr_next = t_prev + draw_ia()
+            if n_sys < capacity:
+                pending.append(draw_sv())
+                n_sys += 1
+            if ia_count + sv_count > MAX_CYCLE_DRAWS:
+                raise EstimationError(
+                    f"M/M/1 cycle at arrival rate {lam!r}, service rate {mu!r} "
+                    f"exceeded {MAX_CYCLE_DRAWS} draws"
+                )
+        else:
+            area += n_sys * (dep_next - t_prev)
+            t_prev = dep_next
+            n_sys -= 1
+            dep_next = t_prev + pending.popleft() if n_sys >= 1 else math.inf
+    return area, cycle_len, ia_count, ia_sum, sv_count, sv_sum
+
+
+def reference_batch(lam, mu, capacity, n_runs, rng):
+    """(y, a, counts, sums) of ``n_runs`` reference cycles, arrival first."""
+    cycles = [reference_cycle(lam, mu, capacity, rng) for _ in range(n_runs)]
+    out = np.array(cycles, dtype=float).reshape(n_runs, 6)
+    return out[:, 0], out[:, 1], out[:, [2, 4]], out[:, [3, 5]]
 
 
 class TestSanTopology:
@@ -165,40 +248,52 @@ class TestMm1Cycle:
     def test_single_customer_cycle(self):
         tb = Mm1Testbed()
         # draw order: initial service, then interarrival
-        batch = tb.simulate(np.array([1.0, 1.0]), 1, ScriptedRng([2.0, 5.0]))
+        rng = ScriptedRng([2.0, 5.0])
+        batch = tb.simulate(np.array([1.0, 1.0]), 1, rng)
         assert batch.y[0] == pytest.approx(2.0)
         assert batch.a[0] == pytest.approx(5.0)
         assert batch.counts[0].tolist() == [1.0, 1.0]
         assert batch.sums[0].tolist() == [5.0, 2.0]
+        assert rng.position == 2  # the stream ends after the draws used
 
     def test_two_customer_overlap_cycle(self):
         # hand trace: arrivals at 0 and 1; services 3.0 (first) and 1.0
         # (second, starts at 3); head count is 1 on [0,1), 2 on [1,3),
         # 1 on [3,4), 0 on [4,11); area 1 + 4 + 1 = 6
         tb = Mm1Testbed()
-        batch = tb.simulate(np.array([1.0, 1.0]), 1, ScriptedRng([3.0, 1.0, 10.0, 1.0]))
+        rng = ScriptedRng([3.0, 1.0, 10.0, 1.0])
+        batch = tb.simulate(np.array([1.0, 1.0]), 1, rng)
         assert batch.y[0] == pytest.approx(6.0)
         assert batch.a[0] == pytest.approx(11.0)
         # interarrivals 1 + 10, services 3 + 1
         assert batch.counts[0].tolist() == [2.0, 2.0]
         assert batch.sums[0].tolist() == [11.0, 4.0]
+        assert rng.position == 4
 
     def test_blocked_arrivals_consume_no_service(self):
         # capacity 1: the second arrival (t=1) is blocked; only draws are
         # the initial service, two interarrivals
         tb = Mm1Testbed(QueueConfig(capacity=1))
-        batch = tb.simulate(np.array([1.0, 1.0]), 1, ScriptedRng([3.0, 1.0, 9.0]))
+        rng = ScriptedRng([3.0, 1.0, 9.0])
+        batch = tb.simulate(np.array([1.0, 1.0]), 1, rng)
         assert batch.counts[0].tolist() == [2.0, 1.0]
         assert batch.sums[0].tolist() == [10.0, 3.0]
         assert batch.y[0] == pytest.approx(3.0)
         assert batch.a[0] == pytest.approx(10.0)
+        assert rng.position == 3
 
     def test_replay_oracle_agrees(self, rng):
         tb = Mm1Testbed()
         theta = np.array([0.9, 1.1])  # high load exercises blocking
         for _ in range(300):
-            rec = RecordingRng(rng)
-            batch = tb.simulate(theta, 1, rec)
+            rec = RecordingRng(np.random.default_rng())
+            rec.rng.bit_generator.state = rng.bit_generator.state
+            batch = tb.simulate(theta, 1, rng)
+            # the scalar reference on the same stream gives the same bits
+            # and records each draw
+            y, a, _, _, _, _ = reference_cycle(*theta, 10, rec)
+            assert (batch.y[0], batch.a[0]) == (y, a)
+            assert rng.random() == rec.rng.random()
             # distinct rates keep the two draw streams apart by scale
             interarrivals = rec.draws[1.0 / theta[0]]
             services = rec.draws[1.0 / theta[1]]
@@ -207,6 +302,54 @@ class TestMm1Cycle:
             assert batch.a[0] == pytest.approx(a)
             assert batch.counts[0].tolist() == [len(interarrivals), len(services)]
             assert batch.sums[0] == pytest.approx([sum(interarrivals), sum(services)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        capacity=st.sampled_from([1, 3, 10]),
+        mu=st.floats(0.2, 5.0),
+        load=st.floats(0.05, 1.5),
+        n_runs=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+        collect_stats=st.booleans(),
+    )
+    def test_equals_scalar_reference_bit_for_bit(self, capacity, mu, load, n_runs, seed,
+                                                 collect_stats):
+        lam = load * mu
+        rng = np.random.default_rng(seed)
+        tb = Mm1Testbed(QueueConfig(capacity=capacity))
+        batch = tb.simulate([lam, mu], n_runs, rng, collect_stats=collect_stats)
+        ref_rng = np.random.default_rng(seed)
+        y, a, counts, sums = reference_batch(lam, mu, capacity, n_runs, ref_rng)
+        assert batch.y.tobytes() == y.tobytes()
+        assert batch.a.tobytes() == a.tobytes()
+        if collect_stats:
+            assert batch.counts.tobytes() == counts.tobytes()
+            assert batch.sums.tobytes() == sums.tobytes()
+        else:
+            assert batch.counts is None and batch.sums is None
+        # the generator stands exactly where per-draw calls leave it
+        assert rng.random() == ref_rng.random()
+
+    def test_cycles_longer_than_a_block_match_the_reference(self):
+        # at load 1.4 and capacity 10 a busy period spans many blocks;
+        # swapped coordinates exercise the (service, arrival) layout
+        tb = Mm1Testbed(QueueConfig(capacity=10, arrival_index=1, service_index=0))
+        rng = np.random.default_rng(11)
+        batch = tb.simulate([1.0, 1.4], 30, rng)
+        ref_rng = np.random.default_rng(11)
+        y, a, counts, sums = reference_batch(1.4, 1.0, 10, 30, ref_rng)
+        assert batch.counts.sum(axis=1).max() > 4 * EXP_BLOCK
+        assert batch.y.tobytes() == y.tobytes() and batch.a.tobytes() == a.tobytes()
+        assert batch.counts.tobytes() == counts[:, ::-1].tobytes()
+        assert batch.sums.tobytes() == sums[:, ::-1].tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_pilot_result_unchanged(self):
+        # the values the per-draw simulation gave: the pilot interleaves
+        # bootstrap and simulation draws on one generator
+        assert run_pilot("mm1", 50, seed=3, b=20, s0=10) == PilotResult(
+            r=34, final_s=30, zeta_y=0.10064864744035884, zeta_a=0.9882061467237451
+        )
 
     def test_invariants_over_random_cycles(self, rng):
         tb = Mm1Testbed()
@@ -222,10 +365,12 @@ class TestMm1Cycle:
         tb = Mm1Testbed()
         theta = np.array([0.5, 1.5])
         batch = tb.simulate(theta, 5, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
         rec = RecordingRng(np.random.default_rng(3))
         for j in range(5):
             rec.draws.clear()
-            single = tb.simulate(theta, 1, rec)
+            single = tb.simulate(theta, 1, rng)
+            reference_cycle(*theta, 10, rec)
             assert single.y[0] == batch.y[j] and single.a[0] == batch.a[j]
             assert batch.counts[j, 0] == len(rec.draws[1.0 / theta[0]])
             assert batch.sums[j, 1] == pytest.approx(sum(rec.draws[1.0 / theta[1]]))
@@ -238,8 +383,15 @@ class TestMm1Cycle:
     def test_runaway_cycle_raises(self, rng):
         # at lambda/mu = 14.7 a full queue takes about 14.7^10 events to
         # empty; the draw cap turns that hang into a per-macro failure
-        with pytest.raises(EstimationError, match=r"arrival rate 14\.7, service rate 1\.0"):
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = rng.bit_generator.state
+        message = r"arrival rate 14\.7, service rate 1\.0 exceeded 1000000 draws"
+        with pytest.raises(EstimationError, match=message):
             Mm1Testbed().simulate([14.7, 1.0], 1, rng)
+        with pytest.raises(EstimationError, match=message):
+            reference_cycle(14.7, 1.0, 10, ref_rng)
+        # the failed call also leaves the stream after its last draw
+        assert rng.random() == ref_rng.random()
 
     def test_closed_form_value(self):
         # rho = 1/3, capacity 10: sum(n rho^n)/sum(rho^n)
