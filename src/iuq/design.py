@@ -360,11 +360,14 @@ def _pooling_losses(params, means, ks, folds):
 
     Distances are built in blocks of held-out rows that stay within
     ``CV_BLOCK_BYTES``; each block's max(ks) nearest training rows are
-    selected once and every k scores a prefix of them.  A held-out row
-    costs its (train, d) difference rows, its distance row, the
-    ``np.partition`` copy and keep mask of that row in ``nearest``, and
-    four max(ks)-wide index and gather rows; their sum bounds what a block
-    holds at any time.
+    selected once and every k scores a prefix of them.  A block's squared
+    distances are summed one coordinate at a time from the coordinate-major
+    (d, train) training rows, so no (rows, train, d) difference tensor is
+    built.  A held-out row costs its distance row, the squared difference
+    added to it, the ``np.partition`` copy and keep mask of that row in
+    ``nearest``, and six max(ks)-wide rows (the kept indices, their values,
+    the sort order, the ranked values, the result and the gathered means);
+    their sum bounds what a block holds at any time.
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if params.shape[0] != np.asarray(means).shape[0]:
@@ -376,14 +379,19 @@ def _pooling_losses(params, means, ks, folds):
         train = np.setdiff1d(np.arange(params.shape[0]), fold)
         if k_max > train.size:
             raise ValueError(f"k={k_max} exceeds training-fold size {train.size}")
-        held, pool, pool_means = params[fold], params[train], means[train]
+        held, pool, pool_means = params[fold], np.ascontiguousarray(params[train].T), means[train]
         preds = np.empty((len(ks), fold.size))
-        row_bytes = train.size * (8 * params.shape[1] + 8 + 8 + 1) + 4 * 8 * k_max
+        row_bytes = train.size * (8 + 8 + 8 + 1) + 6 * 8 * k_max
         step = max(1, CV_BLOCK_BYTES // row_bytes)
         for lo in range(0, fold.size, step):
-            diff = held[lo : lo + step, None, :] - pool[None, :, :]
-            dist = np.einsum("ijk,ijk->ij", diff, diff)
-            del diff  # freed before nearest's copies and the next block's differences
+            block = held[lo : lo + step]
+            dist = block[:, 0, None] - pool[0]
+            dist *= dist
+            for c in range(1, pool.shape[0]):
+                sq = block[:, c, None] - pool[c]
+                sq *= sq
+                dist += sq
+            sq = None  # freed before nearest's copies
             order = nearest(dist, k_max)
             for j, k in enumerate(ks):
                 preds[j, lo : lo + step] = pool_means[order[:, :k]].mean(axis=1)

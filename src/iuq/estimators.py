@@ -11,6 +11,7 @@ average denominator output is nonzero; the filter applies to numerator and
 denominator pools alike.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ class RatioEstimate:
     clamped_weights: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise EstimationError(f"non-finite ratio estimate ({self.method})")
 
 
@@ -44,8 +45,12 @@ def nearest(dist, k):
 
     Equals ``np.argsort(dist, axis=-1, kind="stable")[..., :k]``: ties go to
     the smaller index.  Each row keeps the entries not above its k-th
-    smallest value and stable-sorts only those; a row that keeps more than
-    k (a tie at the k-th value, or a NaN) is sorted in full.
+    smallest value.  A row that keeps more than k (a tie at the k-th value,
+    or a NaN) is stable-sorted in full.  A row that keeps exactly k sorts
+    them with the default, unstable sort, which is exact wherever the
+    ranked values strictly increase; rows where they do not (a tie inside
+    the kept prefix, or a NaN when k is the row length) are sorted again
+    with the stable sort.
     """
     dist = np.asarray(dist)
     n = dist.shape[-1]
@@ -61,9 +66,17 @@ def nearest(dist, k):
         out[tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :k]
         out[~tied] = nearest(rows[~tied], k)
     else:
-        order = rows.ravel()[flat.reshape(-1, k)].argsort(axis=1, kind="stable")
-        order += np.arange(0, flat.size, k)[:, None]  # row offsets into flat
-        out = flat[order] % n
+        vals = rows.ravel()[flat]
+        start = np.arange(0, flat.size, k)[:, None]  # row offsets into flat
+        order = vals.reshape(-1, k).argsort(axis=1)
+        order += start
+        ranked = vals[order]
+        rising = ranked[:, 1:] > ranked[:, :-1]  # False at a tie or a NaN
+        if np.count_nonzero(rising) < rising.size:
+            redo = ~rising.all(axis=1)
+            order[redo] = vals.reshape(-1, k)[redo].argsort(axis=1, kind="stable") + start[redo]
+        out = flat[order]
+        out -= np.arange(0, rows.size, n)[:, None]  # flat index to column
     return out.reshape(dist.shape[:-1] + (k,))
 
 
@@ -71,24 +84,19 @@ class NeighborIndex:
     """Euclidean k-nearest-neighbor queries over a fixed set of parameters.
 
     Queries are a brute-force distance scan with ties broken by insertion
-    index, which makes them deterministic.
+    index, which makes them deterministic.  The parameters are stored
+    coordinate-major, as a contiguous (d, n) array, so that each squared
+    distance sums over the short leading axis in one pass over n.
     """
 
     def __init__(self, params):
-        self.params = np.atleast_2d(np.asarray(params, dtype=float))
-
-    def __len__(self):
-        return self.params.shape[0]
+        self.coords = np.ascontiguousarray(np.atleast_2d(np.asarray(params, dtype=float)).T)
 
     def query(self, theta, k):
         """Positions of the k nearest parameters, closest first; ties in
         distance resolve to the smaller position."""
-        n = len(self)
-        if not 1 <= k <= n:
-            raise ValueError(f"k must lie in [1, {n}], got {k}")
-        diff = self.params - np.asarray(theta, dtype=float)
-        dist = np.einsum("ij,ij->i", diff, diff)
-        return nearest(dist, k)
+        diff = self.coords - np.asarray(theta, dtype=float).reshape(-1, 1)
+        return nearest(np.einsum("ji,ji->i", diff, diff), k)
 
 
 @dataclass(frozen=True)

@@ -157,10 +157,16 @@ class Mm1Testbed:
         return np.asarray(theta, dtype=float)
 
     def _rates(self, theta):
+        """(arrival, service) rates of one parameter of shape (2,); both must
+        be finite and positive (the support of ``input_model``)."""
         theta = np.asarray(theta, dtype=float)
-        if not self.input_model.in_support(theta):
-            raise ValueError("arrival and service rates must be strictly positive")
-        return float(theta[self.config.arrival_index]), float(theta[self.config.service_index])
+        if theta.shape == (2,):
+            rates = theta.tolist()
+            lam = rates[self.config.arrival_index]
+            mu = rates[self.config.service_index]
+            if 0.0 < lam < math.inf and 0.0 < mu < math.inf:  # False for NaN
+                return lam, mu
+        raise ValueError("arrival and service rates must be strictly positive")
 
     def simulate(self, theta, n_runs, rng, collect_stats=True):
         from . import SimBatch

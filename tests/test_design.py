@@ -338,10 +338,13 @@ class TestCrossValidation:
         folds = [np.array([0, 1]), np.array([2, 3])]
         assert cv_losses(params, means, 1, folds) == [12.5, 36.5]
 
-    @pytest.mark.parametrize("n, d, integral", [(37, 1, True), (120, 3, False), (300, 2, True)])
+    @pytest.mark.parametrize(
+        "n, d, integral", [(37, 1, True), (120, 3, False), (300, 2, True), (150, 13, False)]
+    )
     def test_losses_match_bruteforce_per_k(self, rng, monkeypatch, n, d, integral):
-        # integral coordinates give many tied distances; a tiny block budget
-        # builds the distances one held-out row at a time
+        # integral coordinates give many tied distances; a 64 KiB block budget
+        # splits each fold of the larger clouds into several blocks, and a
+        # tiny one builds the distances one held-out row at a time
         if integral:
             params = rng.integers(0, 4, size=(n, d)).astype(float)
         else:
@@ -350,7 +353,7 @@ class TestCrossValidation:
         folds = make_folds(n, 5)
         ks = [1, 2, 3, 8, n - max(f.size for f in folds)]
         expected = [brute_cv_losses(params, means, k, folds) for k in ks]
-        for budget in (design.CV_BLOCK_BYTES, 1):
+        for budget in (design.CV_BLOCK_BYTES, 2**16, 1):
             monkeypatch.setattr(design, "CV_BLOCK_BYTES", budget)
             assert [cv_losses(params, means, k, folds) for k in ks] == expected
             best = ks[int(np.argmin([np.mean(losses) for losses in expected]))]

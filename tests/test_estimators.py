@@ -75,23 +75,57 @@ class TestStdRatio:
 
 @st.composite
 def tied_distances(draw, dtype, elements):
-    """1-D or 2-D arrays over a few values, so most rows tie at the k-th."""
-    shape = draw(st.one_of(st.tuples(st.integers(1, 40)),
-                           st.tuples(st.integers(1, 6), st.integers(1, 40))))
+    """1-D or 2-D arrays of up to 600 columns over a limited set of values,
+    so rows tie at the k-th value or inside the kept prefix."""
+    width = st.integers(1, 600)
+    shape = draw(st.one_of(st.tuples(width), st.tuples(st.integers(1, 6), width)))
     dist = draw(hnp.arrays(dtype, shape, elements=elements))
     return dist, draw(st.integers(1, shape[-1]))
+
+
+def kept_prefix_ties():
+    """Rows of 24 whose 16 smallest form two 8-way ties that the unstable
+    sort reorders, beside a row of distinct values."""
+    tied = np.arange(24) % 3.0  # 0, 1, 2, 0, 1, 2, ...: 16 entries <= 1
+    return np.stack([tied, (np.arange(24) * 7) % 24.0, tied[::-1]])
+
+
+def nan_ties():
+    """Distinct finite values with a NaN at every third position: the NaNs
+    are the only ties, and the unstable sort reorders them."""
+    dist = np.arange(17.0)[::-1]
+    dist[::3] = np.nan
+    return dist
 
 
 class TestNearest:
     @pytest.mark.parametrize(
         "dtype, elements",
         [(np.int64, st.integers(0, 3)),
-         (float, st.sampled_from([0.0, 0.5, 1.0, np.inf, np.nan]))],
-        ids=["int", "float-inf-nan"],
+         (float, st.sampled_from([0.0, 0.5, 1.0, np.inf, np.nan])),
+         (float, st.integers(0, 400).map(float))],
+        ids=["int", "float-inf-nan", "float-sparse-ties"],
     )
     @given(data=st.data())
     def test_equals_stable_argsort_prefix(self, dtype, elements, data):
         dist, k = data.draw(tied_distances(dtype, elements))
+        expected = np.argsort(dist, axis=-1, kind="stable")[..., :k]
+        assert nearest(dist, k).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "dist, k",
+        [([1.0, 1.0, 0.0, 5.0, 5.0], 3),
+         (kept_prefix_ties()[0], 16),
+         ([np.nan, np.inf, 1.0, np.nan, np.inf, 0.0, np.nan], 7),
+         (np.tile([np.nan, np.inf, 2.0, 0.0, np.inf, np.nan, 1.0, 2.0], 3), 24),
+         (nan_ties(), 17),
+         (kept_prefix_ties(), 16)],
+        ids=["tie-before-kth", "many-ties-before-kth", "k-is-n-nan-inf", "k-is-n-nan-inf-wide",
+             "k-is-n-nan-only", "mixed-rows"],
+    )
+    def test_ties_inside_the_kept_prefix_resolve_to_the_smaller_index(self, dist, k):
+        # each row keeps exactly k entries, so ties can only sit inside them
+        dist = np.asarray(dist, dtype=float)
         expected = np.argsort(dist, axis=-1, kind="stable")[..., :k]
         assert nearest(dist, k).tolist() == expected.tolist()
 
@@ -126,6 +160,21 @@ class TestKnnQuery:
             got = index.query(target, k)
             oracle = np.argsort(np.linalg.norm(pts - target, axis=1), kind="stable")[:k]
             assert got.tolist() == oracle.tolist()
+
+    @pytest.mark.parametrize("d, integral", [(2, False), (2, True), (13, False)])
+    def test_matches_row_major_distance_reference(self, rng, d, integral):
+        # the index sums squared differences over its coordinate-major copy;
+        # the order must equal that of the row-major sum
+        if integral:
+            pts = rng.integers(0, 4, size=(600, d)).astype(float)
+        else:
+            pts = rng.normal(size=(600, d))
+        index = NeighborIndex(pts)
+        for k in (1, 7, 128, 600):
+            target = np.round(rng.normal(size=d)) if integral else rng.normal(size=d)
+            diff = pts - target
+            oracle = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")[:k]
+            assert index.query(target, k).tolist() == oracle.tolist()
 
     def test_k_out_of_range(self):
         index = NeighborIndex([[0.0], [1.0]])
@@ -265,7 +314,7 @@ class TestRunTable:
     def test_pool_index_and_coefficients(self):
         table = exp_table([2.0, 1.0, 4.0], y=[[1.0]] * 3, a=[[1.0], [0.0], [3.0]])
         assert table.pool.tolist() == [0, 2]
-        assert table.index.params.tolist() == [[2.0], [4.0]]
+        assert table.index.coords.tolist() == [[2.0, 4.0]]  # coordinate-major (d, n)
         np.testing.assert_array_equal(
             table.lr_coefs, IndependentExponentials(1).coefficients(table.params)
         )

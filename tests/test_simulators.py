@@ -393,6 +393,22 @@ class TestMm1Cycle:
         # the failed call also leaves the stream after its last draw
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize(
+        "theta",
+        [0.5, [0.5], [0.5, 1.5, 1.0], [[0.5, 1.5]], [0.0, 1.5], [0.5, -0.0], [-0.5, 1.5],
+         [0.5, -2.0], [np.inf, 1.5], [0.5, -np.inf], [np.nan, 1.5], [0.5, np.nan]],
+        ids=["scalar", "one-rate", "three-rates", "2d", "zero-arrival", "negative-zero-service",
+             "negative-arrival", "negative-service", "inf-arrival", "minus-inf-service",
+             "nan-arrival", "nan-service"],
+    )
+    def test_rates_outside_the_support_raise(self, theta):
+        message = "arrival and service rates must be strictly positive"
+        for config in (QueueConfig(), QueueConfig(arrival_index=1, service_index=0)):
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match=message):
+                Mm1Testbed(config).simulate(theta, 1, rng)
+            assert rng.random() == np.random.default_rng(0).random()  # no draw was made
+
     def test_closed_form_value(self):
         # rho = 1/3, capacity 10: sum(n rho^n)/sum(rho^n)
         assert mm1_steady_state_mean(0.5, 1.5) == pytest.approx(0.4999379, abs=1e-6)
