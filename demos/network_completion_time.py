@@ -25,7 +25,7 @@ v, t = testbed.path_times(np.ones((1, 13)))
 print(f"\nall durations = 1: completion {v[0]:.0f}, milestone time {t[0]:.0f}")
 
 rng = np.random.default_rng(0)
-batch = testbed.simulate(testbed.true_theta, 500_000, rng, collect_stats=False)
+batch = testbed.simulate(testbed.true_theta, 500_000, rng)
 print(f"P(milestones < {cfg.threshold}) = {batch.a.mean():.4f}  (calibrated near 0.091)")
 
 oracle = true_eta_oracle(testbed, testbed.true_theta, 500_000, rng)

@@ -21,7 +21,7 @@ print(f"\nportfolio: {2 * (len(cfg.call_strikes) + len(cfg.put_strikes))} option
 print(f"stress threshold K* = {cfg.k_star:.2f} (sum of 5% quantiles)")
 
 rng = np.random.default_rng(0)
-batch = testbed.simulate(testbed.true_theta, 300_000, rng, collect_stats=False)
+batch = testbed.simulate(testbed.true_theta, 300_000, rng)
 print(f"P(stress event) = {batch.a.mean():.4f}")
 
 oracle = true_eta_oracle(testbed, testbed.true_theta, 300_000, rng)

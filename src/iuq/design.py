@@ -20,6 +20,13 @@ from .input_models import EstimationError
 # arrays the block holds at once stay within this many bytes
 CV_BLOCK_BYTES = 16 * 2**20
 
+# stopping rules of min_enclosing_ellipsoid; the duality-gap exit keeps
+# large instances fast at a volume error far below the tolerance of any
+# consumer here
+MVEE_TOL = 1e-7
+MVEE_GAP_TOL = 5e-4
+MVEE_MAX_ITER = 100_000
+
 
 class ConfigurationError(RuntimeError):
     """Raised when an experiment configuration cannot produce valid samples."""
@@ -109,13 +116,12 @@ def _ridge_ellipsoid(points):
     return ell
 
 
-def min_enclosing_ellipsoid(points, tol=1e-7, max_iter=100_000, gap_tol=5e-4):
+def min_enclosing_ellipsoid(points):
     """Minimum-volume enclosing ellipsoid via Khachiyan's algorithm.
 
-    Iterates until the barycentric weight update moves by less than ``tol``
-    or the duality gap falls below ``gap_tol`` (whichever first; the gap
-    exit keeps large instances fast at a volume error far below the
-    tolerance of any consumer here).  The final shape matrix is rescaled so
+    Iterates until the barycentric weight update moves by less than
+    ``MVEE_TOL`` or the duality gap falls below ``MVEE_GAP_TOL``, for at
+    most ``MVEE_MAX_ITER`` steps.  The final shape matrix is rescaled so
     every input point satisfies membership <= 1 exactly.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -138,16 +144,16 @@ def min_enclosing_ellipsoid(points, tol=1e-7, max_iter=100_000, gap_tol=5e-4):
         x_inv, m_diag = refresh()
     except np.linalg.LinAlgError:
         return _ridge_ellipsoid(points)
-    for it in range(int(max_iter)):
+    for it in range(MVEE_MAX_ITER):
         j = int(np.argmax(m_diag))
         maximum = m_diag[j]
-        if maximum <= (d + 1) * (1.0 + gap_tol):
+        if maximum <= (d + 1) * (1.0 + MVEE_GAP_TOL):
             break
         step = (maximum - d - 1.0) / ((d + 1.0) * (maximum - 1.0))
         err = step * math.sqrt(max(1.0 - 2.0 * u[j] + u @ u, 0.0))
         u *= 1.0 - step
         u[j] += step
-        if err <= tol:
+        if err <= MVEE_TOL:
             break
         if (it + 1) % 512 == 0:
             # refresh from scratch to keep rank-1 rounding drift in check
@@ -346,17 +352,12 @@ def make_folds(n, n_folds):
     return folds
 
 
-def cv_losses(params, means, k, folds):
-    """Mean per-fold squared prediction error of k-nearest-neighbor pooling.
+def cv_losses(params, means, ks, folds):
+    """Mean per-fold squared prediction errors of k-nearest-neighbor pooling,
+    one list of fold losses per k in ``ks``.
 
     Each held-out parameter's run mean is predicted by the average of the
     run means of its k nearest training-fold parameters.
-    """
-    return _pooling_losses(params, means, [k], folds)[0]
-
-
-def _pooling_losses(params, means, ks, folds):
-    """``cv_losses`` of every k in ``ks`` from one neighbor ordering per fold.
 
     Distances are built in blocks of held-out rows that stay within
     ``CV_BLOCK_BYTES``; each block's max(ks) nearest training rows are
@@ -431,5 +432,5 @@ def cv_select_k(sim_params, run_means, candidates, n_folds=5):
         usable.append(k)
     if not usable:
         raise ValueError("no usable pooling-size candidates")
-    scores = [np.mean(loss) for loss in _pooling_losses(params, run_means, usable, folds)]
+    scores = [np.mean(loss) for loss in cv_losses(params, run_means, usable, folds)]
     return usable[int(np.argmin(scores))]

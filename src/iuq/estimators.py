@@ -12,7 +12,7 @@ denominator pools alike.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,60 +106,55 @@ class RunTable:
     likelihood-ratio reweighting.
 
     ``stats`` packs each run's draw sums and counts under ``trace_model``
-    (see ``input_models.pack_stats``); a table without a trace model
-    carries none and serves the k-nearest-neighbor estimator only.
-    ``lr_params`` are the trace-model parameters of each simulation
-    parameter (identical to ``params`` unless the testbed maps them) and
-    must lie in the trace model's support; ``lr_coefs`` are their
-    likelihood-ratio coefficients.  ``pool`` lists the eligible rows, those
-    whose average denominator output is nonzero, and ``index`` searches
-    exactly those rows, so no estimator can pool an ineligible one.
+    (see ``input_models.pack_stats``); every table carries them, although
+    the k-nearest-neighbor estimator reads none.  ``lr_params`` are the
+    trace-model parameters of each simulation parameter (identical to
+    ``params`` unless the testbed maps them) and must lie in the trace
+    model's support; ``lr_coefs`` are their likelihood-ratio coefficients.
+    ``pool`` lists the eligible rows, those whose average denominator
+    output is nonzero, and ``index`` searches exactly those rows, so no
+    estimator can pool an ineligible one.
     """
 
     params: np.ndarray  # (n, d)
     y: np.ndarray  # (n, r)
     a: np.ndarray  # (n, r)
-    trace_model: object = None
-    stats: np.ndarray = None  # (n, r, 2 d_trace)
+    trace_model: object
+    stats: np.ndarray  # (n, r, 2 d_trace)
     lr_params: np.ndarray = None  # (n, d_trace)
     y_mean: np.ndarray = field(init=False)
     a_mean: np.ndarray = field(init=False)
     pool: np.ndarray = field(init=False)  # eligible row indices, ascending
     index: NeighborIndex = field(init=False)  # over params[pool]
-    lr_coefs: np.ndarray = field(init=False)  # (n, 2 d_trace), None without stats
+    lr_coefs: np.ndarray = field(init=False)  # (n, 2 d_trace)
 
     def __post_init__(self):
         if self.y.shape != self.a.shape or self.y.ndim != 2:
             raise ValueError("y and a must both have shape (n, r)")
         if self.params.shape[0] != self.y.shape[0]:
             raise ValueError("one parameter row per run row required")
-        if (self.trace_model is None) != (self.stats is None):
-            raise ValueError("trace statistics and a trace model come together or not at all")
         lr_params = self.params if self.lr_params is None else self.lr_params
-        lr_coefs = None
-        if self.trace_model is not None:
-            n, r = self.y.shape
-            d = self.trace_model.dim
-            if self.stats.shape != (n, r, 2 * d):
-                raise ValueError(
-                    f"trace statistics must pack (n, r, {d}) counts and sums into shape "
-                    f"{(n, r, 2 * d)}, got {self.stats.shape}"
-                )
-            if lr_params.shape != (n, d):
-                raise ValueError(f"lr_params must have shape {(n, d)}, got {lr_params.shape}")
-            outside = np.flatnonzero(~self.trace_model.support_mask(lr_params))
-            if outside.size:
-                raise ValueError(
-                    f"lr_params rows {outside[:5].tolist()} lie outside the support of "
-                    f"{self.trace_model!r}"
-                )
-            lr_coefs = self.trace_model.coefficients(lr_params)
+        n, r = self.y.shape
+        d = self.trace_model.dim
+        if self.stats.shape != (n, r, 2 * d):
+            raise ValueError(
+                f"trace statistics must pack (n, r, {d}) counts and sums into shape "
+                f"{(n, r, 2 * d)}, got {self.stats.shape}"
+            )
+        if lr_params.shape != (n, d):
+            raise ValueError(f"lr_params must have shape {(n, d)}, got {lr_params.shape}")
+        outside = np.flatnonzero(~self.trace_model.support_mask(lr_params))
+        if outside.size:
+            raise ValueError(
+                f"lr_params rows {outside[:5].tolist()} lie outside the support of "
+                f"{self.trace_model!r}"
+            )
         a_mean = self.a.mean(axis=1)
         pool = np.flatnonzero(a_mean != 0)
         object.__setattr__(self, "y_mean", self.y.mean(axis=1))
         object.__setattr__(self, "a_mean", a_mean)
         object.__setattr__(self, "lr_params", lr_params)
-        object.__setattr__(self, "lr_coefs", lr_coefs)
+        object.__setattr__(self, "lr_coefs", self.trace_model.coefficients(lr_params))
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "index", NeighborIndex(self.params[pool]))
 
@@ -172,7 +167,7 @@ class RunTable:
         return self.pool[self.index.query(theta, max(k_y, k_a))]
 
 
-def build_run_table(testbed, params, r, rng, collect_stats=True):
+def build_run_table(testbed, params, r, rng):
     """Simulate r runs at each parameter and assemble the run table."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     n = params.shape[0]
@@ -180,20 +175,19 @@ def build_run_table(testbed, params, r, rng, collect_stats=True):
         raise ValueError("need at least one run per parameter")
     y = np.empty((n, r))
     a = np.empty((n, r))
-    stats = np.empty((n, r, 2 * testbed.trace_model.dim)) if collect_stats else None
+    stats = np.empty((n, r, 2 * testbed.trace_model.dim))
     for j in range(n):
-        batch = testbed.simulate(params[j], r, rng, collect_stats=collect_stats)
+        batch = testbed.simulate(params[j], r, rng)
         y[j] = batch.y
         a[j] = batch.a
-        if collect_stats:
-            stats[j] = pack_stats(batch.counts, batch.sums)
+        stats[j] = pack_stats(batch.counts, batch.sums)
     return RunTable(
         params=params,
         y=y,
         a=a,
-        trace_model=testbed.trace_model if collect_stats else None,
+        trace_model=testbed.trace_model,
         stats=stats,
-        lr_params=testbed.lr_param(params) if collect_stats else None,
+        lr_params=testbed.lr_param(params),
     )
 
 
@@ -234,8 +228,6 @@ def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
     A*W over the first ``k_a``, with W the trace LR from each run's own
     parameter to the target, plus the clamp counter over all of ``nbrs``.
     """
-    if table.trace_model is None:
-        raise EstimationError("run table carries no trace statistics")
     log_w = table.trace_model.log_weights(table.stats[nbrs], table.lr_coefs[nbrs], lr_target)
     clamped = int(np.count_nonzero(log_w > LOG_WEIGHT_CLAMP))
     w = np.exp(np.minimum(log_w, LOG_WEIGHT_CLAMP))
@@ -283,13 +275,4 @@ def klr_fallback_k1(table, theta_tilde, lr_target=None):
     Used in place of the standard estimator when that estimator's own
     denominator is zero.
     """
-    est = klr_ratio(table, theta_tilde, k_y=1, k_a=1, lr_target=lr_target)
-    return RatioEstimate(
-        value=est.value,
-        method="klr",
-        k_y=1,
-        k_a=1,
-        fallback=True,
-        pooled_denominator=est.pooled_denominator,
-        clamped_weights=est.clamped_weights,
-    )
+    return replace(klr_ratio(table, theta_tilde, 1, 1, lr_target), fallback=True)

@@ -185,9 +185,7 @@ def run_iuq_knn_klr(testbed, data, estimator, sampling, alpha, r, rngs,
     n, n_tilde = sample_size_rule(m)
     boots = bootstrap_params(model, theta_hat, m, n_tilde, rngs["boot"])
     sim = sample_sim_params(sampling, boots, model, theta_hat, m, n, rngs["sim"])
-    table = build_run_table(
-        testbed, sim.params, r, rngs["runs"], collect_stats=(estimator == "klr")
-    )
+    table = build_run_table(testbed, sim.params, r, rngs["runs"])
     n_eligible = table.pool.size
     if n_eligible == 0:
         raise EstimationError("every simulation parameter has zero average denominator")
@@ -255,7 +253,7 @@ def run_iuq_std(testbed, data, split, alpha, r, rngs):
     n, _ = sample_size_rule(m)
     n_s, r_s = std_budget_split(n * r, split)
     boots = bootstrap_params(model, theta_hat, m, n_s, rngs["boot"])
-    table = build_run_table(testbed, boots.params, r_s, rngs["runs"], collect_stats=True)
+    table = build_run_table(testbed, boots.params, r_s, rngs["runs"])
     estimates = np.empty(n_s)
     n_fallback = 0
     for i in range(n_s):
@@ -461,7 +459,7 @@ def run_pilot(model_name, m, seed=0, san_topology=None, **pilot):
         return bootstrap_params(testbed.input_model, theta_hat, m, count, rng_).params
 
     def simulate(theta, runs, rng_):
-        batch = testbed.simulate(theta, runs, rng_, collect_stats=False)
+        batch = testbed.simulate(theta, runs, rng_)
         return batch.y, batch.a
 
     return anova_select_r(sample_param, simulate, rng=rng, **pilot)

@@ -58,11 +58,6 @@ class ExponentialFamily:
     vectorised ``support_mask`` and ``resample_mle``.
     """
 
-    def in_support(self, theta):
-        """True when ``theta`` is one parameter of shape (d,) in the support."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return theta.shape == (self.dim,) and bool(self.support_mask(theta))
-
     def _check_theta(self, theta):
         theta = _as_theta(theta, self.dim)
         if not self.support_mask(theta):
@@ -143,9 +138,7 @@ class IndependentExponentials(ExponentialFamily):
         m / Gamma draw: distributionally identical to materializing the
         resample and calling ``mle`` on it.
         """
-        theta_hat = np.asarray(theta_hat, dtype=float)
-        if not self.in_support(theta_hat):
-            raise ValueError("theta_hat outside the positive-rate support")
+        theta_hat = self._check_theta(theta_hat)
         sums = rng.gamma(shape=m, scale=1.0 / theta_hat, size=(count, self.dim))
         bad = ~(sums > 0)
         if bad.any():

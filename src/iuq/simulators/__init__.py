@@ -44,13 +44,18 @@ __all__ = [
 
 TESTBEDS = ("san", "mm1", "erm")
 
+# runs simulated per batch by ``true_eta_oracle``; bounds its batch memory
+ORACLE_CHUNK = 200_000
+
 
 @dataclass(frozen=True)
 class SimBatch:
     """Columnar view of many runs: outputs plus per-run trace statistics.
 
     ``counts``/``sums`` are the (runs, d) sufficient statistics of each
-    run's input trace under the testbed's trace model.
+    run's input trace under the testbed's trace model.  Every batch carries
+    them; ``counts`` may be a read-only broadcast view when every run
+    consumes the same number of draws.
     """
 
     y: np.ndarray
@@ -78,7 +83,7 @@ class OracleResult:
     budget: int
 
 
-def true_eta_oracle(testbed, theta, budget, rng, chunk=200_000):
+def true_eta_oracle(testbed, theta, budget, rng):
     """Brute-force estimate of eta(theta) = E[Y]/E[A] from independent runs.
 
     Used only as a reference oracle; the standard error is the delta-method
@@ -92,8 +97,8 @@ def true_eta_oracle(testbed, theta, budget, rng, chunk=200_000):
     as_ = []
     done = 0
     while done < budget:
-        b = min(chunk, budget - done)
-        batch = testbed.simulate(theta, b, rng, collect_stats=False)
+        b = min(ORACLE_CHUNK, budget - done)
+        batch = testbed.simulate(theta, b, rng)
         ys.append(batch.y)
         as_.append(batch.a)
         sum_y += batch.y.sum()

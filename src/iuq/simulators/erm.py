@@ -145,7 +145,7 @@ class ErmTestbed:
                 total += bs_price("put", s, k, cfg.rate, vol, ttm)
         return total
 
-    def simulate(self, theta, n_runs, rng, collect_stats=True):
+    def simulate(self, theta, n_runs, rng):
         from . import SimBatch
 
         theta = np.asarray(theta, dtype=float)
@@ -156,5 +156,5 @@ class ErmTestbed:
         value = self.portfolio_value(spots)
         a = (spots.sum(axis=1) < self.config.k_star).astype(float)
         y = value * a
-        counts = np.ones_like(z) if collect_stats else None
-        return SimBatch(y=y, a=a, counts=counts, sums=z if collect_stats else None)
+        # one vector draw per run: the counts are a read-only view of a single 1.0
+        return SimBatch(y=y, a=a, counts=np.broadcast_to(1.0, z.shape), sums=z)

@@ -168,18 +168,16 @@ class Mm1Testbed:
                 return lam, mu
         raise ValueError("arrival and service rates must be strictly positive")
 
-    def simulate(self, theta, n_runs, rng, collect_stats=True):
+    def simulate(self, theta, n_runs, rng):
         from . import SimBatch
 
         lam, mu = self._rates(theta)
         n_runs = int(n_runs)
         out = _cycles(lam, mu, self.config.capacity, n_runs, rng)
         out = np.array(out, dtype=float).reshape(n_runs, 6)
-        counts = sums = None
-        if collect_stats:
-            order = [self.config.arrival_index, self.config.service_index]
-            counts = np.empty((n_runs, 2))
-            sums = np.empty((n_runs, 2))
-            counts[:, order] = out[:, 2:4]
-            sums[:, order] = out[:, 4:6]
+        order = [self.config.arrival_index, self.config.service_index]
+        counts = np.empty((n_runs, 2))
+        sums = np.empty((n_runs, 2))
+        counts[:, order] = out[:, 2:4]
+        sums[:, order] = out[:, 4:6]
         return SimBatch(y=out[:, 0].copy(), a=out[:, 1].copy(), counts=counts, sums=sums)

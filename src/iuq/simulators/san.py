@@ -11,6 +11,7 @@ runs gives 0.090); substitute an exact topology with an edge-list file if
 one is available.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,16 +159,18 @@ class SanTestbed:
         t_time = comp[:, self._t_idx].max(axis=1)
         return v_time, t_time
 
-    def simulate(self, theta, n_runs, rng, collect_stats=True):
+    def simulate(self, theta, n_runs, rng):
         from . import SimBatch
 
         theta = np.asarray(theta, dtype=float)
-        if not self.input_model.in_support(theta):
+        if theta.shape != (self.config.dim,) or not all(
+            0.0 < rate < math.inf for rate in theta.tolist()  # False for NaN
+        ):
             raise ValueError("activity rates must be strictly positive")
         durations = rng.exponential(1.0 / theta, size=(int(n_runs), self.config.dim))
         v_time, t_time = self.path_times(durations)
         a = (t_time < self.config.threshold).astype(float)
         y = v_time * a
-        counts = np.ones_like(durations) if collect_stats else None
-        sums = durations if collect_stats else None
-        return SimBatch(y=y, a=a, counts=counts, sums=sums)
+        # one draw per arc: the counts are a read-only view of a single 1.0
+        counts = np.broadcast_to(1.0, durations.shape)
+        return SimBatch(y=y, a=a, counts=counts, sums=durations)

@@ -130,8 +130,7 @@ def test_criterion_06_std_overcoverage_m200():
 
 def test_criterion_07_san_calibration():
     testbed = SanTestbed()
-    batch = testbed.simulate(testbed.true_theta, 1_000_000,
-                             np.random.default_rng(4), collect_stats=False)
+    batch = testbed.simulate(testbed.true_theta, 1_000_000, np.random.default_rng(4))
     p = batch.a.mean()
     _report(7, 0.081 <= p <= 0.101,
             f"default network P(T < 2.4) = {p:.4f} in [0.081, 0.101]")

@@ -174,13 +174,13 @@ class TestSampleSimParams:
         boots = bootstrap_params(model, theta_hat, 3, 300, np.random.default_rng(4))
         sim = sample_sim_params("ellipsoid", boots, model, theta_hat, 3, 200,
                                 np.random.default_rng(9))
-        # replay the draws with a per-candidate support test
+        # replay the draws, keeping the supported candidates of each batch
         ell = min_enclosing_ellipsoid(boots.params)
         replay = np.random.default_rng(9)
         kept, rejected = [], 0
         while len(kept) < 200:
             cand = sample_in_ellipsoid(ell, max(200 - len(kept), 64), replay)
-            ok = [model.in_support(c) for c in cand]
+            ok = model.support_mask(cand).tolist()
             kept.extend(c for c, keep in zip(cand, ok) if keep)
             rejected += ok.count(False)
         assert rejected > 0
@@ -336,7 +336,7 @@ class TestCrossValidation:
         params = np.array([[0.0], [1.0], [2.0], [3.0]])
         means = np.array([0.0, 1.0, 4.0, 9.0])
         folds = [np.array([0, 1]), np.array([2, 3])]
-        assert cv_losses(params, means, 1, folds) == [12.5, 36.5]
+        assert cv_losses(params, means, [1], folds) == [[12.5, 36.5]]
 
     @pytest.mark.parametrize(
         "n, d, integral", [(37, 1, True), (120, 3, False), (300, 2, True), (150, 13, False)]
@@ -355,7 +355,7 @@ class TestCrossValidation:
         expected = [brute_cv_losses(params, means, k, folds) for k in ks]
         for budget in (design.CV_BLOCK_BYTES, 2**16, 1):
             monkeypatch.setattr(design, "CV_BLOCK_BYTES", budget)
-            assert [cv_losses(params, means, k, folds) for k in ks] == expected
+            assert cv_losses(params, means, ks, folds) == expected
             best = ks[int(np.argmin([np.mean(losses) for losses in expected]))]
             assert cv_select_k(params, means, ks) == best
 
@@ -366,8 +366,7 @@ class TestCrossValidation:
         params = np.concatenate([np.arange(5.0), 100.0 + np.arange(5.0)])[:, None]
         means = np.repeat([0.0, 1.0], 5)
         folds = make_folds(10, 2)
-        for k in (1, 2, 3, 5):
-            assert cv_losses(params, means, k, folds) == [1.0, 1.0]
+        assert cv_losses(params, means, [1, 2, 3, 5], folds) == [[1.0, 1.0]] * 4
         assert cv_select_k(params, means, [5, 3, 2, 1], n_folds=2) == 1
         assert cv_select_k(params, means, [4, 2, 3], n_folds=2) == 2
 

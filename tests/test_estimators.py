@@ -46,11 +46,19 @@ def exp_table(params, y, a, sums=None, n_draws=1):
 
 
 def knn_table(params, y, a):
-    """Assemble a RunTable without trace statistics, for knn pooling only."""
+    """Assemble a RunTable for knn pooling: one row per parameter (a flat
+    list gives d = 1), a normal trace model, whose support is every finite
+    parameter, and zero trace statistics."""
+    params = np.asarray(params, dtype=float)
+    params = params.reshape(params.shape[0], -1)
+    y = np.asarray(y, dtype=float)
+    d = params.shape[1]
     return RunTable(
-        params=np.atleast_2d(np.asarray(params, dtype=float)).reshape(-1, 1),
-        y=np.asarray(y, dtype=float),
+        params=params,
+        y=y,
         a=np.asarray(a, dtype=float),
+        trace_model=MultivariateNormalKnownCov(np.eye(d)),
+        stats=np.zeros(y.shape + (2 * d,)),
     )
 
 
@@ -219,8 +227,8 @@ class TestKnnRatio:
         y = rng.uniform(1.0, 2.0, size=(30, 4))
         a = rng.uniform(0.5, 1.5, size=(30, 4))
         perm = rng.permutation(30)
-        t1 = RunTable(params=params, y=y, a=a)
-        t2 = RunTable(params=params[perm], y=y[perm], a=a[perm])
+        t1 = knn_table(params, y, a)
+        t2 = knn_table(params[perm], y[perm], a[perm])
         target = rng.normal(size=2)
         for k in (1, 3, 17):
             v1 = knn_ratio(t1, target, k, k).value
@@ -304,11 +312,6 @@ class TestKlrRatio:
         assert est.method == "klr"
         assert np.isfinite(est.value)
 
-    def test_missing_trace_stats_errors(self):
-        table = RunTable(params=np.array([[1.0]]), y=np.ones((1, 2)), a=np.ones((1, 2)))
-        with pytest.raises(EstimationError):
-            klr_ratio(table, np.array([1.0]), 1, 1)
-
 
 class TestRunTable:
     def test_pool_index_and_coefficients(self):
@@ -319,11 +322,6 @@ class TestRunTable:
             table.lr_coefs, IndependentExponentials(1).coefficients(table.params)
         )
 
-    def test_table_without_trace_model_serves_knn(self):
-        table = RunTable(params=np.array([[0.0], [1.0]]), y=np.ones((2, 2)), a=np.ones((2, 2)))
-        assert table.lr_coefs is None
-        assert knn_ratio(table, np.array([0.0]), 1, 1).value == 1.0
-
     @pytest.mark.parametrize(
         "kwargs, match",
         [
@@ -331,13 +329,10 @@ class TestRunTable:
             ({"stats": np.ones((3, 1, 4))}, "shape"),  # wrong run count
             ({"stats": np.ones((2, 2, 4))}, "shape"),  # wrong row count
             ({"stats": np.ones((3, 2, 4)), "lr_params": np.ones((3, 1))}, "lr_params"),
-            ({"stats": None}, "together"),  # model without statistics
-            ({"trace_model": None}, "together"),  # statistics without a model
             ({"lr_params": np.array([[1.0, 2.0], [0.0, 1.0], [1.0, np.inf]])},
              r"rows \[1, 2\] lie outside the support"),  # a zero and an infinite rate
         ],
-        ids=["stat-columns", "runs", "rows", "lr-params", "model-only", "stats-only",
-             "lr-params-support"],
+        ids=["stat-columns", "runs", "rows", "lr-params", "lr-params-support"],
     )
     def test_bad_trace_statistics_rejected_at_build(self, kwargs, match):
         fields = dict(params=np.ones((3, 2)), y=np.ones((3, 2)), a=np.ones((3, 2)),

@@ -9,6 +9,7 @@ from iuq import cli
 from iuq.harness import (
     DEFAULT_R,
     ExperimentConfig,
+    MacroRow,
     _run_single_macro,
     emit_report,
     load_report,
@@ -161,6 +162,29 @@ class TestPipelines:
         assert ci.estimator == "std-even"
 
 
+# one knn macro per testbed: knn reads none of the trace statistics every
+# run table carries, so they must not move its rows
+KNN_ROWS = {
+    "mm1": dict(r=7, k_y=16, k_a=4, lower=0.1978964941705256,
+                upper=3.2143625488618057, width=3.0164660546912803, sims_used=252),
+    "san": dict(r=99, k_y=8, k_a=8, lower=3.933103426450011,
+                upper=5.3190486891197155, width=1.3859452626697046, sims_used=3564),
+    "erm": dict(r=423, k_y=8, k_a=8, lower=284.114212202185,
+                upper=284.974185988486, width=0.8599737863009977, sims_used=15228),
+}
+
+
+@pytest.mark.parametrize("model", sorted(KNN_ROWS))
+def test_knn_macro_row_pinned(model):
+    cfg = ExperimentConfig(model=model, m=20, estimator="knn", sampling="ellipsoid",
+                           macros=1, seed=0)
+    result = run_macro_experiment(cfg)
+    assert result.failures == ()
+    assert result.rows == (MacroRow(macro_id=0, estimator="knn", sampling="ellipsoid", m=20,
+                                    n=36, n_tilde=1000, covered=1, seed=0,
+                                    **KNN_ROWS[model]),)
+
+
 class _AlwaysZeroDenominator:
     name = "degenerate"
 
@@ -174,8 +198,8 @@ class _AlwaysZeroDenominator:
     def lr_param(self, theta):
         return np.asarray(theta, dtype=float)
 
-    def simulate(self, theta, n_runs, rng, collect_stats=True):
-        batch = self._base.simulate(theta, n_runs, rng, collect_stats)
+    def simulate(self, theta, n_runs, rng):
+        batch = self._base.simulate(theta, n_runs, rng)
         batch.a[:] = 0.0
         return batch
 

@@ -264,11 +264,9 @@ class TestSupportMask:
         cloud = np.vstack([grid, rng.normal(size=(199, 2))])  # 280 rows
         mask = model.support_mask(cloud)
         assert mask.tolist() == [supported(t) for t in cloud]
-        assert [model.in_support(t) for t in cloud] == mask.tolist()
         assert model.support_mask(cloud.reshape(-1, 4, 2)).tolist() == mask.reshape(-1, 4).tolist()
 
     def test_wrong_dimension(self):
         model = IndependentExponentials(2)
         with pytest.raises(ValueError):
             model.support_mask(np.ones((4, 3)))
-        assert not model.in_support(np.ones(3))

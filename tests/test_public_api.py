@@ -1,5 +1,6 @@
 """README's API paragraph and the ``iuq`` exports name the same things."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -30,3 +31,13 @@ def test_readme_api_names_import_and_removed_names_do_not():
         for name in REMOVED:
             with pytest.raises(ImportError):
                 exec(f"from {module} import {name}", {})
+
+
+def test_every_simulation_carries_trace_statistics():
+    from iuq import ErmTestbed, ExponentialFamily, Mm1Testbed, SanTestbed
+
+    for testbed in (SanTestbed, Mm1Testbed, ErmTestbed):
+        assert list(inspect.signature(testbed.simulate).parameters) == [
+            "self", "theta", "n_runs", "rng"
+        ]
+    assert not hasattr(ExponentialFamily, "in_support")

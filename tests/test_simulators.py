@@ -194,7 +194,7 @@ class TestSanRuns:
 
     def test_conditioning_probability_near_target(self, rng):
         tb = SanTestbed()
-        batch = tb.simulate(tb.true_theta, 200_000, rng, collect_stats=False)
+        batch = tb.simulate(tb.true_theta, 200_000, rng)
         assert batch.a.mean() == pytest.approx(0.091, abs=0.006)
 
     def test_completion_dominates_every_arc(self, rng):
@@ -211,6 +211,18 @@ class TestSanRuns:
         b2 = tb.simulate(tb.true_theta, 1, np.random.default_rng(7))
         for field in ("y", "a", "counts", "sums"):
             assert np.array_equal(getattr(b1, field), getattr(b2, field))
+
+    @pytest.mark.parametrize(
+        "theta",
+        [np.ones(12), np.ones((1, 13)), 1.0, [0.0] + [1.0] * 12, [1.0] * 12 + [-0.0],
+         [1.0] * 6 + [-0.5] + [1.0] * 6, [np.inf] + [1.0] * 12, [1.0] * 12 + [np.nan]],
+        ids=["twelve-rates", "2d", "scalar", "zero", "negative-zero", "negative", "inf", "nan"],
+    )
+    def test_rates_outside_the_support_raise(self, theta):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="activity rates must be strictly positive"):
+            SanTestbed().simulate(theta, 1, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # no draw was made
 
 
 def replay_cycle(interarrivals, services, capacity):
@@ -310,23 +322,18 @@ class TestMm1Cycle:
         load=st.floats(0.05, 1.5),
         n_runs=st.integers(0, 40),
         seed=st.integers(0, 2**32 - 1),
-        collect_stats=st.booleans(),
     )
-    def test_equals_scalar_reference_bit_for_bit(self, capacity, mu, load, n_runs, seed,
-                                                 collect_stats):
+    def test_equals_scalar_reference_bit_for_bit(self, capacity, mu, load, n_runs, seed):
         lam = load * mu
         rng = np.random.default_rng(seed)
         tb = Mm1Testbed(QueueConfig(capacity=capacity))
-        batch = tb.simulate([lam, mu], n_runs, rng, collect_stats=collect_stats)
+        batch = tb.simulate([lam, mu], n_runs, rng)
         ref_rng = np.random.default_rng(seed)
         y, a, counts, sums = reference_batch(lam, mu, capacity, n_runs, ref_rng)
         assert batch.y.tobytes() == y.tobytes()
         assert batch.a.tobytes() == a.tobytes()
-        if collect_stats:
-            assert batch.counts.tobytes() == counts.tobytes()
-            assert batch.sums.tobytes() == sums.tobytes()
-        else:
-            assert batch.counts is None and batch.sums is None
+        assert batch.counts.tobytes() == counts.tobytes()
+        assert batch.sums.tobytes() == sums.tobytes()
         # the generator stands exactly where per-draw calls leave it
         assert rng.random() == ref_rng.random()
 
