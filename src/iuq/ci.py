@@ -14,14 +14,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CIResult:
-    """A two-sided interval with its nominal level and provenance tags."""
+    """A two-sided interval with its nominal level and construction method."""
 
     lower: float
     upper: float
     alpha: float
     method: str  # "percentile" or "basic"
     n_used: int
-    estimator: str = ""
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -49,7 +48,7 @@ def empirical_quantile(values, alpha):
     return float(np.sort(values)[rank - 1])
 
 
-def percentile_ci(estimates, alpha, estimator=""):
+def percentile_ci(estimates, alpha):
     """Percentile bootstrap CI: [alpha/2, 1 - alpha/2] empirical quantiles."""
     estimates = np.asarray(estimates, dtype=float)
     if estimates.size < 2:
@@ -58,11 +57,11 @@ def percentile_ci(estimates, alpha, estimator=""):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     lo = empirical_quantile(estimates, alpha / 2.0)
     hi = empirical_quantile(estimates, 1.0 - alpha / 2.0)
-    return CIResult(lo, hi, alpha, "percentile", estimates.size, estimator)
+    return CIResult(lo, hi, alpha, "percentile", estimates.size)
 
 
-def basic_ci(estimates, eta_hat_at_theta_hat, alpha, estimator=""):
+def basic_ci(estimates, eta_hat_at_theta_hat, alpha):
     """Basic bootstrap CI, the percentile interval reflected about 2*eta_hat."""
     pct = percentile_ci(estimates, alpha)
     center = 2.0 * float(eta_hat_at_theta_hat)
-    return CIResult(center - pct.upper, center - pct.lower, alpha, "basic", pct.n_used, estimator)
+    return CIResult(center - pct.upper, center - pct.lower, alpha, "basic", pct.n_used)

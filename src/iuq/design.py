@@ -141,12 +141,12 @@ def min_enclosing_ellipsoid(points):
         return x_inv, np.einsum("ij,ji->i", q.T, x_inv @ q)
 
     try:
-        x_inv, m_diag = refresh()
+        x_inv, leverage = refresh()
     except np.linalg.LinAlgError:
         return _ridge_ellipsoid(points)
     for it in range(MVEE_MAX_ITER):
-        j = int(np.argmax(m_diag))
-        maximum = m_diag[j]
+        j = int(np.argmax(leverage))
+        maximum = leverage[j]
         if maximum <= (d + 1) * (1.0 + MVEE_GAP_TOL):
             break
         step = (maximum - d - 1.0) / ((d + 1.0) * (maximum - 1.0))
@@ -158,7 +158,7 @@ def min_enclosing_ellipsoid(points):
         if (it + 1) % 512 == 0:
             # refresh from scratch to keep rank-1 rounding drift in check
             try:
-                x_inv, m_diag = refresh()
+                x_inv, leverage = refresh()
             except np.linalg.LinAlgError:
                 return _ridge_ellipsoid(points)
             continue
@@ -167,7 +167,7 @@ def min_enclosing_ellipsoid(points):
         c = step / (1.0 - step)
         beta = c / (1.0 + c * maximum)
         v = q.T @ w
-        m_diag = (m_diag - beta * v * v) / (1.0 - step)
+        leverage = (leverage - beta * v * v) / (1.0 - step)
         x_inv = (x_inv - beta * np.outer(w, w)) / (1.0 - step)
 
     center = points.T @ u

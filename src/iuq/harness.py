@@ -1,10 +1,12 @@
 """End-to-end orchestration.
 
-Runs the two confidence-interval pipelines (standard estimator with its
-budget split, and the pooled kNN / likelihood-ratio estimators with a
-separate simulation parameter set), repeats them over macro replications of
-the input data to estimate empirical coverage and width against a pinned
-reference value, and writes CSV/JSON reports.
+Runs the two estimation pipelines (standard estimator with its budget
+split, and the pooled kNN / likelihood-ratio estimators with a separate
+simulation parameter set), each of which returns its bootstrap estimates;
+each macro replication then forms the percentile interval of those
+estimates and one report row.  Macro replications of the input data give
+the empirical coverage and width against a pinned reference value, written
+as CSV/JSON reports.
 
 Every macro replication is a pure function of (config, master seed, macro
 index): random streams are derived from seed-sequence keys
@@ -41,7 +43,7 @@ from .estimators import (
 )
 from .input_models import EstimationError
 from .reference import reference_eta
-from .simulators import TESTBEDS, make_testbed
+from .simulators import TESTBEDS, SanConfig, make_testbed
 
 ESTIMATORS = ("std-opt", "std-even", "knn", "klr")
 SAMPLING_MODES = ("bootstrap", "ellipsoid")
@@ -114,6 +116,14 @@ class ExperimentConfig:
             object.__setattr__(self, "cv_grid", tuple(int(k) for k in grid))
         if self.eta_ref is not None and not _is_finite_real(self.eta_ref):
             raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
+        if self.san_topology is not None:
+            # load the edge list once so that a bad file fails here, not in a macro
+            if self.model != "san":
+                raise ValueError(f"san_topology {self.san_topology!r} applies to model 'san' only")
+            try:
+                SanConfig.from_edge_list(os.fspath(self.san_topology))
+            except (OSError, TypeError, ValueError) as exc:
+                raise ValueError(f"san_topology {self.san_topology!r}: {exc}") from exc
         if self.estimator in ("knn", "klr"):
             n, _ = sample_size_rule(self.m)
             if self.cv_folds > n:
@@ -164,39 +174,36 @@ class MacroResult:
 # -- single-dataset pipelines ---------------------------------------------
 
 
-def run_iuq_knn_klr(testbed, data, estimator, sampling, alpha, r, rngs,
-                    cv_folds=5, cv_grid=None):
-    """Pooled-estimator pipeline on one input dataset.
+def run_iuq_knn_klr(testbed, theta_hat, cfg, rngs):
+    """Pooled-estimator (knn or klr) pipeline on one input dataset.
 
     Bootstraps the MLE, draws an independent simulation parameter set, runs
     r simulations at each simulation parameter, picks the pooling sizes for
-    numerator and denominator by cross validation, estimates the ratio at
-    every bootstrap parameter, and forms the percentile interval.
+    numerator and denominator by cross validation, and estimates the ratio
+    at every bootstrap parameter.
 
-    ``rngs`` maps phase names ('boot', 'sim', 'runs') to generators so that
-    phases stay stream-independent.
+    Both pipelines take the MLE of one input dataset and the validated
+    config, and return the bootstrap estimates with the row's design sizes
+    ``(n, n_tilde, r, k_y, k_a)``.  ``rngs`` maps phase names ('boot',
+    'sim', 'runs') to generators so that phases stay stream-independent.
     """
-    if estimator not in ("knn", "klr"):
-        raise ValueError("estimator must be 'knn' or 'klr'")
-    data = np.asarray(data, dtype=float)
     model = testbed.input_model
-    theta_hat = model.mle(data)
-    m = data.shape[0]
-    n, n_tilde = sample_size_rule(m)
-    boots = bootstrap_params(model, theta_hat, m, n_tilde, rngs["boot"])
-    sim = sample_sim_params(sampling, boots, model, theta_hat, m, n, rngs["sim"])
+    r = cfg.resolved_r()
+    n, n_tilde = sample_size_rule(cfg.m)
+    boots = bootstrap_params(model, theta_hat, cfg.m, n_tilde, rngs["boot"])
+    sim = sample_sim_params(cfg.sampling, boots, model, theta_hat, cfg.m, n, rngs["sim"])
     table = build_run_table(testbed, sim.params, r, rngs["runs"])
     n_eligible = table.pool.size
     if n_eligible == 0:
         raise EstimationError("every simulation parameter has zero average denominator")
-    grid = list(cv_grid) if cv_grid else default_k_grid(n)
+    grid = list(cfg.cv_grid) if cfg.cv_grid else default_k_grid(n)
     # both cross-validations use the same deterministic fold partition so
     # their losses correlate; with strongly dependent (Y, A) the selected
     # pool sizes then coincide and the ratio keeps its error cancellation
-    k_y = min(cv_select_k(sim.params, table.y_mean, grid, cv_folds), n_eligible)
-    k_a = min(cv_select_k(sim.params, table.a_mean, grid, cv_folds), n_eligible)
+    k_y = min(cv_select_k(sim.params, table.y_mean, grid, cfg.cv_folds), n_eligible)
+    k_a = min(cv_select_k(sim.params, table.a_mean, grid, cfg.cv_folds), n_eligible)
     estimates = np.empty(n_tilde)
-    if estimator == "knn":
+    if cfg.estimator == "knn":
         for i in range(n_tilde):
             estimates[i] = knn_ratio(table, boots.params[i], k_y, k_a).value
     else:
@@ -205,19 +212,7 @@ def run_iuq_knn_klr(testbed, data, estimator, sampling, alpha, r, rngs,
             estimates[i] = klr_ratio(
                 table, boots.params[i], k_y, k_a, lr_target=lr_targets[i]
             ).value
-    ci = percentile_ci(estimates, alpha, estimator=estimator)
-    diag = {
-        "theta_hat": theta_hat,
-        "boot_params": boots.params,
-        "sim_params": sim.params,
-        "n": n,
-        "n_tilde": n_tilde,
-        "r": r,
-        "k_y": k_y,
-        "k_a": k_a,
-        "sims_used": n * r,
-    }
-    return ci, diag
+    return estimates, (n, n_tilde, r, k_y, k_a)
 
 
 def std_budget_split(budget, split):
@@ -239,44 +234,27 @@ def std_budget_split(budget, split):
     return max(1, int(math.floor(n_s + 1e-9))), max(1, int(math.floor(r_s + 1e-9)))
 
 
-def run_iuq_std(testbed, data, split, alpha, r, rngs):
-    """Standard-estimator pipeline on one input dataset.
+def run_iuq_std(testbed, theta_hat, cfg, rngs):
+    """Standard-estimator (std-opt or std-even) pipeline on one input dataset.
 
     Simulates directly at the bootstrap parameters with the budget split
     implied by the pooled design's n*r total; zero-denominator parameters
-    fall back to the reweighted nearest eligible neighbor's estimate.
+    fall back to the reweighted nearest eligible neighbor's estimate.  The
+    bootstrap set doubles as the run table, so n = n_tilde and k_y = k_a = 0.
     """
-    data = np.asarray(data, dtype=float)
-    model = testbed.input_model
-    theta_hat = model.mle(data)
-    m = data.shape[0]
-    n, _ = sample_size_rule(m)
-    n_s, r_s = std_budget_split(n * r, split)
-    boots = bootstrap_params(model, theta_hat, m, n_s, rngs["boot"])
+    n, _ = sample_size_rule(cfg.m)
+    n_s, r_s = std_budget_split(n * cfg.resolved_r(), cfg.estimator.removeprefix("std-"))
+    boots = bootstrap_params(testbed.input_model, theta_hat, cfg.m, n_s, rngs["boot"])
     table = build_run_table(testbed, boots.params, r_s, rngs["runs"])
     estimates = np.empty(n_s)
-    n_fallback = 0
     for i in range(n_s):
         est = std_ratio(table.y[i], table.a[i])
         if est.fallback:
             if table.pool.size == 0:
                 raise EstimationError("every bootstrap parameter has zero average denominator")
             est = klr_fallback_k1(table, boots.params[i], lr_target=table.lr_params[i])
-            n_fallback += 1
         estimates[i] = est.value
-    ci = percentile_ci(estimates, alpha, estimator=f"std-{split}")
-    diag = {
-        "theta_hat": theta_hat,
-        "boot_params": boots.params,
-        "n": n_s,
-        "n_tilde": n_s,
-        "r": r_s,
-        "k_y": 0,
-        "k_a": 0,
-        "sims_used": n_s * r_s,
-        "fallbacks": n_fallback,
-    }
-    return ci, diag
+    return estimates, (n_s, n_s, r_s, 0, 0)
 
 
 # -- macro experiment ------------------------------------------------------
@@ -292,23 +270,12 @@ def _run_single_macro(cfg, macro_idx, eta_ref):
         "sim": _rng(cfg.seed, macro_idx, _PH_SIM),
         "runs": _rng(cfg.seed, macro_idx, _PH_RUNS),
     }
-    r = cfg.resolved_r()
+    pooled = cfg.estimator in ("knn", "klr")
     try:
-        if cfg.estimator in ("knn", "klr"):
-            ci, diag = run_iuq_knn_klr(
-                testbed,
-                data,
-                cfg.estimator,
-                cfg.sampling,
-                cfg.alpha,
-                r,
-                rngs,
-                cv_folds=cfg.cv_folds,
-                cv_grid=cfg.cv_grid,
-            )
-        else:
-            split = cfg.estimator.split("-", 1)[1]
-            ci, diag = run_iuq_std(testbed, data, split, cfg.alpha, r, rngs)
+        theta_hat = testbed.input_model.mle(data)
+        pipeline = run_iuq_knn_klr if pooled else run_iuq_std
+        estimates, (n, n_tilde, r, k_y, k_a) = pipeline(testbed, theta_hat, cfg, rngs)
+        ci = percentile_ci(estimates, cfg.alpha)
     except EstimationError as exc:
         return macro_idx, None, str(exc)
     except Exception as exc:
@@ -316,18 +283,18 @@ def _run_single_macro(cfg, macro_idx, eta_ref):
     row = MacroRow(
         macro_id=macro_idx,
         estimator=cfg.estimator,
-        sampling=cfg.sampling if cfg.estimator in ("knn", "klr") else "bootstrap",
+        sampling=cfg.sampling if pooled else "bootstrap",
         m=cfg.m,
-        n=diag["n"],
-        n_tilde=diag["n_tilde"],
-        r=diag["r"],
-        k_y=diag["k_y"],
-        k_a=diag["k_a"],
+        n=n,
+        n_tilde=n_tilde,
+        r=r,
+        k_y=k_y,
+        k_a=k_a,
         lower=ci.lower,
         upper=ci.upper,
         width=ci.width,
         covered=int(ci.covers(eta_ref)),
-        sims_used=diag["sims_used"],
+        sims_used=n * r,
         seed=cfg.seed,
     )
     return macro_idx, row, None

@@ -87,28 +87,29 @@ def true_eta_oracle(testbed, theta, budget, rng):
     """Brute-force estimate of eta(theta) = E[Y]/E[A] from independent runs.
 
     Used only as a reference oracle; the standard error is the delta-method
-    SE of the ratio of means.
+    SE of the ratio of means.  Runs are simulated ``ORACLE_CHUNK`` at a time
+    and only their sums and sums of products are kept, so memory stays at
+    one chunk for any budget.
     """
     budget = int(budget)
     if budget < 10_000:
         raise ValueError("oracle budget must be at least 10^4 runs")
-    sum_y = sum_a = 0.0
-    ys = []
-    as_ = []
+    sum_y = sum_a = s_yy = s_ya = s_aa = 0.0
     done = 0
     while done < budget:
         b = min(ORACLE_CHUNK, budget - done)
         batch = testbed.simulate(theta, b, rng)
-        ys.append(batch.y)
-        as_.append(batch.a)
-        sum_y += batch.y.sum()
-        sum_a += batch.a.sum()
+        y, a = batch.y, batch.a
+        sum_y += y.sum()
+        sum_a += a.sum()
+        s_yy += y @ y
+        s_ya += y @ a
+        s_aa += a @ a
         done += b
     if sum_a == 0.0:
         raise EstimationError("oracle failure: denominator outputs are all zero")
     eta = sum_y / sum_a
-    g2 = 0.0
-    for y, a in zip(ys, as_):
-        g2 += np.sum((y - eta * a) ** 2)
+    # sum of (y - eta a)^2, expanded; rounding can push a zero sum below 0
+    g2 = max(s_yy - 2.0 * eta * s_ya + eta * eta * s_aa, 0.0)
     se = float(np.sqrt(g2 / budget) / (sum_a / budget) / np.sqrt(budget))
     return OracleResult(float(eta), se, budget)

@@ -41,17 +41,13 @@ EXP_BLOCK = 256
 
 @dataclass(frozen=True)
 class QueueConfig:
-    """Capacity and the (arrival, service) coordinate layout of theta."""
+    """Capacity of the queue; theta is (arrival rate, service rate)."""
 
     capacity: int = 10
-    arrival_index: int = 0
-    service_index: int = 1
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if {self.arrival_index, self.service_index} != {0, 1}:
-            raise ValueError("theta must consist of an arrival and a service rate")
 
 
 def mm1_steady_state_mean(lam, mu, capacity=10):
@@ -161,9 +157,7 @@ class Mm1Testbed:
         be finite and positive (the support of ``input_model``)."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape == (2,):
-            rates = theta.tolist()
-            lam = rates[self.config.arrival_index]
-            mu = rates[self.config.service_index]
+            lam, mu = theta.tolist()
             if 0.0 < lam < math.inf and 0.0 < mu < math.inf:  # False for NaN
                 return lam, mu
         raise ValueError("arrival and service rates must be strictly positive")
@@ -175,9 +169,5 @@ class Mm1Testbed:
         n_runs = int(n_runs)
         out = _cycles(lam, mu, self.config.capacity, n_runs, rng)
         out = np.array(out, dtype=float).reshape(n_runs, 6)
-        order = [self.config.arrival_index, self.config.service_index]
-        counts = np.empty((n_runs, 2))
-        sums = np.empty((n_runs, 2))
-        counts[:, order] = out[:, 2:4]
-        sums[:, order] = out[:, 4:6]
-        return SimBatch(y=out[:, 0].copy(), a=out[:, 1].copy(), counts=counts, sums=sums)
+        return SimBatch(y=out[:, 0].copy(), a=out[:, 1].copy(),
+                        counts=out[:, 2:4], sums=out[:, 4:6])

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from iuq import cli
+from iuq.ci import percentile_ci
 from iuq.harness import (
     DEFAULT_R,
     ExperimentConfig,
@@ -23,6 +25,10 @@ from iuq.input_models import EstimationError
 from iuq.reference import REFERENCE_ETA, reference_eta
 from iuq.simulators import Mm1Testbed, make_testbed
 from iuq.simulators.mm1 import MAX_CYCLE_DRAWS
+
+
+# the default activity network as an edge-list file
+SAN_EDGES = "a b\na c\nb c\nb d\nb f\nc f\nd e\nd g\ne f\ne h\nf i\ng h\nh i\n"
 
 
 def mm1_rngs(seed=0):
@@ -90,18 +96,33 @@ class TestConfig:
             ({"alpha": "0.05"}, False),
             ({"alpha": float("nan")}, False),
             ({"alpha": None}, False),
+            ({"model": "san", "san_topology": "net.txt"}, True),
+            ({"model": "san", "san_topology": "missing.txt"}, False),
+            ({"model": "san", "san_topology": "cyclic.txt"}, False),
+            ({"model": "san", "san_topology": "malformed.txt"}, False),
+            ({"model": "san", "san_topology": 3}, False),
+            ({"san_topology": "net.txt"}, False),  # read by model san only
         ],
         ids=["model-bogus", "cv_folds-1", "cv_folds-float", "cv_folds-above-n",
              "seed-negative", "workers-0", "r-bool", "r-numpy-int", "numpy-ints",
              "cv_grid-zero", "cv_grid-float", "cv_grid-empty", "cv_grid-bool",
              "cv_grid-scalar", "cv_grid-some-usable", "cv_grid-none-usable",
              "cv_grid-list", "eta_ref-nan", "eta_ref-inf", "eta_ref-str", "eta_ref-float",
-             "alpha-str", "alpha-nan", "alpha-none"],
+             "alpha-str", "alpha-nan", "alpha-none", "san_topology-file",
+             "san_topology-missing", "san_topology-cyclic", "san_topology-malformed",
+             "san_topology-int", "san_topology-not-san"],
     )
-    def test_bad_fields_rejected_at_build(self, overrides, accepted):
+    def test_bad_fields_rejected_at_build(self, overrides, accepted, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.txt").write_text(SAN_EDGES)
+        (tmp_path / "cyclic.txt").write_text(SAN_EDGES + "i a\n")
+        (tmp_path / "malformed.txt").write_text("a b c\n")
         kwargs = {"model": "mm1", "m": 50, **overrides}
         if not accepted:
-            with pytest.raises(ValueError):
+            # a bad topology is named in the error
+            path = overrides.get("san_topology")
+            named = None if path is None else re.escape(repr(path))
+            with pytest.raises(ValueError, match=named):
                 ExperimentConfig(**kwargs)
             return
         cfg = ExperimentConfig(**kwargs)
@@ -109,11 +130,11 @@ class TestConfig:
             if name == "cv_grid":
                 assert cfg.cv_grid == tuple(value)
                 assert all(type(k) is int for k in cfg.cv_grid)
-            elif name == "eta_ref":
-                assert cfg.eta_ref == value
+            elif name in ("eta_ref", "model", "san_topology"):
+                assert getattr(cfg, name) == value
             else:
                 assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
-        assert cfg.resolved_r() == overrides.get("r", 7)
+        assert cfg.resolved_r() == overrides.get("r", DEFAULT_R[cfg.model])
 
     def test_accepts_thousand_macros(self):
         cfg = ExperimentConfig(model="mm1", m=50, macros=1000)
@@ -128,42 +149,60 @@ class TestConfig:
         assert ExperimentConfig(model="mm1", m=50, r=13).resolved_r() == 13
 
 
+def mm1_inputs(seed, m, **overrides):
+    """An mm1 testbed, the MLE of one size-m dataset and a config."""
+    testbed = Mm1Testbed()
+    data = testbed.input_model.sample(testbed.true_theta, np.random.default_rng(seed), size=m)
+    cfg = ExperimentConfig(model="mm1", m=m, **overrides)
+    return testbed, testbed.input_model.mle(data), cfg
+
+
 class TestPipelines:
     def test_sample_sizes_and_budget(self):
-        testbed = Mm1Testbed()
-        data = testbed.input_model.sample(testbed.true_theta,
-                                          np.random.default_rng(0), size=50)
-        ci, diag = run_iuq_knn_klr(testbed, data, "klr", "ellipsoid", 0.05, 7,
-                                   mm1_rngs())
-        assert (diag["n"], diag["n_tilde"]) == (109, 1000)
-        assert diag["sims_used"] == 109 * 7
+        testbed, theta_hat, cfg = mm1_inputs(0, 50, estimator="klr", sampling="ellipsoid", r=7)
+        estimates, (n, n_tilde, r, k_y, k_a) = run_iuq_knn_klr(testbed, theta_hat, cfg,
+                                                               mm1_rngs())
+        assert (n, n_tilde) == (109, 1000)
+        assert n * r == 109 * 7
+        assert 1 <= min(k_y, k_a) and max(k_y, k_a) <= n
+        ci = percentile_ci(estimates, cfg.alpha)
         assert ci.lower <= ci.upper
         assert ci.n_used == 1000
 
-    def test_sampling_modes_share_bootstrap_phase(self):
-        testbed = Mm1Testbed()
-        data = testbed.input_model.sample(testbed.true_theta,
-                                          np.random.default_rng(1), size=30)
-        _, d1 = run_iuq_knn_klr(testbed, data, "knn", "bootstrap", 0.05, 3,
-                                mm1_rngs(7))
-        _, d2 = run_iuq_knn_klr(testbed, data, "knn", "ellipsoid", 0.05, 3,
-                                mm1_rngs(7))
-        assert np.array_equal(d1["boot_params"], d2["boot_params"])
-        assert not np.array_equal(d1["sim_params"], d2["sim_params"])
+    def test_sampling_modes_share_bootstrap_phase(self, monkeypatch):
+        import iuq.harness as harness
+
+        drawn = {"boot": [], "sim": []}
+
+        def recording(phase, draw):
+            def wrapper(*args, **kwargs):
+                result = draw(*args, **kwargs)
+                drawn[phase].append(result.params)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(harness, "bootstrap_params",
+                            recording("boot", harness.bootstrap_params))
+        monkeypatch.setattr(harness, "sample_sim_params",
+                            recording("sim", harness.sample_sim_params))
+        for sampling in ("bootstrap", "ellipsoid"):
+            testbed, theta_hat, cfg = mm1_inputs(1, 30, estimator="knn", sampling=sampling, r=3)
+            run_iuq_knn_klr(testbed, theta_hat, cfg, mm1_rngs(7))
+        (boot1, boot2), (sim1, sim2) = drawn["boot"], drawn["sim"]
+        assert np.array_equal(boot1, boot2)
+        assert not np.array_equal(sim1, sim2)
 
     def test_std_pipeline_budget(self):
-        testbed = Mm1Testbed()
-        data = testbed.input_model.sample(testbed.true_theta,
-                                          np.random.default_rng(2), size=50)
-        ci, diag = run_iuq_std(testbed, data, "even", 0.05, 7, mm1_rngs(3))
+        testbed, theta_hat, cfg = mm1_inputs(2, 50, estimator="std-even", r=7)
+        estimates, sizes = run_iuq_std(testbed, theta_hat, cfg, mm1_rngs(3))
         n_s, r_s = std_budget_split(109 * 7, "even")
-        assert (diag["n"], diag["r"]) == (n_s, r_s)
-        assert diag["sims_used"] == n_s * r_s
-        assert ci.estimator == "std-even"
+        assert sizes == (n_s, n_s, r_s, 0, 0)
+        assert estimates.shape == (n_s,)
 
 
-# one knn macro per testbed: knn reads none of the trace statistics every
-# run table carries, so they must not move its rows
+# one macro per testbed and estimator (m=20, seed 0, ellipsoid sampling,
+# which the std pipelines ignore); the std rows report the bootstrap set as
+# both n and n_tilde and pool nothing
 KNN_ROWS = {
     "mm1": dict(r=7, k_y=16, k_a=4, lower=0.1978964941705256,
                 upper=3.2143625488618057, width=3.0164660546912803, sims_used=252),
@@ -172,17 +211,57 @@ KNN_ROWS = {
     "erm": dict(r=423, k_y=8, k_a=8, lower=284.114212202185,
                 upper=284.974185988486, width=0.8599737863009977, sims_used=15228),
 }
+KLR_ROWS = {
+    "mm1": dict(r=7, k_y=16, k_a=4, lower=0.14888385583598443,
+                upper=1.0051548699017123, width=0.8562710140657279, sims_used=252),
+    "san": dict(r=99, k_y=8, k_a=8, lower=3.565070318400854,
+                upper=5.289714547775067, width=1.724644229374213, sims_used=3564),
+    "erm": dict(r=423, k_y=8, k_a=8, lower=284.081184321438,
+                upper=284.96076519822134, width=0.8795808767833364, sims_used=15228),
+}
+STD_ROWS = {
+    ("mm1", "std-even"): dict(n=15, r=15, lower=0.10462160089287888,
+                              upper=0.5620025432266804, width=0.45738094233380155,
+                              sims_used=225),
+    ("mm1", "std-opt"): dict(n=39, r=6, lower=0.061857469969149724,
+                             upper=1.353736395126763, width=1.2918789251576133,
+                             sims_used=234),
+    ("san", "std-even"): dict(n=59, r=59, lower=2.7703373327831207,
+                              upper=7.381544016621857, width=4.611206683838736,
+                              sims_used=3481),
+    ("san", "std-opt"): dict(n=233, r=15, lower=2.296112440394313,
+                             upper=10.304403726347877, width=8.008291285953565,
+                             sims_used=3495),
+    ("erm", "std-even"): dict(n=123, r=123, lower=283.0883934558497,
+                              upper=287.38490211023145, width=4.296508654381739,
+                              sims_used=15129),
+    ("erm", "std-opt"): dict(n=614, r=24, lower=282.7462953269922,
+                             upper=290.7380389121873, width=7.991743585195081,
+                             sims_used=14736),
+}
+
+
+def pinned_rows(model):
+    rows = {
+        "knn": dict(sampling="ellipsoid", n=36, n_tilde=1000, **KNN_ROWS[model]),
+        "klr": dict(sampling="ellipsoid", n=36, n_tilde=1000, **KLR_ROWS[model]),
+    }
+    for split in ("std-even", "std-opt"):
+        row = STD_ROWS[model, split]
+        rows[split] = dict(sampling="bootstrap", n_tilde=row["n"], k_y=0, k_a=0, **row)
+    return rows
 
 
 @pytest.mark.parametrize("model", sorted(KNN_ROWS))
 def test_knn_macro_row_pinned(model):
-    cfg = ExperimentConfig(model=model, m=20, estimator="knn", sampling="ellipsoid",
-                           macros=1, seed=0)
-    result = run_macro_experiment(cfg)
-    assert result.failures == ()
-    assert result.rows == (MacroRow(macro_id=0, estimator="knn", sampling="ellipsoid", m=20,
-                                    n=36, n_tilde=1000, covered=1, seed=0,
-                                    **KNN_ROWS[model]),)
+    # knn and the three other estimators on one testbed
+    for estimator, fields in pinned_rows(model).items():
+        cfg = ExperimentConfig(model=model, m=20, estimator=estimator, sampling="ellipsoid",
+                               macros=1, seed=0)
+        result = run_macro_experiment(cfg)
+        assert result.failures == ()
+        assert result.rows == (MacroRow(macro_id=0, estimator=estimator, m=20, covered=1,
+                                        seed=0, **fields),), estimator
 
 
 class _AlwaysZeroDenominator:
@@ -331,15 +410,18 @@ class TestConfigFile:
     def build(self, *argv):
         return cli.build_experiment_config(cli.build_parser().parse_args(["run", *argv]))
 
-    def test_every_run_flag_is_a_config_key(self, tmp_path):
+    def test_every_run_flag_is_a_config_key(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.txt").write_text(SAN_EDGES)
         flags = {a.dest: a.option_strings[0] for a in cli.RUN_FLAGS._actions}
         assert set(flags) == set(self.FLAG_VALUES)
         default = ExperimentConfig(model="mm1", m=20)
         for dest, text in self.FLAG_VALUES.items():
+            model = "san" if dest == "san_topology" else "mm1"  # only san reads a topology
             cfg_file = tmp_path / f"{dest}.cfg"
-            cfg_file.write_text(f"model=mm1\nm=20\n{dest}={text}\n")
+            cfg_file.write_text(f"model={model}\nm=20\n{dest}={text}\n")
             from_file = self.build("--config", str(cfg_file))
-            from_flag = self.build("--model", "mm1", "--m", "20", flags[dest], text)
+            from_flag = self.build("--model", model, "--m", "20", flags[dest], text)
             assert from_file == from_flag, dest
             assert getattr(from_file, dest) != getattr(default, dest), dest
 
@@ -425,7 +507,7 @@ class TestCli:
 
     def test_san_topology_flag(self, tmp_path):
         edges = tmp_path / "net.txt"
-        edges.write_text("a b\na c\nb c\nb d\nb f\nc f\nd e\nd g\ne f\ne h\nf i\ng h\nh i\n")
+        edges.write_text(SAN_EDGES)
         proc = run_cli(
             "run", "--model", "san", "--m", "20", "--estimator", "knn",
             "--r", "2", "--macros", "1", "--seed", "1",

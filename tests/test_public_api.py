@@ -41,3 +41,17 @@ def test_every_simulation_carries_trace_statistics():
             "self", "theta", "n_runs", "rng"
         ]
     assert not hasattr(ExponentialFamily, "in_support")
+
+
+def test_pipelines_share_one_contract():
+    import dataclasses
+
+    from iuq import QueueConfig, basic_ci, percentile_ci, run_iuq_knn_klr, run_iuq_std
+
+    for pipeline in (run_iuq_knn_klr, run_iuq_std):
+        assert list(inspect.signature(pipeline).parameters) == [
+            "testbed", "theta_hat", "cfg", "rngs"
+        ]
+    assert [f.name for f in dataclasses.fields(QueueConfig)] == ["capacity"]
+    assert list(inspect.signature(percentile_ci).parameters) == ["estimates", "alpha"]
+    assert "estimator" not in inspect.signature(basic_ci).parameters

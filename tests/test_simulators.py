@@ -338,17 +338,16 @@ class TestMm1Cycle:
         assert rng.random() == ref_rng.random()
 
     def test_cycles_longer_than_a_block_match_the_reference(self):
-        # at load 1.4 and capacity 10 a busy period spans many blocks;
-        # swapped coordinates exercise the (service, arrival) layout
-        tb = Mm1Testbed(QueueConfig(capacity=10, arrival_index=1, service_index=0))
+        # at load 1.4 and capacity 10 a busy period spans many blocks
+        tb = Mm1Testbed(QueueConfig(capacity=10))
         rng = np.random.default_rng(11)
-        batch = tb.simulate([1.0, 1.4], 30, rng)
+        batch = tb.simulate([1.4, 1.0], 30, rng)
         ref_rng = np.random.default_rng(11)
         y, a, counts, sums = reference_batch(1.4, 1.0, 10, 30, ref_rng)
         assert batch.counts.sum(axis=1).max() > 4 * EXP_BLOCK
         assert batch.y.tobytes() == y.tobytes() and batch.a.tobytes() == a.tobytes()
-        assert batch.counts.tobytes() == counts[:, ::-1].tobytes()
-        assert batch.sums.tobytes() == sums[:, ::-1].tobytes()
+        assert batch.counts.tobytes() == counts.tobytes()
+        assert batch.sums.tobytes() == sums.tobytes()
         assert rng.random() == ref_rng.random()
 
     def test_pilot_result_unchanged(self):
@@ -410,11 +409,10 @@ class TestMm1Cycle:
     )
     def test_rates_outside_the_support_raise(self, theta):
         message = "arrival and service rates must be strictly positive"
-        for config in (QueueConfig(), QueueConfig(arrival_index=1, service_index=0)):
-            rng = np.random.default_rng(0)
-            with pytest.raises(ValueError, match=message):
-                Mm1Testbed(config).simulate(theta, 1, rng)
-            assert rng.random() == np.random.default_rng(0).random()  # no draw was made
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=message):
+            Mm1Testbed().simulate(theta, 1, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # no draw was made
 
     def test_closed_form_value(self):
         # rho = 1/3, capacity 10: sum(n rho^n)/sum(rho^n)
@@ -501,6 +499,24 @@ class TestOracle:
         tb = Mm1Testbed()
         with pytest.raises(ValueError):
             true_eta_oracle(tb, tb.true_theta, 100, rng)
+
+    def test_chunked_sums_match_a_two_pass_reference(self, monkeypatch):
+        import iuq.simulators as simulators
+
+        monkeypatch.setattr(simulators, "ORACLE_CHUNK", 10_000)
+        tb = SanTestbed()
+        res = true_eta_oracle(tb, tb.true_theta, 50_000, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        batches = [tb.simulate(tb.true_theta, 10_000, rng) for _ in range(5)]
+        sum_y = sum_a = 0.0
+        for batch in batches:
+            sum_y += batch.y.sum()
+            sum_a += batch.a.sum()
+        eta = sum_y / sum_a
+        g2 = sum(np.sum((b.y - eta * b.a) ** 2) for b in batches)
+        se = np.sqrt(g2 / 50_000) / (sum_a / 50_000) / np.sqrt(50_000)
+        assert res.eta == eta
+        assert res.se == pytest.approx(se, rel=1e-9)
 
     def test_all_zero_denominator_fails(self, rng):
         tb = ErmTestbed(ErmConfig.default(k_star=-1.0))  # impossible event
