@@ -30,12 +30,12 @@ model = IndependentExponentials(2)
 theta_hat = np.array([0.5, 1.5])
 boots = bootstrap_params(model, theta_hat, m=50, n_tilde=800, rng=rng)
 print(f"\nbootstrap cloud around {theta_hat}: "
-      f"mean {np.round(boots.params.mean(axis=0), 3)}, "
-      f"sd {np.round(boots.params.std(axis=0), 3)}")
+      f"mean {np.round(boots.mean(axis=0), 3)}, "
+      f"sd {np.round(boots.std(axis=0), 3)}")
 
-ell = min_enclosing_ellipsoid(boots.params)
+ell = min_enclosing_ellipsoid(boots)
 print(f"enclosing ellipsoid center {np.round(ell.center, 3)}, "
-      f"worst membership {ell.membership(boots.params).max():.6f}")
+      f"worst membership {ell.membership(boots).max():.6f}")
 uniform = sample_in_ellipsoid(ell, 1000, rng)
 print(f"uniform draws inside: max membership {ell.membership(uniform).max():.6f}")
 

@@ -8,9 +8,8 @@ reweighted ratio estimators, the experiment-design helpers that tune them,
 and three ready-made simulation testbeds.
 """
 
-from .ci import CIResult, basic_ci, empirical_quantile, percentile_ci
+from .ci import CIResult, empirical_quantile, percentile_ci
 from .design import (
-    BootstrapSet,
     ConfigurationError,
     Ellipsoid,
     PilotResult,

@@ -1,4 +1,4 @@
-"""Empirical quantiles and bootstrap confidence intervals.
+"""Empirical quantiles and the percentile bootstrap confidence interval.
 
 The alpha-quantile of a size-n sample is fixed to the ceil(n*alpha)-th
 order statistic (no interpolation), so quantiles are always elements of the
@@ -14,13 +14,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CIResult:
-    """A two-sided interval with its nominal level and construction method."""
+    """A two-sided interval [lower, upper]."""
 
     lower: float
     upper: float
-    alpha: float
-    method: str  # "percentile" or "basic"
-    n_used: int
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -57,11 +54,4 @@ def percentile_ci(estimates, alpha):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     lo = empirical_quantile(estimates, alpha / 2.0)
     hi = empirical_quantile(estimates, 1.0 - alpha / 2.0)
-    return CIResult(lo, hi, alpha, "percentile", estimates.size)
-
-
-def basic_ci(estimates, eta_hat_at_theta_hat, alpha):
-    """Basic bootstrap CI, the percentile interval reflected about 2*eta_hat."""
-    pct = percentile_ci(estimates, alpha)
-    center = 2.0 * float(eta_hat_at_theta_hat)
-    return CIResult(center - pct.upper, center - pct.lower, alpha, "basic", pct.n_used)
+    return CIResult(lo, hi)

@@ -46,15 +46,6 @@ def sample_size_rule(m):
 
 
 @dataclass(frozen=True)
-class BootstrapSet:
-    """Bootstrap parameter set: n_tilde MLEs of fresh size-m resamples."""
-
-    params: np.ndarray  # (n_tilde, d)
-    theta_hat: np.ndarray
-    m: int
-
-
-@dataclass(frozen=True)
 class SimParamSet:
     """Simulation parameter set plus the sampler that produced it."""
 
@@ -63,13 +54,13 @@ class SimParamSet:
 
 
 def bootstrap_params(model, theta_hat, m, n_tilde, rng):
-    """Generate the bootstrap parameter set at theta_hat."""
+    """The bootstrap parameter set at theta_hat: an (n_tilde, d) array of
+    the MLEs of n_tilde fresh size-m resamples from ``model`` at theta_hat."""
     if m < 2:
         raise ValueError("resample size m must be at least 2")
     if n_tilde < 1:
         raise ValueError("bootstrap set size must be at least 1")
-    params = model.resample_mle(theta_hat, int(m), int(n_tilde), rng)
-    return BootstrapSet(params=params, theta_hat=np.asarray(theta_hat, dtype=float), m=int(m))
+    return model.resample_mle(theta_hat, int(m), int(n_tilde), rng)
 
 
 # -- minimum-volume enclosing ellipsoid ----------------------------------
@@ -202,9 +193,10 @@ def sample_sim_params(mode, boots, model, theta_hat, m, n, rng):
     """Draw the simulation parameter set.
 
     ``bootstrap`` mode draws n fresh parametric-bootstrap MLEs, independent
-    of the bootstrap set itself; ``ellipsoid`` mode draws uniformly inside
-    the minimum-volume ellipsoid enclosing the bootstrap set, redrawing any
-    points that leave the model's support.
+    of the bootstrap set ``boots`` itself; ``ellipsoid`` mode draws uniformly
+    inside the minimum-volume ellipsoid enclosing ``boots`` (the array from
+    ``bootstrap_params``), redrawing any points that leave the model's
+    support.
     """
     if n < 1:
         raise ValueError("simulation set size must be at least 1")
@@ -213,10 +205,10 @@ def sample_sim_params(mode, boots, model, theta_hat, m, n, rng):
         return SimParamSet(params=params, mode=mode)
     if mode != "ellipsoid":
         raise ValueError(f"unknown sampling mode {mode!r}")
-    if boots is None or boots.params.shape[0] == 0:
+    if boots is None or boots.shape[0] == 0:
         raise ValueError("ellipsoid sampling needs a non-empty bootstrap set")
-    ell = min_enclosing_ellipsoid(boots.params)
-    out = np.empty((int(n), boots.params.shape[1]))
+    ell = min_enclosing_ellipsoid(boots)
+    out = np.empty((int(n), boots.shape[1]))
     filled = 0
     drawn = accepted = 0
     while filled < n:
@@ -340,16 +332,7 @@ def make_folds(n, n_folds):
     """
     if not 2 <= n_folds <= n:
         raise ValueError("need 2 <= n_folds <= n")
-    idx = np.arange(n)
-    base = n // n_folds
-    extra = n % n_folds
-    folds = []
-    start = 0
-    for p in range(n_folds):
-        size = base + (1 if p < extra else 0)
-        folds.append(idx[start : start + size])
-        start += size
-    return folds
+    return np.array_split(np.arange(n), n_folds)
 
 
 def cv_losses(params, means, ks, folds):

@@ -12,7 +12,7 @@ denominator pools alike.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,19 +25,14 @@ LOG_WEIGHT_CLAMP = 700.0
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """One ratio estimate plus how it was produced."""
+    """One ratio estimate and its count of clamped likelihood-ratio weights."""
 
     value: float
-    method: str  # "std", "knn", or "klr"
-    k_y: int = 0
-    k_a: int = 0
-    fallback: bool = False
-    pooled_denominator: float = 0.0
     clamped_weights: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.value):
-            raise EstimationError(f"non-finite ratio estimate ({self.method})")
+            raise EstimationError("non-finite ratio estimate")
 
 
 def nearest(dist, k):
@@ -108,9 +103,10 @@ class RunTable:
     ``stats`` packs each run's draw sums and counts under ``trace_model``
     (see ``input_models.pack_stats``); every table carries them, although
     the k-nearest-neighbor estimator reads none.  ``lr_params`` are the
-    trace-model parameters of each simulation parameter (identical to
-    ``params`` unless the testbed maps them) and must lie in the trace
-    model's support; ``lr_coefs`` are their likelihood-ratio coefficients.
+    trace-model parameters of each simulation parameter, as the testbed's
+    ``lr_param`` maps them (on ``erm`` they are not ``params``), and must
+    lie in the trace model's support; ``lr_coefs`` are their
+    likelihood-ratio coefficients.
     ``pool`` lists the eligible rows, those whose average denominator
     output is nonzero, and ``index`` searches exactly those rows, so no
     estimator can pool an ineligible one.
@@ -121,7 +117,7 @@ class RunTable:
     a: np.ndarray  # (n, r)
     trace_model: object
     stats: np.ndarray  # (n, r, 2 d_trace)
-    lr_params: np.ndarray = None  # (n, d_trace)
+    lr_params: np.ndarray  # (n, d_trace)
     y_mean: np.ndarray = field(init=False)
     a_mean: np.ndarray = field(init=False)
     pool: np.ndarray = field(init=False)  # eligible row indices, ascending
@@ -133,7 +129,6 @@ class RunTable:
             raise ValueError("y and a must both have shape (n, r)")
         if self.params.shape[0] != self.y.shape[0]:
             raise ValueError("one parameter row per run row required")
-        lr_params = self.params if self.lr_params is None else self.lr_params
         n, r = self.y.shape
         d = self.trace_model.dim
         if self.stats.shape != (n, r, 2 * d):
@@ -141,9 +136,9 @@ class RunTable:
                 f"trace statistics must pack (n, r, {d}) counts and sums into shape "
                 f"{(n, r, 2 * d)}, got {self.stats.shape}"
             )
-        if lr_params.shape != (n, d):
-            raise ValueError(f"lr_params must have shape {(n, d)}, got {lr_params.shape}")
-        outside = np.flatnonzero(~self.trace_model.support_mask(lr_params))
+        if self.lr_params.shape != (n, d):
+            raise ValueError(f"lr_params must have shape {(n, d)}, got {self.lr_params.shape}")
+        outside = np.flatnonzero(~self.trace_model.support_mask(self.lr_params))
         if outside.size:
             raise ValueError(
                 f"lr_params rows {outside[:5].tolist()} lie outside the support of "
@@ -153,8 +148,7 @@ class RunTable:
         pool = np.flatnonzero(a_mean != 0)
         object.__setattr__(self, "y_mean", self.y.mean(axis=1))
         object.__setattr__(self, "a_mean", a_mean)
-        object.__setattr__(self, "lr_params", lr_params)
-        object.__setattr__(self, "lr_coefs", self.trace_model.coefficients(lr_params))
+        object.__setattr__(self, "lr_coefs", self.trace_model.coefficients(self.lr_params))
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "index", NeighborIndex(self.params[pool]))
 
@@ -192,17 +186,16 @@ def build_run_table(testbed, params, r, rng):
 
 
 def std_ratio(y, a):
-    """Standard ratio of run means; flags a zero denominator for fallback."""
+    """Standard ratio of one parameter's run means; raises
+    ``EstimationError`` when the denominator mean is zero."""
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
     if y.size < 1 or y.shape != a.shape:
         raise ValueError("need matching non-empty run outputs")
     a_bar = float(a.mean())
     if a_bar == 0.0:
-        return RatioEstimate(value=0.0, method="std", fallback=True, pooled_denominator=0.0)
-    return RatioEstimate(
-        value=float(y.mean()) / a_bar, method="std", pooled_denominator=a_bar
-    )
+        raise EstimationError("zero denominator mean")
+    return RatioEstimate(value=float(y.mean()) / a_bar)
 
 
 def knn_ratio(table, theta_tilde, k_y, k_a):
@@ -216,9 +209,7 @@ def knn_ratio(table, theta_tilde, k_y, k_a):
     den = float(table.a_mean[nbrs[:k_a]].mean())
     if den == 0.0:
         raise EstimationError("pooled denominator vanished")
-    return RatioEstimate(
-        value=num / den, method="knn", k_y=int(k_y), k_a=int(k_a), pooled_denominator=den
-    )
+    return RatioEstimate(value=num / den)
 
 
 def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
@@ -243,36 +234,27 @@ def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
     return y_lr, a_lr, clamped
 
 
-def klr_ratio(table, theta_tilde, k_y, k_a, lr_target=None):
+def klr_ratio(table, theta_tilde, k_y, k_a, lr_target):
     """Ratio of likelihood-ratio reweighted pooled means.
 
     Each pooled run is reweighted by the trace likelihood ratio from its own
     simulation parameter to the target, which removes the pooling bias of
-    the plain k-nearest-neighbor estimator.  ``lr_target`` overrides the
-    target's trace-model parameter when the testbed maps parameters.
+    the plain k-nearest-neighbor estimator.  ``lr_target`` is the target's
+    trace-model parameter, ``testbed.lr_param(theta_tilde)``.
     """
     nbrs = table.neighbors(theta_tilde, k_y, k_a)
-    y_lr, a_lr, clamped = _lr_run_means(
-        table, nbrs, theta_tilde if lr_target is None else lr_target, k_y, k_a
-    )
+    y_lr, a_lr, clamped = _lr_run_means(table, nbrs, lr_target, k_y, k_a)
     num = float(y_lr.mean())
     den = float(a_lr.mean())
     if den == 0.0:
         raise EstimationError("pooled denominator vanished")
-    return RatioEstimate(
-        value=num / den,
-        method="klr",
-        k_y=int(k_y),
-        k_a=int(k_a),
-        pooled_denominator=den,
-        clamped_weights=clamped,
-    )
+    return RatioEstimate(value=num / den, clamped_weights=clamped)
 
 
-def klr_fallback_k1(table, theta_tilde, lr_target=None):
+def klr_fallback_k1(table, theta_tilde, lr_target):
     """Reweighted ratio pooling only the nearest eligible parameter.
 
     Used in place of the standard estimator when that estimator's own
     denominator is zero.
     """
-    return replace(klr_ratio(table, theta_tilde, 1, 1, lr_target), fallback=True)
+    return klr_ratio(table, theta_tilde, 1, 1, lr_target)

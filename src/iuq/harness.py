@@ -43,7 +43,7 @@ from .estimators import (
 )
 from .input_models import EstimationError
 from .reference import reference_eta
-from .simulators import TESTBEDS, SanConfig, make_testbed
+from .simulators import TESTBEDS, make_testbed
 
 ESTIMATORS = ("std-opt", "std-even", "knn", "klr")
 SAMPLING_MODES = ("bootstrap", "ellipsoid")
@@ -118,12 +118,7 @@ class ExperimentConfig:
             raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
         if self.san_topology is not None:
             # load the edge list once so that a bad file fails here, not in a macro
-            if self.model != "san":
-                raise ValueError(f"san_topology {self.san_topology!r} applies to model 'san' only")
-            try:
-                SanConfig.from_edge_list(os.fspath(self.san_topology))
-            except (OSError, TypeError, ValueError) as exc:
-                raise ValueError(f"san_topology {self.san_topology!r}: {exc}") from exc
+            make_testbed(self.model, self.san_topology)
         if self.estimator in ("knn", "klr"):
             n, _ = sample_size_rule(self.m)
             if self.cv_folds > n:
@@ -205,13 +200,11 @@ def run_iuq_knn_klr(testbed, theta_hat, cfg, rngs):
     estimates = np.empty(n_tilde)
     if cfg.estimator == "knn":
         for i in range(n_tilde):
-            estimates[i] = knn_ratio(table, boots.params[i], k_y, k_a).value
+            estimates[i] = knn_ratio(table, boots[i], k_y, k_a).value
     else:
-        lr_targets = testbed.lr_param(boots.params)
+        lr_targets = testbed.lr_param(boots)
         for i in range(n_tilde):
-            estimates[i] = klr_ratio(
-                table, boots.params[i], k_y, k_a, lr_target=lr_targets[i]
-            ).value
+            estimates[i] = klr_ratio(table, boots[i], k_y, k_a, lr_targets[i]).value
     return estimates, (n, n_tilde, r, k_y, k_a)
 
 
@@ -238,21 +231,23 @@ def run_iuq_std(testbed, theta_hat, cfg, rngs):
     """Standard-estimator (std-opt or std-even) pipeline on one input dataset.
 
     Simulates directly at the bootstrap parameters with the budget split
-    implied by the pooled design's n*r total; zero-denominator parameters
-    fall back to the reweighted nearest eligible neighbor's estimate.  The
-    bootstrap set doubles as the run table, so n = n_tilde and k_y = k_a = 0.
+    implied by the pooled design's n*r total; a parameter whose runs have a
+    zero denominator mean falls back to the reweighted nearest eligible
+    neighbor's estimate.  The bootstrap set doubles as the run table, so
+    n = n_tilde and k_y = k_a = 0.
     """
     n, _ = sample_size_rule(cfg.m)
     n_s, r_s = std_budget_split(n * cfg.resolved_r(), cfg.estimator.removeprefix("std-"))
     boots = bootstrap_params(testbed.input_model, theta_hat, cfg.m, n_s, rngs["boot"])
-    table = build_run_table(testbed, boots.params, r_s, rngs["runs"])
+    table = build_run_table(testbed, boots, r_s, rngs["runs"])
     estimates = np.empty(n_s)
     for i in range(n_s):
-        est = std_ratio(table.y[i], table.a[i])
-        if est.fallback:
-            if table.pool.size == 0:
-                raise EstimationError("every bootstrap parameter has zero average denominator")
-            est = klr_fallback_k1(table, boots.params[i], lr_target=table.lr_params[i])
+        if table.a_mean[i] != 0:
+            est = std_ratio(table.y[i], table.a[i])
+        elif table.pool.size == 0:
+            raise EstimationError("every bootstrap parameter has zero average denominator")
+        else:
+            est = klr_fallback_k1(table, boots[i], table.lr_params[i])
         estimates[i] = est.value
     return estimates, (n_s, n_s, r_s, 0, 0)
 
@@ -423,7 +418,7 @@ def run_pilot(model_name, m, seed=0, san_topology=None, **pilot):
     theta_hat = testbed.input_model.mle(data)
 
     def sample_param(count, rng_):
-        return bootstrap_params(testbed.input_model, theta_hat, m, count, rng_).params
+        return bootstrap_params(testbed.input_model, theta_hat, m, count, rng_)
 
     def simulate(theta, runs, rng_):
         batch = testbed.simulate(theta, runs, rng_)

@@ -18,6 +18,7 @@ so callers can interleave their own draws with simulations on one
 generator and get the same streams.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,20 @@ class SimBatch:
 
 
 def make_testbed(name, san_topology=None):
-    """Build a testbed by short name: 'san', 'mm1', or 'erm'."""
+    """Build a testbed by short name: 'san', 'mm1', or 'erm'.
+
+    A ``san_topology`` edge-list file that is missing, malformed or cyclic,
+    or given for another model, raises a ``ValueError`` naming the path.
+    """
+    if san_topology is not None:
+        if name != "san":
+            raise ValueError(f"san_topology {san_topology!r} applies to model 'san' only")
+        try:
+            return SanTestbed(SanConfig.from_edge_list(os.fspath(san_topology)))
+        except (OSError, TypeError, ValueError) as exc:
+            raise ValueError(f"san_topology {san_topology!r}: {exc}") from exc
     if name == "san":
-        cfg = SanConfig.from_edge_list(san_topology) if san_topology else SanConfig.default()
-        return SanTestbed(cfg)
+        return SanTestbed(SanConfig.default())
     if name == "mm1":
         return Mm1Testbed(QueueConfig())
     if name == "erm":

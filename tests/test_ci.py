@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iuq.ci import basic_ci, empirical_quantile, percentile_ci
+from iuq.ci import empirical_quantile, percentile_ci
 
 
 class TestEmpiricalQuantile:
@@ -65,25 +65,3 @@ class TestPercentileCI:
         assert ci.width == 90.0
         assert ci.covers(5.0) and ci.covers(95.0) and not ci.covers(95.5)
 
-
-class TestBasicCI:
-    def test_constant_estimates(self):
-        ci = basic_ci(np.full(10, 2.0), 5.0, 0.05)
-        assert (ci.lower, ci.upper) == (8.0, 8.0)
-
-    def test_one_to_hundred_centered(self):
-        ci = basic_ci(np.arange(1.0, 101.0), 50.0, 0.10)
-        assert (ci.lower, ci.upper) == (5.0, 95.0)
-
-    def test_symmetric_estimates_match_percentile_midpoint(self, rng):
-        # exact symmetry around the center: the two intervals coincide up to
-        # the one-rank offset of the order-statistic convention
-        center = 1.7
-        half = rng.normal(size=4000)
-        values = np.concatenate([center + half, center - half])
-        basic = basic_ci(values, center, 0.05)
-        perc = percentile_ci(values, 0.05)
-        assert 0.5 * (basic.lower + basic.upper) == pytest.approx(
-            0.5 * (perc.lower + perc.upper), abs=0.01
-        )
-        assert basic.width == pytest.approx(perc.width, abs=0.01)

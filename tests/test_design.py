@@ -6,7 +6,6 @@ import pytest
 from mvee_oracle import min_ellipse_area_bruteforce
 from iuq import design
 from iuq.design import (
-    BootstrapSet,
     ConfigurationError,
     anova_select_r,
     bootstrap_params,
@@ -57,7 +56,7 @@ class TestBootstrapParams:
     def test_concentration_at_large_m(self, rng):
         model = IndependentExponentials(1)
         boots = bootstrap_params(model, np.array([1.0]), 1_000_000, 200, rng)
-        assert np.all(np.abs(boots.params - 1.0) < 0.01)
+        assert np.all(np.abs(boots - 1.0) < 0.01)
 
     def test_empty_set_rejected(self, rng):
         model = IndependentExponentials(1)
@@ -70,22 +69,22 @@ class TestBootstrapParams:
         model = IndependentExponentials(1)
         m, n_tilde = 100, 10_000
         boots = bootstrap_params(model, np.array([1.0]), m, n_tilde, rng)
-        se = boots.params.std(ddof=1) / math.sqrt(n_tilde)
-        assert abs(boots.params.mean() - m / (m - 1)) < 3 * se
+        se = boots.std(ddof=1) / math.sqrt(n_tilde)
+        assert abs(boots.mean() - m / (m - 1)) < 3 * se
 
     def test_mvn_mean_matches_theta_hat(self, rng):
         model = MultivariateNormalKnownCov(np.eye(2))
         theta_hat = np.array([0.3, -1.2])
         boots = bootstrap_params(model, theta_hat, 100, 10_000, rng)
-        se = boots.params.std(axis=0, ddof=1) / math.sqrt(10_000)
-        assert np.all(np.abs(boots.params.mean(axis=0) - theta_hat) < 3 * se)
+        se = boots.std(axis=0, ddof=1) / math.sqrt(10_000)
+        assert np.all(np.abs(boots.mean(axis=0) - theta_hat) < 3 * se)
 
     def test_matches_explicit_resample_distribution(self, rng):
         # resampled-rate law equals 1/mean of m fresh exponential draws:
         # compare quantiles against the materialized construction
         model = IndependentExponentials(1)
         m, count = 25, 40_000
-        fast = bootstrap_params(model, np.array([2.0]), m, count, rng).params[:, 0]
+        fast = bootstrap_params(model, np.array([2.0]), m, count, rng)[:, 0]
         naive = np.array(
             [model.mle(model.sample(np.array([2.0]), rng, size=m))[0] for _ in range(4000)]
         )
@@ -163,7 +162,7 @@ class TestSampleSimParams:
         theta_hat = np.array([0.5, 1.5])
         boots = bootstrap_params(model, theta_hat, 50, 500, rng)
         sim = sample_sim_params("ellipsoid", boots, model, theta_hat, 50, 400, rng)
-        ell = min_enclosing_ellipsoid(boots.params)
+        ell = min_enclosing_ellipsoid(boots)
         assert np.all(ell.membership(sim.params) <= 1.0 + 1e-9)
         assert np.all(sim.params > 0)
 
@@ -175,7 +174,7 @@ class TestSampleSimParams:
         sim = sample_sim_params("ellipsoid", boots, model, theta_hat, 3, 200,
                                 np.random.default_rng(9))
         # replay the draws, keeping the supported candidates of each batch
-        ell = min_enclosing_ellipsoid(boots.params)
+        ell = min_enclosing_ellipsoid(boots)
         replay = np.random.default_rng(9)
         kept, rejected = [], 0
         while len(kept) < 200:
@@ -188,11 +187,7 @@ class TestSampleSimParams:
 
     def test_hopeless_support_rejection_errors(self, rng):
         model = IndependentExponentials(2)
-        boots = BootstrapSet(
-            params=rng.normal(loc=-9.5, scale=0.1, size=(100, 2)),
-            theta_hat=np.array([1.0, 1.0]),
-            m=50,
-        )
+        boots = rng.normal(loc=-9.5, scale=0.1, size=(100, 2))
         with pytest.raises(ConfigurationError):
             sample_sim_params("ellipsoid", boots, model, np.array([1.0, 1.0]), 50, 10, rng)
 

@@ -28,7 +28,8 @@ from iuq.simulators import Mm1Testbed
 
 
 def exp_table(params, y, a, sums=None, n_draws=1):
-    """Assemble a RunTable over a 1D exponential trace model."""
+    """Assemble a RunTable over a 1D exponential trace model whose
+    trace-model parameters are the simulation parameters."""
     params = np.atleast_2d(np.asarray(params, dtype=float)).reshape(-1, 1)
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -42,6 +43,7 @@ def exp_table(params, y, a, sums=None, n_draws=1):
         a=a,
         trace_model=model,
         stats=pack_stats(counts, np.asarray(sums, dtype=float)[..., None]),
+        lr_params=params,
     )
 
 
@@ -59,6 +61,7 @@ def knn_table(params, y, a):
         a=np.asarray(a, dtype=float),
         trace_model=MultivariateNormalKnownCov(np.eye(d)),
         stats=np.zeros(y.shape + (2 * d,)),
+        lr_params=params,
     )
 
 
@@ -66,11 +69,10 @@ class TestStdRatio:
     def test_plain_arithmetic(self):
         est = std_ratio([2.0, 4.0], [1.0, 3.0])
         assert est.value == pytest.approx(1.5)
-        assert not est.fallback
 
-    def test_zero_denominator_sets_fallback_flag(self):
-        est = std_ratio([1.0, 2.0], [0.0, 0.0])
-        assert est.fallback
+    def test_zero_denominator_raises(self):
+        with pytest.raises(EstimationError, match="zero denominator"):
+            std_ratio([1.0, 2.0], [0.0, 0.0])
 
     def test_identical_outputs_give_one(self):
         vals = [0.3, 1.7, 2.2]
@@ -247,7 +249,7 @@ class TestKlrRatio:
         table = exp_table(params, y, a, sums=sums)
         target = np.array([1.3])
         knn = knn_ratio(table, target, 4, 2)
-        klr = klr_ratio(table, target, 4, 2)
+        klr = klr_ratio(table, target, 4, 2, target)
         assert klr.value == knn.value
 
     def test_normal_neighbors_at_target_match_knn_exactly(self, rng):
@@ -259,15 +261,17 @@ class TestKlrRatio:
         y = rng.uniform(1.0, 2.0, size=(6, 4))
         a = rng.uniform(0.5, 1.5, size=(6, 4))
         stats = pack_stats(np.full((6, 4, 3), 2.0), rng.normal(size=(6, 4, 3)))
-        table = RunTable(params=params, y=y, a=a, trace_model=model, stats=stats)
-        assert klr_ratio(table, target, 4, 2).value == knn_ratio(table, target, 4, 2).value
+        table = RunTable(params=params, y=y, a=a, trace_model=model, stats=stats,
+                         lr_params=params)
+        assert (klr_ratio(table, target, 4, 2, target).value
+                == knn_ratio(table, target, 4, 2).value)
 
     def test_numerator_unbiased_under_reweighting(self, rng):
         # single simulation parameter at rate 1, target rate 1.2, output is
         # the sum of 3 draws: the reweighted pooled mean estimates 3/1.2
         model = IndependentExponentials(1)
         reps, r, s_draws = 20_000, 2, 3
-        theta, target = 1.0, 1.2
+        theta, target = 1.0, np.array([1.2])
         vals = np.empty(reps)
         for i in range(reps):
             draws = rng.exponential(1.0 / theta, size=(1, r, s_draws))
@@ -279,17 +283,22 @@ class TestKlrRatio:
                 trace_model=model,
                 stats=pack_stats(np.full((1, r, 1), float(s_draws)),
                                  draws.sum(axis=2)[..., None]),
+                lr_params=np.array([[theta]]),
             )
-            est = klr_ratio(table, np.array([target]), 1, 1)
+            est = klr_ratio(table, target, 1, 1, target)
             # denominator is the mean weight; recover the reweighted numerator
-            vals[i] = est.value * est.pooled_denominator
+            weights = np.exp(model.log_weights(table.stats[0], table.lr_coefs[0], target))
+            vals[i] = est.value * weights.mean()
         se = vals.std(ddof=1) / math.sqrt(reps)
-        assert abs(vals.mean() - s_draws / target) < 3 * se
+        assert abs(vals.mean() - s_draws / target[0]) < 3 * se
 
     def test_constant_denominator_estimates_mean_weight_one(self, rng):
         model = IndependentExponentials(1)
         reps, r = 4000, 5
+        target = np.array([1.25])
         means = np.empty(reps)
+        values = np.empty(reps)
+        want = np.empty(reps)
         for i in range(reps):
             draws = rng.exponential(1.0, size=(1, r, 1))
             table = RunTable(
@@ -298,9 +307,14 @@ class TestKlrRatio:
                 a=np.ones((1, r)),
                 trace_model=model,
                 stats=pack_stats(np.ones((1, r, 1)), draws[:, :, 0][..., None]),
+                lr_params=np.array([[1.0]]),
             )
-            est = klr_ratio(table, np.array([1.25]), 1, 1)
-            means[i] = est.pooled_denominator
+            # with A = 1 the pooled denominator is the mean weight
+            weights = np.exp(model.log_weights(table.stats[0], table.lr_coefs[0], target))
+            means[i] = weights.mean()
+            values[i] = klr_ratio(table, target, 1, 1, target).value
+            want[i] = (table.y[0] * weights).mean() / means[i]
+        np.testing.assert_allclose(values, want, rtol=1e-12)
         se = means.std(ddof=1) / math.sqrt(reps)
         assert abs(means.mean() - 1.0) < 3 * se
 
@@ -308,8 +322,8 @@ class TestKlrRatio:
         testbed = Mm1Testbed()
         params = np.array([[0.5, 1.5], [0.6, 1.4], [0.45, 1.6]])
         table = build_run_table(testbed, params, 4, rng)
-        est = klr_ratio(table, np.array([0.55, 1.45]), 2, 2)
-        assert est.method == "klr"
+        target = np.array([0.55, 1.45])
+        est = klr_ratio(table, target, 2, 2, testbed.lr_param(target))
         assert np.isfinite(est.value)
 
 
@@ -336,7 +350,8 @@ class TestRunTable:
     )
     def test_bad_trace_statistics_rejected_at_build(self, kwargs, match):
         fields = dict(params=np.ones((3, 2)), y=np.ones((3, 2)), a=np.ones((3, 2)),
-                      trace_model=IndependentExponentials(2), stats=np.ones((3, 2, 4)))
+                      trace_model=IndependentExponentials(2), stats=np.ones((3, 2, 4)),
+                      lr_params=np.ones((3, 2)))
         fields.update(kwargs)
         with pytest.raises(ValueError, match=match):
             RunTable(**fields)
@@ -411,8 +426,7 @@ class TestKlrReference:
                          stats=pack_stats(counts, sums), lr_params=lr_params)
         want, want_clamped = reference_klr(params, y, a, model, counts, sums, lr_params,
                                            target, k_y, k_a, lr_target)
-        est = klr_ratio(table, target, k_y, k_a,
-                        lr_target=None if family == "exp" else lr_target)
+        est = klr_ratio(table, target, k_y, k_a, lr_target)
         assert est.value == pytest.approx(want, rel=1e-12)
         assert est.clamped_weights == want_clamped
         if clamp:
@@ -423,21 +437,20 @@ class TestKlrFallback:
     def test_single_eligible_pooled_regardless_of_distance(self):
         # the ineligible rate 1 is nearest to the target; rate 50 is pooled
         table = exp_table([1.0, 50.0], y=[[1.0], [4.0]], a=[[0.0], [2.0]])
-        est = klr_fallback_k1(table, np.array([1.0]), lr_target=np.array([50.0]))
-        assert est.fallback and est.k_y == est.k_a == 1
+        est = klr_fallback_k1(table, np.array([1.0]), np.array([50.0]))
         # the only eligible parameter is at 50, weights at its own parameter
         # equal one when the target matches it
         assert est.value == pytest.approx(2.0)
 
     def test_zero_distance_eligible_self(self):
         table = exp_table([1.0, 2.0], y=[[2.0], [9.0]], a=[[4.0], [1.0]])
-        est = klr_fallback_k1(table, np.array([1.0]))
+        est = klr_fallback_k1(table, np.array([1.0]), np.array([1.0]))
         assert est.value == pytest.approx(0.5)
 
     def test_all_ineligible_errors(self):
         table = exp_table([1.0, 2.0], y=[[1.0], [1.0]], a=[[0.0], [0.0]])
         with pytest.raises(EstimationError):
-            klr_fallback_k1(table, np.array([1.0]))
+            klr_fallback_k1(table, np.array([1.0]), np.array([1.0]))
 
 
 class TestKnnCltSanity:

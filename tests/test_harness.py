@@ -167,7 +167,7 @@ class TestPipelines:
         assert 1 <= min(k_y, k_a) and max(k_y, k_a) <= n
         ci = percentile_ci(estimates, cfg.alpha)
         assert ci.lower <= ci.upper
-        assert ci.n_used == 1000
+        assert estimates.size == 1000
 
     def test_sampling_modes_share_bootstrap_phase(self, monkeypatch):
         import iuq.harness as harness
@@ -177,7 +177,7 @@ class TestPipelines:
         def recording(phase, draw):
             def wrapper(*args, **kwargs):
                 result = draw(*args, **kwargs)
-                drawn[phase].append(result.params)
+                drawn[phase].append(result)
                 return result
             return wrapper
 
@@ -190,7 +190,7 @@ class TestPipelines:
             run_iuq_knn_klr(testbed, theta_hat, cfg, mm1_rngs(7))
         (boot1, boot2), (sim1, sim2) = drawn["boot"], drawn["sim"]
         assert np.array_equal(boot1, boot2)
-        assert not np.array_equal(sim1, sim2)
+        assert not np.array_equal(sim1.params, sim2.params)
 
     def test_std_pipeline_budget(self):
         testbed, theta_hat, cfg = mm1_inputs(2, 50, estimator="std-even", r=7)
@@ -504,6 +504,19 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["eta"] == pytest.approx(0.5, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("oracle", "--model", "mm1", "--budget", "10000", "--seed", "1"),
+            ("pilot", "--model", "san", "--m", "20"),
+        ],
+        ids=["oracle-mm1", "pilot-san"],
+    )
+    def test_bad_san_topology_rejected(self, args):
+        proc = run_cli(*args, "--san-topology", "missing.txt")
+        assert proc.returncode == 2
+        assert "san_topology 'missing.txt'" in proc.stderr
 
     def test_san_topology_flag(self, tmp_path):
         edges = tmp_path / "net.txt"

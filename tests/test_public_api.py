@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-REMOVED = ("InputTrace", "SimRun", "knn_query", "san_run", "mm1_cycle", "erm_run")
+REMOVED = ("InputTrace", "SimRun", "knn_query", "san_run", "mm1_cycle", "erm_run",
+           "BootstrapSet", "basic_ci")
 
 
 def api_names():
@@ -46,7 +47,7 @@ def test_every_simulation_carries_trace_statistics():
 def test_pipelines_share_one_contract():
     import dataclasses
 
-    from iuq import QueueConfig, basic_ci, percentile_ci, run_iuq_knn_klr, run_iuq_std
+    from iuq import QueueConfig, percentile_ci, run_iuq_knn_klr, run_iuq_std
 
     for pipeline in (run_iuq_knn_klr, run_iuq_std):
         assert list(inspect.signature(pipeline).parameters) == [
@@ -54,4 +55,15 @@ def test_pipelines_share_one_contract():
         ]
     assert [f.name for f in dataclasses.fields(QueueConfig)] == ["capacity"]
     assert list(inspect.signature(percentile_ci).parameters) == ["estimates", "alpha"]
-    assert "estimator" not in inspect.signature(basic_ci).parameters
+
+
+def test_results_carry_only_what_callers_read():
+    import dataclasses
+
+    from iuq import CIResult, RatioEstimate, klr_fallback_k1, klr_ratio
+
+    assert [f.name for f in dataclasses.fields(RatioEstimate)] == ["value", "clamped_weights"]
+    assert [f.name for f in dataclasses.fields(CIResult)] == ["lower", "upper"]
+    for fn in (klr_ratio, klr_fallback_k1):
+        lr_target = inspect.signature(fn).parameters["lr_target"]
+        assert lr_target.default is inspect.Parameter.empty
