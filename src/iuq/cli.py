@@ -117,19 +117,19 @@ _PILOT_SIZES = ("b", "s0", "ds", "c_zeta", "max_s")
 
 
 def _cmd_pilot(args):
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     # only the sizes given on the command line; anova_select_r holds the defaults
     sizes = {k: v for k, v in vars(args).items() if k in _PILOT_SIZES}
-    rs = []
-    last = None
-    for rep in range(args.repeats):
-        last = run_pilot(args.model, args.m, seed=args.seed + rep,
+    results = [run_pilot(args.model, args.m, seed=args.seed + rep,
                          san_topology=args.san_topology, **sizes)
-        rs.append(last.r)
+               for rep in range(args.repeats)]
+    last = results[-1]
     out = {
         "model": args.model,
         "m": args.m,
         "repeats": args.repeats,
-        "r_mean": float(np.mean(rs)),
+        "r_mean": float(np.mean([res.r for res in results])),
         "r_last": last.r,
         "final_s": last.final_s,
         "zeta_y": last.zeta_y,

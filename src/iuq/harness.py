@@ -255,8 +255,7 @@ def run_iuq_std(testbed, theta_hat, cfg, rngs):
 # -- macro experiment ------------------------------------------------------
 
 
-def _run_single_macro(cfg, macro_idx, eta_ref):
-    testbed = make_testbed(cfg.model, san_topology=cfg.san_topology)
+def _run_single_macro(cfg, testbed, macro_idx, eta_ref):
     data = testbed.input_model.sample(
         testbed.true_theta, _rng(cfg.seed, macro_idx, _PH_DATA), size=cfg.m
     )
@@ -304,11 +303,13 @@ def run_macro_experiment(cfg):
 
     Each macro run draws a new size-m dataset from the true input model,
     runs the configured pipeline, and records whether the interval covers
-    the pinned reference value.  Failed macro runs are excluded and
-    counted; more than 10% failures aborts the experiment.
+    the pinned reference value.  The testbed is built once, so every macro
+    runs on the same one.  Failed macro runs are excluded and counted; more
+    than 10% failures aborts the experiment.
     """
     eta_ref = cfg.eta_ref if cfg.eta_ref is not None else reference_eta(cfg.model)
-    jobs = [(cfg, i, eta_ref) for i in range(cfg.macros)]
+    testbed = make_testbed(cfg.model, san_topology=cfg.san_topology)
+    jobs = [(cfg, testbed, i, eta_ref) for i in range(cfg.macros)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_macro_worker, jobs, chunksize=1))
@@ -413,7 +414,7 @@ def run_pilot(model_name, m, seed=0, san_topology=None, **pilot):
     ``max_r``) go to ``anova_select_r``, which holds their defaults.
     """
     testbed = make_testbed(model_name, san_topology=san_topology)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0, 99]))
+    rng = _rng(seed, 0, 99)
     data = testbed.input_model.sample(testbed.true_theta, rng, size=m)
     theta_hat = testbed.input_model.mle(data)
 

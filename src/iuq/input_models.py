@@ -28,13 +28,6 @@ class EstimationError(RuntimeError):
     """Raised when an estimator cannot be computed (degenerate data/pool)."""
 
 
-def _as_theta(theta, dim):
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (dim,):
-        raise ValueError(f"parameter must have shape ({dim},), got {theta.shape}")
-    return theta
-
-
 def _as_thetas(thetas, dim):
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 0 or thetas.shape[-1] != dim:
@@ -53,14 +46,31 @@ def pack_stats(counts, sums):
 class ExponentialFamily:
     """Input family whose run likelihood ratio depends on (counts, sums) only.
 
-    Subclasses supply ``natural(theta)``, the per-coordinate
-    ``log_partition(theta)`` (both map (..., d) to (..., d)), the
-    vectorised ``support_mask`` and ``resample_mle``.
+    Subclasses declare ``support``, the open interval (lo, hi) that holds
+    every coordinate of a valid parameter, and supply ``natural(theta)``,
+    the per-coordinate ``log_partition(theta)`` (both map (..., d) to
+    (..., d)) and ``resample_mle``.  ``support_mask`` and ``check_theta``
+    both derive from ``support``; a testbed's ``simulate`` calls
+    ``check_theta`` on its input model, so a parameter of the wrong shape or
+    outside the support raises a ``ValueError`` naming which, before any
+    draw.
     """
 
-    def _check_theta(self, theta):
-        theta = _as_theta(theta, self.dim)
-        if not self.support_mask(theta):
+    def support_mask(self, thetas):
+        """Mask over the (...,) parameters of a (..., d) array: every
+        coordinate inside ``support`` (False for NaN)."""
+        lo, hi = self.support
+        thetas = _as_thetas(thetas, self.dim)
+        return np.all((thetas > lo) & (thetas < hi), axis=-1)
+
+    def check_theta(self, theta):
+        """One parameter as a (d,) float array; raises ``ValueError`` if it
+        has another shape or a coordinate outside ``support``."""
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        if theta.shape != (self.dim,):
+            raise ValueError(f"parameter must have shape ({self.dim},), got {theta.shape}")
+        lo, hi = self.support
+        if not all(lo < x < hi for x in theta.tolist()):  # False for NaN
             raise ValueError(f"parameter {theta} outside the support of {self!r}")
         return theta
 
@@ -77,7 +87,7 @@ class ExponentialFamily:
         ``coefficients``, shape (..., 2d).  Returns shape (..., r); a single
         statistic of shape (2d,) gives a scalar.
         """
-        delta = self.coefficients(self._check_theta(theta_to)) - coefs_from
+        delta = self.coefficients(self.check_theta(theta_to)) - coefs_from
         return np.matmul(stats, delta[..., None])[..., 0]
 
 
@@ -91,6 +101,8 @@ class IndependentExponentials(ExponentialFamily):
     -log(theta).
     """
 
+    support = (0.0, math.inf)
+
     def __init__(self, dim):
         if dim < 1:
             raise ValueError("dim must be >= 1")
@@ -99,14 +111,9 @@ class IndependentExponentials(ExponentialFamily):
     def __repr__(self):
         return f"IndependentExponentials(dim={self.dim})"
 
-    def support_mask(self, thetas):
-        """Mask over the (...,) parameters of a (..., d) array: finite positive rates."""
-        thetas = _as_thetas(thetas, self.dim)
-        return np.all((thetas > 0) & np.isfinite(thetas), axis=-1)
-
     def sample(self, theta, rng, size=None):
         """Draw i.i.d. realizations from the model; shape (size, d) or (d,)."""
-        theta = self._check_theta(theta)
+        theta = self.check_theta(theta)
         if size is None:
             return rng.exponential(1.0 / theta)
         return rng.exponential(1.0 / theta, size=(int(size), self.dim))
@@ -138,7 +145,7 @@ class IndependentExponentials(ExponentialFamily):
         m / Gamma draw: distributionally identical to materializing the
         resample and calling ``mle`` on it.
         """
-        theta_hat = self._check_theta(theta_hat)
+        theta_hat = self.check_theta(theta_hat)
         sums = rng.gamma(shape=m, scale=1.0 / theta_hat, size=(count, self.dim))
         bad = ~(sums > 0)
         if bad.any():
@@ -160,6 +167,8 @@ class MultivariateNormalKnownCov(ExponentialFamily):
     of a run's vector draws has the same count.
     """
 
+    support = (-math.inf, math.inf)
+
     def __init__(self, cov):
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         if cov.shape[0] != cov.shape[1] or not np.allclose(cov, cov.T):
@@ -173,12 +182,8 @@ class MultivariateNormalKnownCov(ExponentialFamily):
     def __repr__(self):
         return f"MultivariateNormalKnownCov(dim={self.dim})"
 
-    def support_mask(self, thetas):
-        """Mask over the (...,) parameters of a (..., d) array: finite means."""
-        return np.all(np.isfinite(_as_thetas(thetas, self.dim)), axis=-1)
-
     def sample(self, theta, rng, size=None):
-        theta = self._check_theta(theta)
+        theta = self.check_theta(theta)
         n = 1 if size is None else int(size)
         z = rng.standard_normal((n, self.dim))
         out = theta + z @ self._chol.T

@@ -10,12 +10,15 @@ Every testbed exposes the same surface:
 ``lr_param``      map from raw parameters (..., d) to trace-model parameters
 ``simulate``      runs at one parameter, returned as a ``SimBatch``
 
-``simulate(theta, n_runs, rng)`` takes from ``rng`` exactly the draws its
-runs consume: when it returns, or raises, the generator stands where
-drawing those inputs one at a time would have left it.  A testbed may read
-ahead in blocks, but it gives back what it did not use before returning,
-so callers can interleave their own draws with simulations on one
-generator and get the same streams.
+``simulate(theta, n_runs, rng)`` first checks ``theta`` with
+``input_model.check_theta``: a parameter of the wrong shape or outside the
+family's support raises ``ValueError``, naming the shape or the support,
+before any draw.  It then takes from ``rng`` exactly the draws its runs
+consume: when it returns, or raises, the generator stands where drawing
+those inputs one at a time would have left it.  A testbed may read ahead in
+blocks, but it gives back what it did not use before returning, so callers
+can interleave their own draws with simulations on one generator and get
+the same streams.
 """
 
 import os
@@ -43,7 +46,8 @@ __all__ = [
     "true_eta_oracle",
 ]
 
-TESTBEDS = ("san", "mm1", "erm")
+_TESTBED_CLASSES = {"san": SanTestbed, "mm1": Mm1Testbed, "erm": ErmTestbed}
+TESTBEDS = tuple(_TESTBED_CLASSES)
 
 # runs simulated per batch by ``true_eta_oracle``; bounds its batch memory
 ORACLE_CHUNK = 200_000
@@ -78,13 +82,9 @@ def make_testbed(name, san_topology=None):
             return SanTestbed(SanConfig.from_edge_list(os.fspath(san_topology)))
         except (OSError, TypeError, ValueError) as exc:
             raise ValueError(f"san_topology {san_topology!r}: {exc}") from exc
-    if name == "san":
-        return SanTestbed(SanConfig.default())
-    if name == "mm1":
-        return Mm1Testbed(QueueConfig())
-    if name == "erm":
-        return ErmTestbed(ErmConfig.default())
-    raise ValueError(f"unknown testbed {name!r}; expected one of {TESTBEDS}")
+    if name not in _TESTBED_CLASSES:
+        raise ValueError(f"unknown testbed {name!r}; expected one of {TESTBEDS}")
+    return _TESTBED_CLASSES[name]()
 
 
 @dataclass(frozen=True)

@@ -148,9 +148,7 @@ class ErmTestbed:
     def simulate(self, theta, n_runs, rng):
         from . import SimBatch
 
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.config.n_stocks,):
-            raise ValueError(f"theta must have shape ({self.config.n_stocks},)")
+        theta = self.input_model.check_theta(theta)
         z = self.trace_model.sample(self.lr_param(theta), rng, size=int(n_runs))
         spots = self._s0 * np.exp(z)
         value = self.portfolio_value(spots)

@@ -53,10 +53,10 @@ class QueueConfig:
 def mm1_steady_state_mean(lam, mu, capacity=10):
     """Closed-form stationary mean number in system of the truncated queue.
 
-    The stationary law is pi_n proportional to rho^n on {0, ..., capacity}.
+    The stationary law is pi_n proportional to rho^n on {0, ..., capacity};
+    rates outside the support of the exponential inputs raise ``ValueError``.
     """
-    if lam <= 0 or mu <= 0:
-        raise ValueError("rates must be positive")
+    lam, mu = IndependentExponentials(2).check_theta([lam, mu]).tolist()
     rho = lam / mu
     n = np.arange(capacity + 1)
     w = rho ** n
@@ -152,20 +152,10 @@ class Mm1Testbed:
     def lr_param(self, theta):
         return np.asarray(theta, dtype=float)
 
-    def _rates(self, theta):
-        """(arrival, service) rates of one parameter of shape (2,); both must
-        be finite and positive (the support of ``input_model``)."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape == (2,):
-            lam, mu = theta.tolist()
-            if 0.0 < lam < math.inf and 0.0 < mu < math.inf:  # False for NaN
-                return lam, mu
-        raise ValueError("arrival and service rates must be strictly positive")
-
     def simulate(self, theta, n_runs, rng):
         from . import SimBatch
 
-        lam, mu = self._rates(theta)
+        lam, mu = self.input_model.check_theta(theta).tolist()
         n_runs = int(n_runs)
         out = _cycles(lam, mu, self.config.capacity, n_runs, rng)
         out = np.array(out, dtype=float).reshape(n_runs, 6)

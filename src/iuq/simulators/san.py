@@ -11,7 +11,6 @@ runs gives 0.090); substitute an exact topology with an edge-list file if
 one is available.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,11 +161,7 @@ class SanTestbed:
     def simulate(self, theta, n_runs, rng):
         from . import SimBatch
 
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.config.dim,) or not all(
-            0.0 < rate < math.inf for rate in theta.tolist()  # False for NaN
-        ):
-            raise ValueError("activity rates must be strictly positive")
+        theta = self.input_model.check_theta(theta)
         durations = rng.exponential(1.0 / theta, size=(int(n_runs), self.config.dim))
         v_time, t_time = self.path_times(durations)
         a = (t_time < self.config.threshold).astype(float)

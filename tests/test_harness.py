@@ -264,34 +264,18 @@ def test_knn_macro_row_pinned(model):
                                         seed=0, **fields),), estimator
 
 
-class _AlwaysZeroDenominator:
-    name = "degenerate"
-
-    def __init__(self):
-        base = Mm1Testbed()
-        self.input_model = base.input_model
-        self.trace_model = base.trace_model
-        self.true_theta = base.true_theta
-        self._base = base
-
-    def lr_param(self, theta):
-        return np.asarray(theta, dtype=float)
-
+class _AlwaysZeroDenominator(Mm1Testbed):
     def simulate(self, theta, n_runs, rng):
-        batch = self._base.simulate(theta, n_runs, rng)
+        batch = super().simulate(theta, n_runs, rng)
         batch.a[:] = 0.0
         return batch
 
 
 class TestFailureHandling:
-    def test_degenerate_macro_annotated(self, monkeypatch):
-        import iuq.harness as harness
-
-        monkeypatch.setattr(harness, "make_testbed",
-                            lambda name, san_topology=None: _AlwaysZeroDenominator())
+    def test_degenerate_macro_annotated(self):
         idx, row, err = _run_single_macro(
             ExperimentConfig(model="mm1", m=20, estimator="klr", r=2, macros=1),
-            0, 0.5,
+            _AlwaysZeroDenominator(), 0, 0.5,
         )
         assert row is None
         assert "zero average denominator" in err
@@ -309,7 +293,7 @@ class TestFailureHandling:
         # seed-0 macro 31 of the m=20 klr defaults samples a simulation
         # parameter whose regenerative cycle would not end in hours
         cfg = ExperimentConfig(model="mm1", m=20, estimator="klr", seed=0)
-        idx, row, err = _run_single_macro(cfg, 31, 0.5)
+        idx, row, err = _run_single_macro(cfg, Mm1Testbed(), 31, 0.5)
         assert (idx, row) == (31, None)
         assert f"exceeded {MAX_CYCLE_DRAWS} draws" in err
 
@@ -349,6 +333,25 @@ class TestMacroExperiment:
         row = result.rows[0]
         assert result.summary["coverage"] == float(row.covered)
         assert result.summary["mean_width"] == pytest.approx(row.width)
+
+    def test_san_topology_is_read_once_per_experiment(self, tmp_path, monkeypatch):
+        from iuq.simulators import SanConfig
+
+        edges = tmp_path / "net.txt"
+        edges.write_text(SAN_EDGES)
+        load = SanConfig.from_edge_list.__func__
+        calls = []
+
+        def counting(cls, path, *args, **kwargs):
+            calls.append(path)
+            return load(cls, path, *args, **kwargs)
+
+        monkeypatch.setattr(SanConfig, "from_edge_list", classmethod(counting))
+        cfg = ExperimentConfig(model="san", m=20, estimator="std-even", r=2, macros=3,
+                               san_topology=str(edges))
+        result = run_macro_experiment(cfg)
+        assert len(result.rows) == 3
+        assert len(calls) <= 2  # the config's check and the experiment's one build
 
     def test_rerun_is_identical(self, small_result):
         cfg, result = small_result
@@ -517,6 +520,16 @@ class TestCli:
         proc = run_cli(*args, "--san-topology", "missing.txt")
         assert proc.returncode == 2
         assert "san_topology 'missing.txt'" in proc.stderr
+
+    def test_pilot_rejects_repeats_below_one(self):
+        proc = run_cli("pilot", "--model", "mm1", "--m", "20", "--repeats", "0")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --repeats must be >= 1, got 0\n"
+
+    def test_oracle_rejects_wrong_length_theta(self):
+        proc = run_cli("oracle", "--model", "mm1", "--budget", "10000", "--theta", "1,2,3")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: parameter must have shape (2,), got (3,)\n"
 
     def test_san_topology_flag(self, tmp_path):
         edges = tmp_path / "net.txt"

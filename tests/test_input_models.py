@@ -266,6 +266,25 @@ class TestSupportMask:
         assert mask.tolist() == [supported(t) for t in cloud]
         assert model.support_mask(cloud.reshape(-1, 4, 2)).tolist() == mask.reshape(-1, 4).tolist()
 
+    @pytest.mark.parametrize("family", ["exp", "mvn"])
+    def test_check_theta_accepts_exactly_the_masked_rows(self, rng, family):
+        if family == "exp":
+            model = IndependentExponentials(2)
+        else:
+            model = MultivariateNormalKnownCov(np.eye(2))
+        grid = np.array([[a, b] for a in self.SPECIAL for b in self.SPECIAL])
+        cloud = np.vstack([grid, rng.normal(size=(199, 2))])  # 280 rows
+        accepted = []
+        for theta in cloud:
+            try:
+                model.check_theta(theta)
+            except ValueError as exc:
+                assert "outside the support" in str(exc)
+                accepted.append(False)
+            else:
+                accepted.append(True)
+        assert accepted == model.support_mask(cloud).tolist()
+
     def test_wrong_dimension(self):
         model = IndependentExponentials(2)
         with pytest.raises(ValueError):

@@ -23,6 +23,17 @@ from iuq.simulators import (
 )
 from iuq.simulators.mm1 import EXP_BLOCK, MAX_CYCLE_DRAWS
 
+# the two ways ``simulate`` rejects a parameter, before any draw
+SHAPE = "parameter must have shape"
+SUPPORT = "outside the support"
+
+
+def assert_rejected_without_draw(testbed, theta, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=message):
+        testbed.simulate(theta, 1, rng)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw was made
+
 
 class ScriptedRng:
     """Test double serving a fixed script through the generator interface
@@ -213,16 +224,15 @@ class TestSanRuns:
             assert np.array_equal(getattr(b1, field), getattr(b2, field))
 
     @pytest.mark.parametrize(
-        "theta",
-        [np.ones(12), np.ones((1, 13)), 1.0, [0.0] + [1.0] * 12, [1.0] * 12 + [-0.0],
-         [1.0] * 6 + [-0.5] + [1.0] * 6, [np.inf] + [1.0] * 12, [1.0] * 12 + [np.nan]],
+        "theta, message",
+        [(np.ones(12), SHAPE), (np.ones((1, 13)), SHAPE), (1.0, SHAPE),
+         ([0.0] + [1.0] * 12, SUPPORT), ([1.0] * 12 + [-0.0], SUPPORT),
+         ([1.0] * 6 + [-0.5] + [1.0] * 6, SUPPORT), ([np.inf] + [1.0] * 12, SUPPORT),
+         ([1.0] * 12 + [np.nan], SUPPORT)],
         ids=["twelve-rates", "2d", "scalar", "zero", "negative-zero", "negative", "inf", "nan"],
     )
-    def test_rates_outside_the_support_raise(self, theta):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="activity rates must be strictly positive"):
-            SanTestbed().simulate(theta, 1, rng)
-        assert rng.random() == np.random.default_rng(0).random()  # no draw was made
+    def test_rates_outside_the_support_raise(self, theta, message):
+        assert_rejected_without_draw(SanTestbed(), theta, message)
 
 
 def replay_cycle(interarrivals, services, capacity):
@@ -400,23 +410,31 @@ class TestMm1Cycle:
         assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize(
-        "theta",
-        [0.5, [0.5], [0.5, 1.5, 1.0], [[0.5, 1.5]], [0.0, 1.5], [0.5, -0.0], [-0.5, 1.5],
-         [0.5, -2.0], [np.inf, 1.5], [0.5, -np.inf], [np.nan, 1.5], [0.5, np.nan]],
+        "theta, message",
+        [(0.5, SHAPE), ([0.5], SHAPE), ([0.5, 1.5, 1.0], SHAPE), ([[0.5, 1.5]], SHAPE),
+         ([0.0, 1.5], SUPPORT), ([0.5, -0.0], SUPPORT), ([-0.5, 1.5], SUPPORT),
+         ([0.5, -2.0], SUPPORT), ([np.inf, 1.5], SUPPORT), ([0.5, -np.inf], SUPPORT),
+         ([np.nan, 1.5], SUPPORT), ([0.5, np.nan], SUPPORT)],
         ids=["scalar", "one-rate", "three-rates", "2d", "zero-arrival", "negative-zero-service",
              "negative-arrival", "negative-service", "inf-arrival", "minus-inf-service",
              "nan-arrival", "nan-service"],
     )
-    def test_rates_outside_the_support_raise(self, theta):
-        message = "arrival and service rates must be strictly positive"
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match=message):
-            Mm1Testbed().simulate(theta, 1, rng)
-        assert rng.random() == np.random.default_rng(0).random()  # no draw was made
+    def test_rates_outside_the_support_raise(self, theta, message):
+        assert_rejected_without_draw(Mm1Testbed(), theta, message)
 
     def test_closed_form_value(self):
         # rho = 1/3, capacity 10: sum(n rho^n)/sum(rho^n)
         assert mm1_steady_state_mean(0.5, 1.5) == pytest.approx(0.4999379, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [(0.0, 1.5), (0.5, -1.0), (np.nan, 1.5), (0.5, np.nan), (np.inf, 1.5), (0.5, np.inf)],
+        ids=["zero-arrival", "negative-service", "nan-arrival", "nan-service",
+             "inf-arrival", "inf-service"],
+    )
+    def test_closed_form_rejects_rates_outside_the_support(self, lam, mu):
+        with pytest.raises(ValueError, match=SUPPORT):
+            mm1_steady_state_mean(lam, mu)
 
 
 class TestBlackScholes:
@@ -485,6 +503,15 @@ class TestErm:
         assert single.a[0] == batch.a[0]
         assert single.y[0] == pytest.approx(batch.y[0], rel=1e-12)
         assert single.sums[0] == pytest.approx(batch.sums[0], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "theta, message",
+        [(0.05, SHAPE), ([0.05, 0.1, 0.0], SHAPE), ([[0.05, 0.1]], SHAPE),
+         ([np.nan, 0.1], SUPPORT), ([0.05, np.inf], SUPPORT), ([-np.inf, 0.1], SUPPORT)],
+        ids=["scalar", "three-drifts", "2d", "nan-drift", "inf-drift", "minus-inf-drift"],
+    )
+    def test_drifts_outside_the_support_raise(self, theta, message):
+        assert_rejected_without_draw(ErmTestbed(), theta, message)
 
     def test_lr_param_shifts_mean(self):
         tb = ErmTestbed()
