@@ -164,6 +164,7 @@ def build_parser():
 
     p = sub.add_parser("run", parents=[RUN_FLAGS], help="macro coverage experiment")
     p.add_argument("--config", help="flat key=value config file")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("pilot", help="variance-ratio pilot for r")
     p.add_argument("--model", required=True, choices=TESTBEDS)
@@ -176,6 +177,7 @@ def build_parser():
     p.add_argument("--max-s", dest="max_s", type=int, default=argparse.SUPPRESS)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--san-topology", dest="san_topology")
+    p.set_defaults(func=_cmd_pilot)
 
     p = sub.add_parser("oracle", help="brute-force reference ratio")
     p.add_argument("--model", required=True, choices=TESTBEDS)
@@ -183,22 +185,17 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", help="comma-separated parameter override")
     p.add_argument("--san-topology", dest="san_topology")
+    p.set_defaults(func=_cmd_oracle)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "pilot":
-            return _cmd_pilot(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
+        return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

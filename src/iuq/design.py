@@ -20,12 +20,14 @@ from .input_models import EstimationError
 # arrays the block holds at once stay within this many bytes
 CV_BLOCK_BYTES = 16 * 2**20
 
-# stopping rules of min_enclosing_ellipsoid; the duality-gap exit keeps
+# stopping rule of min_enclosing_ellipsoid: the duality gap, which keeps
 # large instances fast at a volume error far below the tolerance of any
-# consumer here
-MVEE_TOL = 1e-7
+# consumer here, and an iteration cap
 MVEE_GAP_TOL = 5e-4
 MVEE_MAX_ITER = 100_000
+
+# cap on the replication count r that anova_select_r returns
+PILOT_MAX_R = 10_000
 
 
 class ConfigurationError(RuntimeError):
@@ -91,6 +93,16 @@ class Ellipsoid:
         return unit - 0.5 * logdet
 
 
+def _enclosing(center, shape, points):
+    """The ellipsoid (center, shape), its shape scaled down by the worst
+    membership among ``points`` so that it contains every one of them."""
+    ell = Ellipsoid(center=center, shape=shape)
+    worst = float(np.max(ell.membership(points)))
+    if worst > 1.0:
+        ell = Ellipsoid(center=center, shape=shape / worst)
+    return ell
+
+
 def _ridge_ellipsoid(points):
     """Fallback for clouds that do not affinely span R^d: ridge-regularized
     scatter around the mean, inflated to contain every point."""
@@ -99,79 +111,60 @@ def _ridge_ellipsoid(points):
     scatter = diff.T @ diff / points.shape[0]
     d = points.shape[1]
     eps = 1e-9 * max(float(np.trace(scatter)), 1.0)
-    shape = np.linalg.inv(scatter + eps * np.eye(d)) / d
-    ell = Ellipsoid(center=center, shape=shape)
-    worst = float(np.max(ell.membership(points))) if points.shape[0] else 0.0
-    if worst > 1.0:
-        ell = Ellipsoid(center=center, shape=shape / worst)
-    return ell
+    return _enclosing(center, np.linalg.inv(scatter + eps * np.eye(d)) / d, points)
 
 
 def min_enclosing_ellipsoid(points):
     """Minimum-volume enclosing ellipsoid via Khachiyan's algorithm.
 
-    Iterates until the barycentric weight update moves by less than
-    ``MVEE_TOL`` or the duality gap falls below ``MVEE_GAP_TOL``, for at
-    most ``MVEE_MAX_ITER`` steps.  The final shape matrix is rescaled so
-    every input point satisfies membership <= 1 exactly.
+    Iterates until the duality gap falls below ``MVEE_GAP_TOL``: the largest
+    lifted leverage is at most (d+1)(1 + ``MVEE_GAP_TOL``), the
+    epsilon-optimality test of Todd & Yildirim (2007).  At most
+    ``MVEE_MAX_ITER`` steps are taken.  A cloud that does not affinely span
+    R^d, or any singular matrix met on the way, gets the ridge ellipsoid
+    instead.  Either result's shape is rescaled so that every input point
+    satisfies membership <= 1 exactly.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
     if n == 0:
         raise ValueError("need at least one point")
-    center = points.mean(axis=0)
-    if n <= d or np.linalg.matrix_rank(points - center, tol=1e-12) < d:
+    if n <= d or np.linalg.matrix_rank(points - points.mean(axis=0), tol=1e-12) < d:
         return _ridge_ellipsoid(points)
 
     q = np.vstack([points.T, np.ones(n)])  # lifted (d+1, n)
     u = np.full(n, 1.0 / n)
 
     def refresh():
-        x = (q * u) @ q.T
-        x_inv = np.linalg.inv(x)
+        x_inv = np.linalg.inv((q * u) @ q.T)
         return x_inv, np.einsum("ij,ji->i", q.T, x_inv @ q)
 
     try:
         x_inv, leverage = refresh()
-    except np.linalg.LinAlgError:
-        return _ridge_ellipsoid(points)
-    for it in range(MVEE_MAX_ITER):
-        j = int(np.argmax(leverage))
-        maximum = leverage[j]
-        if maximum <= (d + 1) * (1.0 + MVEE_GAP_TOL):
-            break
-        step = (maximum - d - 1.0) / ((d + 1.0) * (maximum - 1.0))
-        err = step * math.sqrt(max(1.0 - 2.0 * u[j] + u @ u, 0.0))
-        u *= 1.0 - step
-        u[j] += step
-        if err <= MVEE_TOL:
-            break
-        if (it + 1) % 512 == 0:
-            # refresh from scratch to keep rank-1 rounding drift in check
-            try:
+        for it in range(MVEE_MAX_ITER):
+            j = int(np.argmax(leverage))
+            maximum = leverage[j]
+            if maximum <= (d + 1) * (1.0 + MVEE_GAP_TOL):
+                break
+            step = (maximum - d - 1.0) / ((d + 1.0) * (maximum - 1.0))
+            u *= 1.0 - step
+            u[j] += step
+            if (it + 1) % 512 == 0:
+                # refresh from scratch to keep rank-1 rounding drift in check
                 x_inv, leverage = refresh()
-            except np.linalg.LinAlgError:
-                return _ridge_ellipsoid(points)
-            continue
-        # rank-1 downdate of the lifted inverse and the membership diagonal
-        w = x_inv @ q[:, j]
-        c = step / (1.0 - step)
-        beta = c / (1.0 + c * maximum)
-        v = q.T @ w
-        leverage = (leverage - beta * v * v) / (1.0 - step)
-        x_inv = (x_inv - beta * np.outer(w, w)) / (1.0 - step)
-
-    center = points.T @ u
-    scatter = (points.T * u) @ points - np.outer(center, center)
-    try:
-        shape = np.linalg.inv(scatter) / d
+                continue
+            # rank-1 downdate of the lifted inverse and the membership diagonal
+            w = x_inv @ q[:, j]
+            c = step / (1.0 - step)
+            beta = c / (1.0 + c * maximum)
+            v = q.T @ w
+            leverage = (leverage - beta * v * v) / (1.0 - step)
+            x_inv = (x_inv - beta * np.outer(w, w)) / (1.0 - step)
+        center = points.T @ u
+        shape = np.linalg.inv((points.T * u) @ points - np.outer(center, center)) / d
     except np.linalg.LinAlgError:
         return _ridge_ellipsoid(points)
-    ell = Ellipsoid(center=center, shape=shape)
-    worst = float(np.max(ell.membership(points)))
-    if worst > 1.0:
-        ell = Ellipsoid(center=center, shape=shape / worst)
-    return ell
+    return _enclosing(center, shape, points)
 
 
 def sample_in_ellipsoid(ellipsoid, count, rng):
@@ -268,14 +261,14 @@ def _mean_squares(outputs):
 
 
 def anova_select_r(sample_param, simulate, b=50, s0=10, ds=10, c_zeta=0.1,
-                   max_s=500, max_r=10_000, rng=None):
+                   max_s=500, rng=None):
     """Pick the replication count r from a pilot experiment.
 
     ``sample_param(count, rng)`` draws pilot parameters from the bootstrap
     sampling distribution; ``simulate(theta, runs, rng)`` returns the (Y, A)
     arrays of that many runs.  Runs are added in increments of ``ds`` until
     both variance-ratio estimates are positive; the returned r is the
-    smallest integer at which both reach ``c_zeta``, capped at ``max_r``.
+    smallest integer at which both reach ``c_zeta``, capped at ``PILOT_MAX_R``.
     """
     if b < 2 or s0 < 2:
         raise ValueError("need b >= 2 pilot parameters and s0 >= 2 runs")
@@ -314,7 +307,7 @@ def anova_select_r(sample_param, simulate, b=50, s0=10, ds=10, c_zeta=0.1,
         add = ds
     binding = min(zeta1_y, zeta1_a)
     r = max(1, math.ceil(c_zeta / binding))
-    r = min(r, max_r)
+    r = min(r, PILOT_MAX_R)
     return PilotResult(r=int(r), final_s=int(s), zeta_y=r * zeta1_y, zeta_a=r * zeta1_a)
 
 
@@ -401,8 +394,6 @@ def cv_select_k(sim_params, run_means, candidates, n_folds=5):
     """
     params = np.atleast_2d(np.asarray(sim_params, dtype=float))
     n = params.shape[0]
-    if not 2 <= n_folds <= n:
-        raise ValueError("need 2 <= n_folds <= n")
     folds = make_folds(n, n_folds)
     min_train = n - max(f.size for f in folds)
     usable = []

@@ -21,7 +21,7 @@ import numbers
 import os
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +89,9 @@ class ExperimentConfig:
     eta_ref: float = None
     cv_folds: int = 5
     cv_grid: tuple = None
+    # built from model and san_topology, so a bad topology file fails here
+    # and the experiment reads it only this once
+    testbed: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in TESTBEDS:
@@ -116,9 +119,7 @@ class ExperimentConfig:
             object.__setattr__(self, "cv_grid", tuple(int(k) for k in grid))
         if self.eta_ref is not None and not _is_finite_real(self.eta_ref):
             raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
-        if self.san_topology is not None:
-            # load the edge list once so that a bad file fails here, not in a macro
-            make_testbed(self.model, self.san_topology)
+        object.__setattr__(self, "testbed", make_testbed(self.model, self.san_topology))
         if self.estimator in ("knn", "klr"):
             n, _ = sample_size_rule(self.m)
             if self.cv_folds > n:
@@ -303,13 +304,12 @@ def run_macro_experiment(cfg):
 
     Each macro run draws a new size-m dataset from the true input model,
     runs the configured pipeline, and records whether the interval covers
-    the pinned reference value.  The testbed is built once, so every macro
-    runs on the same one.  Failed macro runs are excluded and counted; more
-    than 10% failures aborts the experiment.
+    the pinned reference value.  Every macro runs on the config's testbed.
+    Failed macro runs are excluded and counted; more than 10% failures
+    aborts the experiment.
     """
     eta_ref = cfg.eta_ref if cfg.eta_ref is not None else reference_eta(cfg.model)
-    testbed = make_testbed(cfg.model, san_topology=cfg.san_topology)
-    jobs = [(cfg, testbed, i, eta_ref) for i in range(cfg.macros)]
+    jobs = [(cfg, cfg.testbed, i, eta_ref) for i in range(cfg.macros)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_macro_worker, jobs, chunksize=1))
@@ -410,8 +410,8 @@ def load_report(csv_path):
 def run_pilot(model_name, m, seed=0, san_topology=None, **pilot):
     """Run the variance-ratio pilot on a fresh dataset from the true model.
 
-    Keyword arguments (``b``, ``s0``, ``ds``, ``c_zeta``, ``max_s``,
-    ``max_r``) go to ``anova_select_r``, which holds their defaults.
+    Keyword arguments (``b``, ``s0``, ``ds``, ``c_zeta``, ``max_s``) go to
+    ``anova_select_r``, which holds their defaults.
     """
     testbed = make_testbed(model_name, san_topology=san_topology)
     rng = _rng(seed, 0, 99)

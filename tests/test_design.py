@@ -132,6 +132,34 @@ class TestMvee:
         ell = min_enclosing_ellipsoid(pts)
         assert ell.log_volume() == pytest.approx(math.log(math.pi), abs=1e-4)
 
+    @pytest.mark.parametrize("failing", ["first refresh", "512-step refresh", "final inverse"])
+    def test_singular_matrix_falls_back_to_ridge(self, monkeypatch, failing):
+        # ~3k iterations: the first refresh, six 512-step refreshes and the
+        # final scatter inverse are the eight np.linalg.inv calls
+        pts = np.random.default_rng(0).standard_normal((1000, 2)) @ np.array(
+            [[1.0, 0.4], [0.0, 0.7]])
+        ridge = design._ridge_ellipsoid(pts)
+        inv = np.linalg.inv
+        calls = []
+        fail_at = None
+
+        def counting_inv(a):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise np.linalg.LinAlgError("singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        min_enclosing_ellipsoid(pts)
+        assert len(calls) == 8
+        fail_at = {"first refresh": 1, "512-step refresh": 2, "final inverse": 8}[failing]
+        calls.clear()
+        ell = min_enclosing_ellipsoid(pts)
+        assert len(calls) == fail_at + 1  # the failing call, then the ridge's inverse
+        assert np.array_equal(ell.center, ridge.center)
+        assert np.array_equal(ell.shape, ridge.shape)
+        assert np.all(ell.membership(pts) <= 1.0 + 1e-9)
+
 
 class TestEllipsoidSampling:
     def test_draws_stay_inside(self, rng):

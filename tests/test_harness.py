@@ -351,7 +351,7 @@ class TestMacroExperiment:
                                san_topology=str(edges))
         result = run_macro_experiment(cfg)
         assert len(result.rows) == 3
-        assert len(calls) <= 2  # the config's check and the experiment's one build
+        assert len(calls) == 1  # the config's one build
 
     def test_rerun_is_identical(self, small_result):
         cfg, result = small_result
