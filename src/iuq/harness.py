@@ -366,10 +366,11 @@ def _format_cell(value):
 
 def emit_report(result, path):
     """Write ``<path>.csv`` (one row per macro run) and ``<path>.json``
-    (the summary).  Output bytes are a pure function of (config, seed)."""
+    (the summary); ``path`` is a str or path-like, with or without the
+    ``.csv`` suffix.  Output bytes are a pure function of (config, seed)."""
     if not result.rows:
         raise ValueError("nothing to report")
-    base = path[:-4] if str(path).endswith(".csv") else str(path)
+    base = os.fspath(path).removesuffix(".csv")
     parent = os.path.dirname(base)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -147,13 +147,8 @@ class IndependentExponentials(ExponentialFamily):
         """
         theta_hat = self.check_theta(theta_hat)
         sums = rng.gamma(shape=m, scale=1.0 / theta_hat, size=(count, self.dim))
-        bad = ~(sums > 0)
-        if bad.any():
-            sums[bad] = rng.gamma(shape=m, scale=1.0, size=int(bad.sum())) / np.broadcast_to(
-                theta_hat, sums.shape
-            )[bad]
-            if not (sums > 0).all():
-                raise EstimationError("degenerate bootstrap resample")
+        if not (sums > 0).all():  # a Gamma draw underflowed to 0
+            raise EstimationError("degenerate bootstrap resample")
         return m / sums
 
 
@@ -212,6 +207,6 @@ class MultivariateNormalKnownCov(ExponentialFamily):
 
         The size-m sample mean is exactly N(theta_hat, cov/m).
         """
-        theta_hat = np.asarray(theta_hat, dtype=float)
+        theta_hat = self.check_theta(theta_hat)
         noise = self.sample(np.zeros(self.dim), rng, size=count)
         return theta_hat + noise / math.sqrt(m)

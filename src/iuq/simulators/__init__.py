@@ -46,7 +46,7 @@ __all__ = [
     "true_eta_oracle",
 ]
 
-_TESTBED_CLASSES = {"san": SanTestbed, "mm1": Mm1Testbed, "erm": ErmTestbed}
+_TESTBED_CLASSES = {cls.name: cls for cls in (SanTestbed, Mm1Testbed, ErmTestbed)}
 TESTBEDS = tuple(_TESTBED_CLASSES)
 
 # runs simulated per batch by ``true_eta_oracle``; bounds its batch memory

@@ -379,6 +379,14 @@ class TestMacroExperiment:
         summary = json.loads(open(json_path).read())
         assert summary["coverage"] == result.summary["coverage"]
 
+    @pytest.mark.parametrize("name", ["trial", "trial.csv"])
+    def test_report_path_like(self, small_result, tmp_path, name):
+        _, result = small_result
+        csv_path, json_path = emit_report(result, tmp_path / "out" / name)
+        assert (csv_path, json_path) == (str(tmp_path / "out" / "trial.csv"),
+                                         str(tmp_path / "out" / "trial.json"))
+        assert tuple(load_report(csv_path)) == result.rows
+
     def test_report_bytes_deterministic(self, small_result, tmp_path):
         _, result = small_result
         p1 = emit_report(result, str(tmp_path / "a"))[0]

@@ -117,6 +117,34 @@ class TestMle:
         assert errs[0] > errs[1] > errs[2]
 
 
+class TestResampleMle:
+    @pytest.mark.parametrize("family", ["exp", "mvn"])
+    @pytest.mark.parametrize(
+        "theta_hat, message",
+        [([np.nan, 1.0], "outside the support"), ([1.0, 1.0, 1.0], "parameter must have shape")],
+        ids=["nan", "wrong-length"],
+    )
+    def test_bad_theta_hat_raises_before_any_draw(self, family, theta_hat, message):
+        if family == "exp":
+            model = IndependentExponentials(2)
+        else:
+            model = MultivariateNormalKnownCov(np.eye(2))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=message):
+            model.resample_mle(np.array(theta_hat), 5, 3, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # no draw was made
+
+    def test_gamma_underflow_raises(self):
+        class ZeroGamma:
+            def gamma(self, shape, scale, size):
+                out = np.ones(size)
+                out[0, 1] = 0.0
+                return out
+
+        with pytest.raises(EstimationError, match="degenerate bootstrap resample"):
+            IndependentExponentials(2).resample_mle(np.ones(2), 2, 3, ZeroGamma())
+
+
 def exp_stats(draws):
     """(counts, sums) of per-coordinate exponential draws."""
     counts = np.array([len(b) for b in draws], dtype=float)

@@ -178,6 +178,50 @@ class TestSanRuns:
         assert v[0] == pytest.approx(3.0)
         assert t[0] == pytest.approx(1.0)
 
+    def test_lines_out_of_topological_order(self, tmp_path):
+        # line k is still arc k: duration 1 on b->i, 2 on a->b
+        path = tmp_path / "reversed.txt"
+        path.write_text("b i\na b\n")
+        cfg = SanConfig.from_edge_list(path, source="a", sink="i", t_nodes=("b",))
+        assert cfg.arcs == (("b", "i"), ("a", "b"))
+        v, t = SanTestbed(cfg).path_times(np.array([[1.0, 2.0]]))
+        assert v[0] == 3.0 and t[0] == 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_line_order_matches_brute_force_paths(self, data):
+        n = data.draw(st.integers(2, 8), label="nodes")
+        # arcs i->j with i < j form a DAG; every node but the source gets an
+        # arc in and every node but the sink an arc out, so each arc lies on a
+        # path from node 0 to node n-1
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="arcs")
+        arcs += [(0, j) for j in range(1, n) if all(b != j for _, b in arcs)]
+        arcs += [(i, n - 1) for i in range(n - 1) if all(a != i for a, _ in arcs)]
+        names = data.draw(st.permutations("abcdefgh"[:n]), label="names")
+        durations = data.draw(
+            st.lists(st.floats(0.0, 10.0), min_size=len(arcs), max_size=len(arcs)),
+            label="durations",
+        )
+        t_nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True),
+                            label="t_nodes")
+
+        def longest(target, node=0, length=0.0):
+            # brute force: the maximum over every path from the source
+            best = length if node == target else -math.inf
+            for k, (a, b) in enumerate(arcs):
+                if a == node:
+                    best = max(best, longest(target, b, length + durations[k]))
+            return best
+
+        lines = data.draw(st.permutations(range(len(arcs))), label="line order")
+        cfg = SanConfig(arcs=tuple((names[arcs[k][0]], names[arcs[k][1]]) for k in lines),
+                        source=names[0], sink=names[n - 1],
+                        t_nodes=tuple(names[t] for t in t_nodes))
+        v_time, t_time = SanTestbed(cfg).path_times(np.array([[durations[k] for k in lines]]))
+        assert v_time[0] == longest(n - 1)
+        assert t_time[0] == max(longest(t) for t in t_nodes)
+
     def test_parallel_paths_take_maximum(self, tmp_path):
         path = tmp_path / "diamond.txt"
         path.write_text("a b\na c\nb d\nc d\n")
