@@ -20,7 +20,6 @@ import math
 import numbers
 import os
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +128,10 @@ class ExperimentConfig:
                 raise ValueError(
                     f"cv_grid needs a k <= {min_train}, the smallest training fold"
                 )
+        else:
+            # the std pipeline simulates at the bootstrap set, whichever mode
+            # was asked for; rows and summary then read the one it used
+            object.__setattr__(self, "sampling", "bootstrap")
 
     def _check_int(self, name, low):
         """Require an integer field >= low; store it as int."""
@@ -265,10 +268,9 @@ def _run_single_macro(cfg, testbed, macro_idx, eta_ref):
         "sim": _rng(cfg.seed, macro_idx, _PH_SIM),
         "runs": _rng(cfg.seed, macro_idx, _PH_RUNS),
     }
-    pooled = cfg.estimator in ("knn", "klr")
     try:
         theta_hat = testbed.input_model.mle(data)
-        pipeline = run_iuq_knn_klr if pooled else run_iuq_std
+        pipeline = run_iuq_knn_klr if cfg.estimator in ("knn", "klr") else run_iuq_std
         estimates, (n, n_tilde, r, k_y, k_a) = pipeline(testbed, theta_hat, cfg, rngs)
         ci = percentile_ci(estimates, cfg.alpha)
     except EstimationError as exc:
@@ -278,7 +280,7 @@ def _run_single_macro(cfg, testbed, macro_idx, eta_ref):
     row = MacroRow(
         macro_id=macro_idx,
         estimator=cfg.estimator,
-        sampling=cfg.sampling if pooled else "bootstrap",
+        sampling=cfg.sampling,
         m=cfg.m,
         n=n,
         n_tilde=n_tilde,
@@ -306,11 +308,15 @@ def run_macro_experiment(cfg):
     runs the configured pipeline, and records whether the interval covers
     the pinned reference value.  Every macro runs on the config's testbed.
     Failed macro runs are excluded and counted; more than 10% failures
-    aborts the experiment.
+    aborts the experiment.  With ``workers > 1`` the macros run in a process
+    pool, whose module is imported only then, so a one-worker run never
+    loads multiprocessing.
     """
     eta_ref = cfg.eta_ref if cfg.eta_ref is not None else reference_eta(cfg.model)
     jobs = [(cfg, cfg.testbed, i, eta_ref) for i in range(cfg.macros)]
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_macro_worker, jobs, chunksize=1))
     else:

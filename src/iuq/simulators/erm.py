@@ -10,13 +10,17 @@ One run draws the vector of log-price increments over [0, tau] (the run's
 entire input trace), prices every option with the Black-Scholes formula at
 the remaining maturity, and reports Y = portfolio value on the event and
 A = the event indicator.
+
+The normal CDF comes from ``scipy.special``, which ``bs_price`` imports on
+its first call rather than at module import: the other testbeds and the
+estimators need numpy only, and loading ``scipy.special`` would otherwise
+take most of the time and much of the memory of ``import iuq``.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..input_models import MultivariateNormalKnownCov
 
@@ -26,6 +30,8 @@ def bs_price(kind, spot, strike, rate, vol, ttm):
 
     Vectorized over ``spot``; ``ttm`` = 0 returns the intrinsic value.
     """
+    from scipy.special import ndtr
+
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
     spot = np.asarray(spot, dtype=float)

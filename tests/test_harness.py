@@ -387,6 +387,16 @@ class TestMacroExperiment:
                                          str(tmp_path / "out" / "trial.json"))
         assert tuple(load_report(csv_path)) == result.rows
 
+    def test_std_reports_the_sampling_it_used(self, tmp_path):
+        paths = {}
+        for sampling in ("ellipsoid", "bootstrap"):
+            cfg = ExperimentConfig(model="san", m=20, estimator="std-opt", sampling=sampling,
+                                   macros=3, seed=0)
+            assert cfg.sampling == "bootstrap"
+            paths[sampling] = emit_report(run_macro_experiment(cfg), tmp_path / sampling)
+        for ellipsoid, bootstrap in zip(paths["ellipsoid"], paths["bootstrap"]):
+            assert open(ellipsoid, "rb").read() == open(bootstrap, "rb").read()
+
     def test_report_bytes_deterministic(self, small_result, tmp_path):
         _, result = small_result
         p1 = emit_report(result, str(tmp_path / "a"))[0]
@@ -548,3 +558,38 @@ class TestCli:
             "--san-topology", str(edges),
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# runs in a fresh interpreter, since the test session imports scipy.stats
+LAZY_IMPORTS = """
+import json, sys
+import numpy as np
+import iuq
+for model in ("mm1", "san"):
+    iuq.run_macro_experiment(iuq.ExperimentConfig(
+        model=model, m=20, estimator="klr", r=3, macros=1, workers=1))
+lazy = ("scipy.special", "concurrent.futures.process")
+loaded = [name for name in lazy if name in sys.modules]
+testbed = iuq.ErmTestbed()
+testbed.simulate(testbed.true_theta, 5, np.random.default_rng(0))
+print(json.dumps({"loaded": loaded, "erm_loads_scipy": "scipy.special" in sys.modules}))
+"""
+
+
+class TestImports:
+    def test_one_worker_runs_load_neither_scipy_nor_the_pool(self):
+        proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"loaded": [], "erm_loads_scipy": True}
+
+    def test_pool_reports_equal_one_worker_reports(self, tmp_path):
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            proc = run_cli("run", "--model", "mm1", "--m", "30", "--estimator", "klr",
+                           "--r", "3", "--macros", "2", "--seed", "4",
+                           "--workers", workers, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([open(f"{out}{ext}", "rb").read() for ext in (".csv", ".json")])
+        assert outputs[0] == outputs[1]
