@@ -158,7 +158,7 @@ class RunTable:
             raise EstimationError("no eligible simulation parameters to pool from")
         if not (1 <= k_y <= self.pool.size and 1 <= k_a <= self.pool.size):
             raise ValueError(f"pool sizes must lie in [1, {self.pool.size}]")
-        return self.pool[self.index.query(theta, max(k_y, k_a))]
+        return np.take(self.pool, self.index.query(theta, max(k_y, k_a)))
 
 
 def build_run_table(testbed, params, r, rng):
@@ -205,8 +205,8 @@ def knn_ratio(table, theta_tilde, k_y, k_a):
     taken from the same distance-ordered eligible list.
     """
     nbrs = table.neighbors(theta_tilde, k_y, k_a)
-    num = float(table.y_mean[nbrs[:k_y]].mean())
-    den = float(table.a_mean[nbrs[:k_a]].mean())
+    num = float(np.take(table.y_mean, nbrs[:k_y]).mean())
+    den = float(np.take(table.a_mean, nbrs[:k_a]).mean())
     if den == 0.0:
         raise EstimationError("pooled denominator vanished")
     return RatioEstimate(value=num / den)
@@ -218,20 +218,27 @@ def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
     Returns the averages of Y*W over the first ``k_y`` neighbor rows and of
     A*W over the first ``k_a``, with W the trace LR from each run's own
     parameter to the target, plus the clamp counter over all of ``nbrs``.
+    The log-weights and the gathered rows are fresh arrays, so the clamp,
+    the exponential and the products with W are written into them; the
+    table itself is only read.
     """
-    log_w = table.trace_model.log_weights(table.stats[nbrs], table.lr_coefs[nbrs], lr_target)
+    log_w = table.trace_model.log_weights(
+        np.take(table.stats, nbrs, axis=0), np.take(table.lr_coefs, nbrs, axis=0), lr_target
+    )
     clamped = int(np.count_nonzero(log_w > LOG_WEIGHT_CLAMP))
-    w = np.exp(np.minimum(log_w, LOG_WEIGHT_CLAMP))
+    w = np.exp(np.minimum(log_w, LOG_WEIGHT_CLAMP, out=log_w), out=log_w)
     finite = np.isfinite(w)
-    if not finite.all():
-        w = np.where(finite, w, 0.0)
-        denom = np.maximum(finite.sum(axis=1), 1)
-        y_lr = (table.y[nbrs[:k_y]] * w[:k_y]).sum(axis=1) / denom[:k_y]
-        a_lr = (table.a[nbrs[:k_a]] * w[:k_a]).sum(axis=1) / denom[:k_a]
-    else:
-        y_lr = (table.y[nbrs[:k_y]] * w[:k_y]).mean(axis=1)
-        a_lr = (table.a[nbrs[:k_a]] * w[:k_a]).mean(axis=1)
-    return y_lr, a_lr, clamped
+    all_finite = finite.all()
+    if not all_finite:
+        w[~finite] = 0.0
+    y_w = np.take(table.y, nbrs[:k_y], axis=0)
+    y_w *= w[:k_y]
+    a_w = np.take(table.a, nbrs[:k_a], axis=0)
+    a_w *= w[:k_a]
+    if all_finite:
+        return y_w.mean(axis=1), a_w.mean(axis=1), clamped
+    denom = np.maximum(finite.sum(axis=1), 1)
+    return y_w.sum(axis=1) / denom[:k_y], a_w.sum(axis=1) / denom[:k_a], clamped
 
 
 def klr_ratio(table, theta_tilde, k_y, k_a, lr_target):

@@ -24,6 +24,52 @@ from iuq.input_models import (
     IndependentExponentials,
     MultivariateNormalKnownCov,
 )
+from iuq.simulators import make_testbed
+
+
+def allocating_mvee(points):
+    """The Khachiyan loop as it was before its rank-1 step wrote into
+    buffers: every step allocates w, v, the outer product and the new
+    leverage and inverse.  Returns the ellipsoid and the step count."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = points.shape
+    q = np.vstack([points.T, np.ones(n)])
+    u = np.full(n, 1.0 / n)
+
+    def refresh():
+        x_inv = np.linalg.inv((q * u) @ q.T)
+        return x_inv, np.einsum("ij,ji->i", q.T, x_inv @ q)
+
+    x_inv, leverage = refresh()
+    for it in range(design.MVEE_MAX_ITER):
+        j = int(np.argmax(leverage))
+        maximum = leverage[j]
+        if maximum <= (d + 1) * (1.0 + design.MVEE_GAP_TOL):
+            break
+        step = (maximum - d - 1.0) / ((d + 1.0) * (maximum - 1.0))
+        u *= 1.0 - step
+        u[j] += step
+        if (it + 1) % 512 == 0:
+            x_inv, leverage = refresh()
+            continue
+        w = x_inv @ q[:, j]
+        c = step / (1.0 - step)
+        beta = c / (1.0 + c * maximum)
+        v = q.T @ w
+        leverage = (leverage - beta * v * v) / (1.0 - step)
+        x_inv = (x_inv - beta * np.outer(w, w)) / (1.0 - step)
+    center = points.T @ u
+    shape = np.linalg.inv((points.T * u) @ points - np.outer(center, center)) / d
+    return design._enclosing(center, shape, points), it
+
+
+def bootstrap_cloud(name, m, seed):
+    """The bootstrap parameter set of one macro of testbed ``name``."""
+    testbed = make_testbed(name)
+    rng = np.random.default_rng(seed)
+    model = testbed.input_model
+    theta_hat = model.mle(model.sample(testbed.true_theta, rng, size=m))
+    return bootstrap_params(model, theta_hat, m, sample_size_rule(m)[1], rng)
 
 
 class TestSampleSizeRule:
@@ -131,6 +177,33 @@ class TestMvee:
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         ell = min_enclosing_ellipsoid(pts)
         assert ell.log_volume() == pytest.approx(math.log(math.pi), abs=1e-4)
+
+    @pytest.mark.parametrize("shape", [np.diag([1.0, -1.0]), np.zeros((2, 2)),
+                                       np.diag([-1.0, 2.0, 3.0])],
+                             ids=["indefinite", "singular", "negative-determinant"])
+    def test_log_volume_rejects_a_shape_without_positive_determinant(self, shape):
+        ell = design.Ellipsoid(center=np.zeros(shape.shape[0]), shape=shape)
+        with pytest.raises(ValueError, match="not \\+1"):
+            ell.log_volume()
+
+    @pytest.mark.parametrize("d, n", [(1, 2), (1, 50), (2, 3), (2, 1000), (3, 40),
+                                      (5, 300), (13, 14), (13, 500)])
+    def test_steps_match_the_allocating_loop_bit_for_bit(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        pts = rng.standard_normal((n, d)) @ rng.uniform(-1.0, 1.0, (d, d)) + rng.normal(size=d)
+        ell = min_enclosing_ellipsoid(pts)
+        ref, _ = allocating_mvee(pts)
+        assert np.array_equal(ell.center, ref.center)
+        assert np.array_equal(ell.shape, ref.shape)
+
+    @pytest.mark.parametrize("name, m", [("san", 50), ("mm1", 800), ("erm", 200)])
+    def test_bootstrap_clouds_match_the_allocating_loop_bit_for_bit(self, name, m):
+        boots = bootstrap_cloud(name, m, seed=3)
+        ell = min_enclosing_ellipsoid(boots)
+        ref, steps = allocating_mvee(boots)
+        assert steps > 5 * 512  # several refreshes, and rank-1 drift between them
+        assert np.array_equal(ell.center, ref.center)
+        assert np.array_equal(ell.shape, ref.shape)
 
     @pytest.mark.parametrize("failing", ["first refresh", "512-step refresh", "final inverse"])
     def test_singular_matrix_falls_back_to_ridge(self, monkeypatch, failing):

@@ -433,6 +433,44 @@ class TestKlrReference:
             assert want_clamped == r
 
 
+class TestTableIsOnlyRead:
+    @pytest.mark.parametrize("case", ["finite", "clamp", "non-finite"])
+    def test_estimators_leave_the_table_untouched(self, case):
+        # the log-weights and the gathered rows are written in place; the
+        # table's arrays must come out bit for bit as they went in
+        rng = np.random.default_rng(11)
+        n, r = 12, 5
+        params = rng.uniform(0.5, 2.0, n)
+        y = rng.uniform(0.5, 2.0, (n, r))
+        a = rng.uniform(0.5, 1.5, (n, r))
+        sums = rng.uniform(0.3, 2.0, (n, r))
+        target = np.array([params[0]])  # row 0 is the nearest
+        lr_target = 0.5 * target
+        if case == "clamp":
+            sums[0] = 3000.0 / params[0]  # log-weights of about 1500 - log 2
+        elif case == "non-finite":
+            sums[0, 1] = np.nan  # one NaN log-weight, zeroed and not counted
+        table = exp_table(params, y, a, sums=sums)
+        before = {name: getattr(table, name).copy()
+                  for name in ("y", "a", "stats", "lr_coefs", "y_mean", "a_mean")}
+        knn_ratio(table, target, 4, 6)
+        est = klr_ratio(table, target, 4, 6, lr_target)
+        klr_fallback_k1(table, target, lr_target)
+        for name, arr in before.items():
+            assert np.array_equal(getattr(table, name), arr, equal_nan=True), name
+        assert est.clamped_weights == (r if case == "clamp" else 0)
+        if case == "non-finite":
+            nbrs = table.neighbors(target, 4, 6)
+            log_w = table.trace_model.log_weights(table.stats[nbrs], table.lr_coefs[nbrs],
+                                                  lr_target)
+            w = np.where(np.isfinite(log_w), np.exp(log_w), 0.0)
+            counts = np.isfinite(log_w).sum(axis=1)
+            y_lr = (y[nbrs] * w).sum(axis=1) / counts
+            a_lr = (a[nbrs] * w).sum(axis=1) / counts
+            assert counts[0] == r - 1
+            assert est.value == pytest.approx(y_lr[:4].mean() / a_lr[:6].mean(), rel=1e-12)
+
+
 class TestKlrFallback:
     def test_single_eligible_pooled_regardless_of_distance(self):
         # the ineligible rate 1 is nearest to the target; rate 50 is pooled
