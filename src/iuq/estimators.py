@@ -4,7 +4,9 @@ Three estimators of eta(theta) = E[Y|theta]/E[A|theta] at a target
 parameter: the standard ratio of that parameter's own run means, the
 k-nearest-neighbor ratio that pools run means across nearby simulation
 parameters, and the likelihood-ratio variant that reweights each pooled
-run to be unbiased for the target parameter before pooling.
+run to be unbiased for the target parameter before pooling.  The standard
+ratio is taken at every eligible row of a run table in one vector step,
+from the row means the table already holds.
 
 Pooling only ever draws from *eligible* simulation parameters, those whose
 average denominator output is nonzero; the filter applies to numerator and
@@ -185,17 +187,13 @@ def build_run_table(testbed, params, r, rng):
     )
 
 
-def std_ratio(y, a):
-    """Standard ratio of one parameter's run means; raises
-    ``EstimationError`` when the denominator mean is zero."""
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if y.size < 1 or y.shape != a.shape:
-        raise ValueError("need matching non-empty run outputs")
-    a_bar = float(a.mean())
-    if a_bar == 0.0:
-        raise EstimationError("zero denominator mean")
-    return RatioEstimate(value=float(y.mean()) / a_bar)
+def std_ratio(table):
+    """Standard ratio of each eligible row's own run means, in ``pool``
+    order; raises ``EstimationError`` if any ratio is not finite."""
+    ratios = np.take(table.y_mean, table.pool) / np.take(table.a_mean, table.pool)
+    if not np.isfinite(ratios).all():
+        raise EstimationError("non-finite ratio estimate")
+    return ratios
 
 
 def knn_ratio(table, theta_tilde, k_y, k_a):

@@ -21,6 +21,7 @@ import numbers
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -119,8 +120,8 @@ class ExperimentConfig:
         if self.eta_ref is not None and not _is_finite_real(self.eta_ref):
             raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
         object.__setattr__(self, "testbed", make_testbed(self.model, self.san_topology))
+        n, _ = sample_size_rule(self.m)
         if self.estimator in ("knn", "klr"):
-            n, _ = sample_size_rule(self.m)
             if self.cv_folds > n:
                 raise ValueError(f"cv_folds must not exceed the n={n} simulation parameters")
             min_train = n - math.ceil(n / self.cv_folds)  # n minus the largest fold
@@ -129,6 +130,11 @@ class ExperimentConfig:
                     f"cv_grid needs a k <= {min_train}, the smallest training fold"
                 )
         else:
+            budget = n * self.resolved_r()
+            n_s, _ = std_budget_split(budget, self.estimator.removeprefix("std-"))
+            if n_s < 2:
+                raise ValueError(f"the {self.estimator} split of n*r = {budget} runs gives "
+                                 f"n_s={n_s} bootstrap parameters; the interval needs at least 2")
             # the std pipeline simulates at the bootstrap set, whichever mode
             # was asked for; rows and summary then read the one it used
             object.__setattr__(self, "sampling", "bootstrap")
@@ -235,24 +241,23 @@ def run_iuq_std(testbed, theta_hat, cfg, rngs):
     """Standard-estimator (std-opt or std-even) pipeline on one input dataset.
 
     Simulates directly at the bootstrap parameters with the budget split
-    implied by the pooled design's n*r total; a parameter whose runs have a
-    zero denominator mean falls back to the reweighted nearest eligible
-    neighbor's estimate.  The bootstrap set doubles as the run table, so
-    n = n_tilde and k_y = k_a = 0.
+    implied by the pooled design's n*r total.  Every eligible parameter's
+    estimate is the ratio of its own run means, taken for all of them in
+    one vector step; a parameter whose runs have a zero denominator mean
+    falls back to the reweighted nearest eligible neighbor's estimate.  The
+    bootstrap set doubles as the run table, so n = n_tilde and
+    k_y = k_a = 0.
     """
     n, _ = sample_size_rule(cfg.m)
     n_s, r_s = std_budget_split(n * cfg.resolved_r(), cfg.estimator.removeprefix("std-"))
     boots = bootstrap_params(testbed.input_model, theta_hat, cfg.m, n_s, rngs["boot"])
     table = build_run_table(testbed, boots, r_s, rngs["runs"])
+    if table.pool.size == 0:
+        raise EstimationError("every bootstrap parameter has zero average denominator")
     estimates = np.empty(n_s)
-    for i in range(n_s):
-        if table.a_mean[i] != 0:
-            est = std_ratio(table.y[i], table.a[i])
-        elif table.pool.size == 0:
-            raise EstimationError("every bootstrap parameter has zero average denominator")
-        else:
-            est = klr_fallback_k1(table, boots[i], table.lr_params[i])
-        estimates[i] = est.value
+    estimates[table.pool] = std_ratio(table)
+    for i in np.flatnonzero(table.a_mean == 0):
+        estimates[i] = klr_fallback_k1(table, boots[i], table.lr_params[i]).value
     return estimates, (n_s, n_s, r_s, 0, 0)
 
 
@@ -297,10 +302,6 @@ def _run_single_macro(cfg, testbed, macro_idx, eta_ref):
     return macro_idx, row, None
 
 
-def _macro_worker(args):
-    return _run_single_macro(*args)
-
-
 def run_macro_experiment(cfg):
     """Repeat the full pipeline over fresh input datasets.
 
@@ -313,15 +314,14 @@ def run_macro_experiment(cfg):
     loads multiprocessing.
     """
     eta_ref = cfg.eta_ref if cfg.eta_ref is not None else reference_eta(cfg.model)
-    jobs = [(cfg, cfg.testbed, i, eta_ref) for i in range(cfg.macros)]
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_macro_worker, jobs, chunksize=1))
+            outcomes = list(pool.map(_run_single_macro, repeat(cfg), repeat(cfg.testbed),
+                                     range(cfg.macros), repeat(eta_ref), chunksize=1))
     else:
-        outcomes = [_run_single_macro(*job) for job in jobs]
-    outcomes.sort(key=lambda t: t[0])
+        outcomes = [_run_single_macro(cfg, cfg.testbed, i, eta_ref) for i in range(cfg.macros)]
     rows = tuple(row for _, row, err in outcomes if err is None)
     failures = tuple((idx, err) for idx, row, err in outcomes if err is not None)
     if len(failures) > 0.1 * cfg.macros:

@@ -66,21 +66,26 @@ def knn_table(params, y, a):
 
 
 class TestStdRatio:
-    def test_plain_arithmetic(self):
-        est = std_ratio([2.0, 4.0], [1.0, 3.0])
-        assert est.value == pytest.approx(1.5)
+    def test_ratios_of_row_means_in_pool_order(self):
+        table = exp_table([1.0, 2.0, 3.0], y=[[2.0, 4.0], [5.0, 1.0], [6.0, 3.0]],
+                          a=[[1.0, 3.0], [2.0, 2.0], [1.0, 2.0]])
+        assert std_ratio(table).tolist() == [1.5, 1.5, 3.0]
 
-    def test_zero_denominator_raises(self):
-        with pytest.raises(EstimationError, match="zero denominator"):
-            std_ratio([1.0, 2.0], [0.0, 0.0])
+    def test_zero_denominator_row_left_out(self):
+        table = exp_table([1.0, 2.0, 3.0], y=[[2.0, 4.0], [1.0, 2.0], [6.0, 3.0]],
+                          a=[[1.0, 3.0], [0.0, 0.0], [1.0, 2.0]])
+        assert table.pool.tolist() == [0, 2]
+        assert std_ratio(table).tolist() == [1.5, 3.0]
 
-    def test_identical_outputs_give_one(self):
-        vals = [0.3, 1.7, 2.2]
-        assert std_ratio(vals, vals).value == pytest.approx(1.0)
+    def test_identical_outputs_give_exactly_one(self):
+        vals = np.random.default_rng(4).uniform(0.1, 3.0, size=(6, 5))
+        assert std_ratio(exp_table(np.arange(1.0, 7.0), vals, vals)).tolist() == [1.0] * 6
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            std_ratio([1.0], [1.0, 2.0])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_numerator_raises(self, bad):
+        table = exp_table([1.0, 2.0], y=[[1.0, 2.0], [bad, 1.0]], a=[[1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(EstimationError, match="non-finite ratio estimate"):
+            std_ratio(table)
 
 
 @st.composite
@@ -345,8 +350,9 @@ class TestRunTable:
             ({"stats": np.ones((3, 2, 4)), "lr_params": np.ones((3, 1))}, "lr_params"),
             ({"lr_params": np.array([[1.0, 2.0], [0.0, 1.0], [1.0, np.inf]])},
              r"rows \[1, 2\] lie outside the support"),  # a zero and an infinite rate
+            ({"a": np.ones((3, 1))}, "y and a"),  # one run per row fewer than y
         ],
-        ids=["stat-columns", "runs", "rows", "lr-params", "lr-params-support"],
+        ids=["stat-columns", "runs", "rows", "lr-params", "lr-params-support", "y-a-shapes"],
     )
     def test_bad_trace_statistics_rejected_at_build(self, kwargs, match):
         fields = dict(params=np.ones((3, 2)), y=np.ones((3, 2)), a=np.ones((3, 2)),

@@ -8,6 +8,7 @@ import pytest
 
 from iuq import cli
 from iuq.ci import percentile_ci
+from iuq.estimators import klr_fallback_k1, klr_ratio
 from iuq.harness import (
     DEFAULT_R,
     ExperimentConfig,
@@ -102,6 +103,11 @@ class TestConfig:
             ({"model": "san", "san_topology": "malformed.txt"}, False),
             ({"model": "san", "san_topology": 3}, False),
             ({"san_topology": "net.txt"}, False),  # read by model san only
+            ({"m": 2, "estimator": "std-even", "r": 1}, False),  # n_s = 1
+            ({"m": 2, "estimator": "std-opt", "r": 1}, False),  # n_s = 1
+            ({"m": 3, "estimator": "std-even", "r": 1}, False),  # n_s = 1
+            ({"m": 3, "estimator": "std-opt", "r": 1}, True),  # n_s = 2
+            ({"m": 2, "estimator": "std-even", "r": 2}, True),  # n_s = 2
         ],
         ids=["model-bogus", "cv_folds-1", "cv_folds-float", "cv_folds-above-n",
              "seed-negative", "workers-0", "r-bool", "r-numpy-int", "numpy-ints",
@@ -110,7 +116,8 @@ class TestConfig:
              "cv_grid-list", "eta_ref-nan", "eta_ref-inf", "eta_ref-str", "eta_ref-float",
              "alpha-str", "alpha-nan", "alpha-none", "san_topology-file",
              "san_topology-missing", "san_topology-cyclic", "san_topology-malformed",
-             "san_topology-int", "san_topology-not-san"],
+             "san_topology-int", "san_topology-not-san", "std-even-m2-r1", "std-opt-m2-r1",
+             "std-even-m3-r1", "std-opt-m3-r1", "std-even-m2-r2"],
     )
     def test_bad_fields_rejected_at_build(self, overrides, accepted, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -130,7 +137,7 @@ class TestConfig:
             if name == "cv_grid":
                 assert cfg.cv_grid == tuple(value)
                 assert all(type(k) is int for k in cfg.cv_grid)
-            elif name in ("eta_ref", "model", "san_topology"):
+            elif name in ("eta_ref", "model", "san_topology", "estimator"):
                 assert getattr(cfg, name) == value
             else:
                 assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
@@ -198,6 +205,44 @@ class TestPipelines:
         n_s, r_s = std_budget_split(109 * 7, "even")
         assert sizes == (n_s, n_s, r_s, 0, 0)
         assert estimates.shape == (n_s,)
+
+    def test_std_estimates_match_per_row_reference(self, monkeypatch):
+        # the san std-opt m=20 macro has zero-denominator rows among its
+        # 233, so both the vector ratio and the k=1 fallbacks are exercised
+        import iuq.harness as harness
+
+        seen = {}
+        fallbacks = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                seen[name] = result
+                return result
+            return wrapper
+
+        def counting_fallback(*args, **kwargs):
+            fallbacks.append(args)
+            return klr_fallback_k1(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_run_table",
+                            recording("table", harness.build_run_table))
+        monkeypatch.setattr(harness, "run_iuq_std", recording("std", harness.run_iuq_std))
+        monkeypatch.setattr(harness, "klr_fallback_k1", counting_fallback)
+        cfg = ExperimentConfig(model="san", m=20, estimator="std-opt", seed=0, macros=1)
+        _, row, err = _run_single_macro(cfg, cfg.testbed, 0, reference_eta("san"))
+        assert err is None and row.n == 233
+        table = seen["table"]
+        estimates, _ = seen["std"]
+        zero = np.flatnonzero(table.a_mean == 0)
+        assert 0 < zero.size < table.params.shape[0]
+        assert len(fallbacks) == zero.size
+        want = [
+            float(table.y[i].mean()) / float(table.a[i].mean()) if table.a_mean[i] != 0
+            else klr_ratio(table, table.params[i], 1, 1, table.lr_params[i]).value
+            for i in range(table.params.shape[0])
+        ]
+        assert estimates.tolist() == want
 
 
 # one macro per testbed and estimator (m=20, seed 0, ellipsoid sampling,
