@@ -25,6 +25,7 @@ from .harness import (
     run_macro_experiment,
     run_pilot,
 )
+from .input_models import EstimationError
 from .simulators import TESTBEDS, make_testbed, true_eta_oracle
 
 
@@ -190,9 +191,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; exit code 0 on success, 1 when an estimate cannot
+    be computed, 2 on bad input."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except EstimationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

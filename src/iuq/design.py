@@ -403,7 +403,9 @@ def cv_losses(params, means, ks, folds):
             sq = None  # freed before nearest's copies
             order = nearest(dist, k_max)
             for j, k in enumerate(ks):
-                preds[j, lo : lo + step] = pool_means[order[:, :k]].mean(axis=1)
+                pred = np.add.reduce(pool_means.take(order[:, :k]), axis=1)
+                pred /= k  # add.reduce then divide is how ndarray.mean computes it
+                preds[j, lo : lo + step] = pred
         for loss, pred in zip(losses, preds):
             loss.append(float(np.mean((means[fold] - pred) ** 2)))
     return losses

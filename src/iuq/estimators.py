@@ -11,6 +11,11 @@ from the row means the table already holds.
 Pooling only ever draws from *eligible* simulation parameters, those whose
 average denominator output is nonzero; the filter applies to numerator and
 denominator pools alike.
+
+The pooled estimators run once per target, so each of their means is
+``np.add.reduce`` followed by a division by the count.  That is how
+``ndarray.mean`` computes it, so the bits are those of ``.mean()``, without
+its Python-level wrapper.
 """
 
 import math
@@ -48,11 +53,26 @@ def nearest(dist, k):
     ranked values strictly increase; rows where they do not (a tie inside
     the kept prefix, or a NaN when k is the row length) are sorted again
     with the stable sort.
+
+    A 1-D ``dist`` (one query) takes the same steps on its one row without
+    the flat offsets that let a 2-D block select all its rows at once; both
+    paths gather with ``ndarray.take``, which reads the same entries as
+    fancy indexing, so either gives the indices above.
     """
     dist = np.asarray(dist)
     n = dist.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
+    if dist.ndim == 1:
+        keep = np.flatnonzero(~(dist > np.partition(dist, k - 1)[k - 1]))
+        if keep.size > k:
+            return np.argsort(dist, kind="stable")[:k]
+        vals = dist.take(keep)
+        order = vals.argsort()
+        ranked = vals.take(order)
+        if not (ranked[1:] > ranked[:-1]).all():  # a tie or a NaN
+            order = vals.argsort(kind="stable")
+        return keep.take(order)
     rows = dist.reshape(-1, n)
     kth = np.partition(rows, k - 1, axis=1)[:, k - 1 : k]
     keep = ~(rows > kth)  # at least k per row; a NaN is kept, so its row is fully sorted
@@ -63,16 +83,16 @@ def nearest(dist, k):
         out[tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :k]
         out[~tied] = nearest(rows[~tied], k)
     else:
-        vals = rows.ravel()[flat]
+        vals = rows.take(flat)
         start = np.arange(0, flat.size, k)[:, None]  # row offsets into flat
         order = vals.reshape(-1, k).argsort(axis=1)
         order += start
-        ranked = vals[order]
+        ranked = vals.take(order)
         rising = ranked[:, 1:] > ranked[:, :-1]  # False at a tie or a NaN
         if np.count_nonzero(rising) < rising.size:
             redo = ~rising.all(axis=1)
             order[redo] = vals.reshape(-1, k)[redo].argsort(axis=1, kind="stable") + start[redo]
-        out = flat[order]
+        out = flat.take(order)
         out -= np.arange(0, rows.size, n)[:, None]  # flat index to column
     return out.reshape(dist.shape[:-1] + (k,))
 
@@ -160,7 +180,7 @@ class RunTable:
             raise EstimationError("no eligible simulation parameters to pool from")
         if not (1 <= k_y <= self.pool.size and 1 <= k_a <= self.pool.size):
             raise ValueError(f"pool sizes must lie in [1, {self.pool.size}]")
-        return np.take(self.pool, self.index.query(theta, max(k_y, k_a)))
+        return self.pool.take(self.index.query(theta, max(k_y, k_a)))
 
 
 def build_run_table(testbed, params, r, rng):
@@ -203,8 +223,8 @@ def knn_ratio(table, theta_tilde, k_y, k_a):
     taken from the same distance-ordered eligible list.
     """
     nbrs = table.neighbors(theta_tilde, k_y, k_a)
-    num = float(np.take(table.y_mean, nbrs[:k_y]).mean())
-    den = float(np.take(table.a_mean, nbrs[:k_a]).mean())
+    num = float(np.add.reduce(table.y_mean.take(nbrs[:k_y]))) / k_y
+    den = float(np.add.reduce(table.a_mean.take(nbrs[:k_a]))) / k_a
     if den == 0.0:
         raise EstimationError("pooled denominator vanished")
     return RatioEstimate(value=num / den)
@@ -221,7 +241,7 @@ def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
     table itself is only read.
     """
     log_w = table.trace_model.log_weights(
-        np.take(table.stats, nbrs, axis=0), np.take(table.lr_coefs, nbrs, axis=0), lr_target
+        table.stats.take(nbrs, axis=0), table.lr_coefs.take(nbrs, axis=0), lr_target
     )
     clamped = int(np.count_nonzero(log_w > LOG_WEIGHT_CLAMP))
     w = np.exp(np.minimum(log_w, LOG_WEIGHT_CLAMP, out=log_w), out=log_w)
@@ -229,12 +249,17 @@ def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
     all_finite = finite.all()
     if not all_finite:
         w[~finite] = 0.0
-    y_w = np.take(table.y, nbrs[:k_y], axis=0)
+    y_w = table.y.take(nbrs[:k_y], axis=0)
     y_w *= w[:k_y]
-    a_w = np.take(table.a, nbrs[:k_a], axis=0)
+    a_w = table.a.take(nbrs[:k_a], axis=0)
     a_w *= w[:k_a]
     if all_finite:
-        return y_w.mean(axis=1), a_w.mean(axis=1), clamped
+        r = w.shape[1]
+        y_lr = np.add.reduce(y_w, axis=1)
+        y_lr /= r
+        a_lr = np.add.reduce(a_w, axis=1)
+        a_lr /= r
+        return y_lr, a_lr, clamped
     denom = np.maximum(finite.sum(axis=1), 1)
     return y_w.sum(axis=1) / denom[:k_y], a_w.sum(axis=1) / denom[:k_a], clamped
 
@@ -249,8 +274,8 @@ def klr_ratio(table, theta_tilde, k_y, k_a, lr_target):
     """
     nbrs = table.neighbors(theta_tilde, k_y, k_a)
     y_lr, a_lr, clamped = _lr_run_means(table, nbrs, lr_target, k_y, k_a)
-    num = float(y_lr.mean())
-    den = float(a_lr.mean())
+    num = float(np.add.reduce(y_lr)) / k_y
+    den = float(np.add.reduce(a_lr)) / k_a
     if den == 0.0:
         raise EstimationError("pooled denominator vanished")
     return RatioEstimate(value=num / den, clamped_weights=clamped)

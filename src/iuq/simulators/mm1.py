@@ -74,6 +74,17 @@ def _cycles(lam, mu, capacity, n_runs, rng):
     generator is put back to the state saved before the last block and the
     part of that block the cycles used is drawn again, so the generator is
     left just after the last draw used.
+
+    A cycle is one busy period and the arrival that closes it, so no sum is
+    kept: each arrival time is the previous one plus its interarrival draw,
+    which makes the closing arrival time (A) the interarrival sum, and each
+    departure time is the previous departure plus its service draw, which
+    makes the last departure the service sum, both added in draw order.  A
+    customer's departure time is computed as it arrives and queued.  When
+    the second arrival comes no earlier than the first departure, the cycle
+    holds one customer and is (S, I, 1, 1, I, S) for its service draw S and
+    interarrival draw I: the event loop would add ``1 * (S - 0.0)`` and then
+    ``0 * (I - S)`` to an area of 0.0, which is S.
     """
     ia_scale = 1.0 / lam
     sv_scale = 1.0 / mu
@@ -94,11 +105,15 @@ def _cycles(lam, mu, capacity, n_runs, rng):
         for _ in range(n_runs):
             used += ia_count + sv_count
             # cycle opens with a customer arriving to the empty system at t = 0
-            n_sys = 1
-            pending = deque()
-            dep_next = sv_sum = sv_scale * draw()
-            arr_next = ia_sum = ia_scale * draw()
+            last = sv_scale * draw()  # departure time of the last customer in system
+            arr_next = ia_scale * draw()
             ia_count = sv_count = 1
+            if not arr_next < last:
+                out += (last, arr_next, 1, 1, arr_next, last)
+                continue
+            n_sys = 1
+            dep_next = last
+            pending = deque()  # departure times of the customers behind the one in service
             t_prev = 0.0
             area = 0.0
             while True:
@@ -109,15 +124,12 @@ def _cycles(lam, mu, capacity, n_runs, rng):
                         # arrival to the empty system closes the cycle; its
                         # service belongs to the next cycle
                         break
-                    x = ia_scale * draw()
+                    arr_next = t_prev + ia_scale * draw()
                     ia_count += 1
-                    ia_sum += x
-                    arr_next = t_prev + x
                     if n_sys < capacity:
-                        x = sv_scale * draw()
+                        last += sv_scale * draw()
                         sv_count += 1
-                        sv_sum += x
-                        pending.append(x)
+                        pending.append(last)
                         n_sys += 1
                     # else: blocked, no service draw
                     if ia_count + sv_count > MAX_CYCLE_DRAWS:
@@ -129,8 +141,8 @@ def _cycles(lam, mu, capacity, n_runs, rng):
                     area += n_sys * (dep_next - t_prev)
                     t_prev = dep_next
                     n_sys -= 1
-                    dep_next = t_prev + pending.popleft() if n_sys >= 1 else inf
-            out += (area, t_prev, ia_count, sv_count, ia_sum, sv_sum)
+                    dep_next = pending.popleft() if n_sys else inf
+            out += (area, t_prev, ia_count, sv_count, t_prev, last)
     finally:
         if blocks:
             rng.bit_generator.state = state

@@ -411,20 +411,35 @@ class TestFolds:
         assert folds[0].tolist() == [0, 1, 2]
 
 
-def brute_cv_losses(params, means, k, folds):
-    """Per-fold losses from a full stable sort of each fold's distances."""
-    losses = []
+def brute_cv_losses(params, means, ks, folds):
+    """Per-fold losses, one list per k, from a full stable sort of each
+    fold's distances; each k's prediction is gathered by fancy indexing and
+    averaged by ``.mean``."""
+    losses = [[] for _ in ks]
     for fold in folds:
         train = np.setdiff1d(np.arange(params.shape[0]), fold)
         diff = params[fold][:, None, :] - params[train][None, :, :]
         dist = np.einsum("ijk,ijk->ij", diff, diff)
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        pred = means[train][order].mean(axis=1)
-        losses.append(float(np.mean((means[fold] - pred) ** 2)))
+        order = np.argsort(dist, axis=1, kind="stable")
+        for loss, k in zip(losses, ks):
+            pred = means[train][order[:, :k]].mean(axis=1)
+            loss.append(float(np.mean((means[fold] - pred) ** 2)))
     return losses
 
 
 class TestCrossValidation:
+    def test_mm1_m800_cloud_equals_the_mean_gather_bit_for_bit(self, rng):
+        # the size of an mm1 m=800 design: 3045 parameters, 5 folds, the
+        # default grid up to k = 1024; each k's prediction is np.add.reduce
+        # and a division, which must give the bits of .mean()
+        n = sample_size_rule(800)[0]
+        params = rng.uniform([0.3, 1.0], [0.7, 2.0], size=(n, 2))
+        means = rng.lognormal(size=n)
+        folds = make_folds(n, 5)
+        ks = default_k_grid(n)
+        assert (n, ks[-1]) == (3045, 1024)
+        assert cv_losses(params, means, ks, folds) == brute_cv_losses(params, means, ks, folds)
+
     def test_hand_computed_losses(self):
         # params 0,1,2,3 with means 0,1,4,9; folds {0,1} and {2,3}, k=1:
         # fold one predicts both from param 2 (errors 16 and 9, mean 12.5);
@@ -448,7 +463,7 @@ class TestCrossValidation:
         means = rng.normal(size=n)
         folds = make_folds(n, 5)
         ks = [1, 2, 3, 8, n - max(f.size for f in folds)]
-        expected = [brute_cv_losses(params, means, k, folds) for k in ks]
+        expected = brute_cv_losses(params, means, ks, folds)
         for budget in (design.CV_BLOCK_BYTES, 2**16, 1):
             monkeypatch.setattr(design, "CV_BLOCK_BYTES", budget)
             assert cv_losses(params, means, ks, folds) == expected

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import kurtosis, skew
 
+from iuq import harness
 from iuq.estimators import (
     LOG_WEIGHT_CLAMP,
     NeighborIndex,
@@ -24,6 +25,7 @@ from iuq.input_models import (
     MultivariateNormalKnownCov,
     pack_stats,
 )
+from iuq.reference import reference_eta
 from iuq.simulators import Mm1Testbed
 
 
@@ -439,24 +441,130 @@ class TestKlrReference:
             assert want_clamped == r
 
 
+def sorted_neighbors(table, theta, k):
+    """Eligible rows of the k nearest parameters by a full stable sort."""
+    diff = table.index.coords - np.asarray(theta, dtype=float).reshape(-1, 1)
+    return np.take(table.pool, np.argsort(np.einsum("ji,ji->i", diff, diff), kind="stable")[:k])
+
+
+def mean_knn(table, theta, k_y, k_a):
+    """knn estimate by ``np.take`` gathers and ``.mean`` calls: the bits the
+    estimator's ``np.add.reduce`` means and divisions must reproduce."""
+    nbrs = sorted_neighbors(table, theta, max(k_y, k_a))
+    return (float(np.take(table.y_mean, nbrs[:k_y]).mean())
+            / float(np.take(table.a_mean, nbrs[:k_a]).mean()))
+
+
+def mean_klr(table, theta, k_y, k_a, lr_target):
+    """klr estimate and clamp count by the same per-target formula."""
+    nbrs = sorted_neighbors(table, theta, max(k_y, k_a))
+    log_w = table.trace_model.log_weights(np.take(table.stats, nbrs, axis=0),
+                                          np.take(table.lr_coefs, nbrs, axis=0), lr_target)
+    clamped = int(np.count_nonzero(log_w > LOG_WEIGHT_CLAMP))
+    w = np.exp(np.minimum(log_w, LOG_WEIGHT_CLAMP))
+    finite = np.isfinite(w)
+    w[~finite] = 0.0
+    y_w = np.take(table.y, nbrs[:k_y], axis=0) * w[:k_y]
+    a_w = np.take(table.a, nbrs[:k_a], axis=0) * w[:k_a]
+    if finite.all():
+        y_lr, a_lr = y_w.mean(axis=1), a_w.mean(axis=1)
+    else:
+        denom = np.maximum(finite.sum(axis=1), 1)
+        y_lr, a_lr = y_w.sum(axis=1) / denom[:k_y], a_w.sum(axis=1) / denom[:k_a]
+    return float(y_lr.mean()) / float(a_lr.mean()), clamped
+
+
+@pytest.fixture(scope="module", params=["mm1", "san", "erm"])
+def macro_table(request):
+    """The run table, bootstrap targets, pool sizes and estimates of one klr
+    macro (m=20, seed 0, macro 0) of the parametrized testbed."""
+    seen = {}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] = result = fn(*args, **kwargs)
+            return result
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("build_run_table", "bootstrap_params", "run_iuq_knn_klr"):
+            mp.setattr(harness, name, recording(name, getattr(harness, name)))
+        cfg = harness.ExperimentConfig(model=request.param, m=20, estimator="klr", seed=0,
+                                       macros=1)
+        _, row, err = harness._run_single_macro(cfg, cfg.testbed, 0,
+                                                reference_eta(request.param))
+    assert err is None
+    estimates, _ = seen["run_iuq_knn_klr"]
+    boots = seen["bootstrap_params"]
+    return (seen["build_run_table"], boots, cfg.testbed.lr_param(boots), row.k_y, row.k_a,
+            estimates)
+
+
+def only_read_table(case):
+    """A 12-row exponential table whose row 0 is nearest to the returned
+    target; ``case`` 'clamp' pushes row 0's log-weights above the clamp and
+    'non-finite' makes one of them NaN.  Returns (table, target, lr_target)."""
+    rng = np.random.default_rng(11)
+    n, r = 12, 5
+    params = rng.uniform(0.5, 2.0, n)
+    y = rng.uniform(0.5, 2.0, (n, r))
+    a = rng.uniform(0.5, 1.5, (n, r))
+    sums = rng.uniform(0.3, 2.0, (n, r))
+    target = np.array([params[0]])  # row 0 is the nearest
+    lr_target = 0.5 * target
+    if case == "clamp":
+        sums[0] = 3000.0 / params[0]  # log-weights of about 1500 - log 2
+    elif case == "non-finite":
+        sums[0, 1] = np.nan  # one NaN log-weight, zeroed and not counted
+    return exp_table(params, y, a, sums=sums), target, lr_target
+
+
+class TestPerTargetBits:
+    # the estimators' means are np.add.reduce and a division; they must give
+    # the bits of the .mean() formulas above, not merely agree to rel 1e-12
+
+    def test_macro_estimates_equal_the_mean_formulas(self, macro_table):
+        table, boots, lr_targets, k_y, k_a, estimates = macro_table
+        assert table.y.shape[1] > 1 and k_y > 1 and k_a > 1
+        want_knn, want_klr, got_knn, got_klr = [], [], [], []
+        for theta, lr_target in zip(boots, lr_targets):
+            want_knn.append(mean_knn(table, theta, k_y, k_a))
+            got_knn.append(knn_ratio(table, theta, k_y, k_a).value)
+            want_klr.append(mean_klr(table, theta, k_y, k_a, lr_target))
+            est = klr_ratio(table, theta, k_y, k_a, lr_target)
+            got_klr.append((est.value, est.clamped_weights))
+        assert got_knn == want_knn
+        assert got_klr == want_klr
+        assert estimates.tolist() == [value for value, _ in want_klr]
+
+    @pytest.mark.parametrize("k_y, k_a", [(3, 5), (7, 11), (13, 6)])
+    def test_macro_tables_at_pool_sizes_off_the_grid(self, macro_table, k_y, k_a):
+        # the CV grid holds powers of two, whose reciprocals are exact; these
+        # sizes make a mean taken as a product with 1/k differ from .mean()
+        table, boots, lr_targets, *_ = macro_table
+        for theta, lr_target in zip(boots[::5], lr_targets[::5]):
+            assert knn_ratio(table, theta, k_y, k_a).value == mean_knn(table, theta, k_y, k_a)
+            est = klr_ratio(table, theta, k_y, k_a, lr_target)
+            assert (est.value, est.clamped_weights) == mean_klr(table, theta, k_y, k_a,
+                                                                   lr_target)
+
+    @pytest.mark.parametrize("case", ["finite", "clamp", "non-finite"])
+    @pytest.mark.parametrize("k_y, k_a", [(4, 6), (7, 3), (12, 12), (1, 1)])
+    def test_edge_tables_equal_the_mean_formulas(self, case, k_y, k_a):
+        table, target, lr_target = only_read_table(case)
+        assert knn_ratio(table, target, k_y, k_a).value == mean_knn(table, target, k_y, k_a)
+        est = klr_ratio(table, target, k_y, k_a, lr_target)
+        assert (est.value, est.clamped_weights) == mean_klr(table, target, k_y, k_a,
+                                                               lr_target)
+
+
 class TestTableIsOnlyRead:
     @pytest.mark.parametrize("case", ["finite", "clamp", "non-finite"])
     def test_estimators_leave_the_table_untouched(self, case):
         # the log-weights and the gathered rows are written in place; the
         # table's arrays must come out bit for bit as they went in
-        rng = np.random.default_rng(11)
-        n, r = 12, 5
-        params = rng.uniform(0.5, 2.0, n)
-        y = rng.uniform(0.5, 2.0, (n, r))
-        a = rng.uniform(0.5, 1.5, (n, r))
-        sums = rng.uniform(0.3, 2.0, (n, r))
-        target = np.array([params[0]])  # row 0 is the nearest
-        lr_target = 0.5 * target
-        if case == "clamp":
-            sums[0] = 3000.0 / params[0]  # log-weights of about 1500 - log 2
-        elif case == "non-finite":
-            sums[0, 1] = np.nan  # one NaN log-weight, zeroed and not counted
-        table = exp_table(params, y, a, sums=sums)
+        table, target, lr_target = only_read_table(case)
+        y, a, r = table.y, table.a, table.y.shape[1]
         before = {name: getattr(table, name).copy()
                   for name in ("y", "a", "stats", "lr_coefs", "y_mean", "a_mean")}
         knn_ratio(table, target, 4, 6)

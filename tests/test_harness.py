@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -594,6 +595,14 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == "error: parameter must have shape (2,), got (3,)\n"
 
+    def test_estimation_error_is_one_line_with_exit_code_one(self):
+        # arrival rate 14.7 times the service rate: the first cycle cannot empty
+        proc = run_cli("oracle", "--model", "mm1", "--theta", "14.7,1.0", "--budget", "10000")
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: M/M/1 cycle at arrival rate 14.7, service rate 1.0 "
+                               f"exceeded {MAX_CYCLE_DRAWS} draws\n")
+        assert proc.stdout == ""
+
     def test_san_topology_flag(self, tmp_path):
         edges = tmp_path / "net.txt"
         edges.write_text(SAN_EDGES)
@@ -638,3 +647,55 @@ class TestImports:
             assert proc.returncode == 0, proc.stderr
             outputs.append([open(f"{out}{ext}", "rb").read() for ext in (".csv", ".json")])
         assert outputs[0] == outputs[1]
+
+
+# two macros of each of 9 configs, as JSON rows, from a fresh interpreter
+DISPATCH_ROWS = """
+import dataclasses, json
+import iuq
+rows = {}
+for model in ("mm1", "san", "erm"):
+    for estimator in ("klr", "knn", "std-even"):
+        res = iuq.run_macro_experiment(iuq.ExperimentConfig(
+            model=model, m=20, estimator=estimator, macros=2, seed=5, workers=1))
+        rows[f"{model}-{estimator}"] = [dataclasses.asdict(row) for row in res.rows]
+print(json.dumps(rows))
+"""
+AVX512_PATHS = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+def numpy_dispatches_avx512():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # the module moved in numpy 2.0
+        return False
+    return all(__cpu_features__.get(name, False) for name in AVX512_PATHS)
+
+
+class TestCpuDispatch:
+    @pytest.mark.skipif(not numpy_dispatches_avx512(),
+                        reason="numpy does not dispatch to AVX-512 on this host")
+    def test_reports_without_avx512_paths_agree(self):
+        # numpy's AVX-512 loops for a fractional power and for exp round some
+        # results differently from its AVX2 ones; the ellipsoid radii
+        # rng.random(count) ** (1 / d) and the LR weights use them.  On an
+        # AVX-512 host that moves the last digits of san's pooled intervals
+        # only; every other config must not move at all.
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_PATHS))
+        procs = [subprocess.Popen([sys.executable, "-c", DISPATCH_ROWS], env=penv,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for penv in (None, env)]
+        (avx512, err_a), (avx2, err_b) = [proc.communicate(timeout=300) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], err_a + err_b
+        avx512, avx2 = json.loads(avx512), json.loads(avx2)
+        assert list(avx512) == list(avx2) and len(avx512) == 9
+        moved = sorted(name for name in avx512 if avx512[name] != avx2[name])
+        assert moved == ["san-klr", "san-knn"]
+        for name in moved:
+            for fast, slow in zip(avx512[name], avx2[name], strict=True):
+                assert fast.keys() == slow.keys()
+                for key, value in fast.items():
+                    if isinstance(value, float):
+                        assert slow[key] == pytest.approx(value, rel=1e-9, abs=0.0), (name, key)
+                    else:
+                        assert slow[key] == value, (name, key)
