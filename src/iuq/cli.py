@@ -12,6 +12,7 @@ command-line flags take precedence.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -54,18 +55,19 @@ def _parse_grid(text):
 
 def _run_flags():
     """The ``run`` flags, one per ExperimentConfig field of the same name."""
+    d = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}  # quoted in help
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--model", choices=TESTBEDS)
     p.add_argument("--m", type=int, help="input data size")
-    p.add_argument("--alpha", type=float, help="1 - nominal coverage (default 0.05)")
+    p.add_argument("--alpha", type=float, help=f"1 - nominal coverage (default {d['alpha']})")
     p.add_argument("--estimator", choices=ESTIMATORS)
     p.add_argument("--sampling", choices=SAMPLING_MODES)
     p.add_argument("--r", type=_parse_r, help="runs per simulation parameter or 'auto'")
-    p.add_argument("--macros", type=int, help="number of macro runs (default 200)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    p.add_argument("--macros", type=int, help=f"number of macro runs (default {d['macros']})")
+    p.add_argument("--seed", type=int, help=f"master seed (default {d['seed']})")
     p.add_argument("--out", help="output base path for .csv/.json reports")
     p.add_argument("--san-topology", dest="san_topology", help="edge-list file")
-    p.add_argument("--workers", type=int, help="parallel macro workers (default 1)")
+    p.add_argument("--workers", type=int, help=f"parallel macro workers (default {d['workers']})")
     p.add_argument("--eta-ref", dest="eta_ref", type=float,
                    help="override the pinned reference value")
     return p

@@ -356,7 +356,7 @@ def make_folds(n, n_folds):
     the two outputs are strongly dependent).
     """
     if not 2 <= n_folds <= n:
-        raise ValueError("need 2 <= n_folds <= n")
+        raise ValueError(f"need 2 <= n_folds <= n, got n_folds={n_folds} for n={n}")
     return np.array_split(np.arange(n), n_folds)
 
 

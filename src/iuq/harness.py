@@ -31,6 +31,7 @@ from .design import (
     bootstrap_params,
     cv_select_k,
     default_k_grid,
+    make_folds,
     sample_sim_params,
     sample_size_rule,
 )
@@ -65,6 +66,13 @@ def _rng(seed, macro, phase):
 def _is_int(value, low):
     """True for an integer >= low; bools are excluded, numpy integers count."""
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
+
+
+def _require_int(name, value, low):
+    """``value`` as an int; raises ``ValueError`` unless ``_is_int(value, low)``."""
+    if not _is_int(value, low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _is_finite_real(value):
@@ -120,34 +128,33 @@ class ExperimentConfig:
         if self.eta_ref is not None and not _is_finite_real(self.eta_ref):
             raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
         object.__setattr__(self, "testbed", make_testbed(self.model, self.san_topology))
-        n, _ = sample_size_rule(self.m)
         if self.estimator in ("knn", "klr"):
-            if self.cv_folds > n:
-                raise ValueError(f"cv_folds must not exceed the n={n} simulation parameters")
-            min_train = n - math.ceil(n / self.cv_folds)  # n minus the largest fold
+            n, _ = sample_size_rule(self.m)
+            min_train = n - max(f.size for f in make_folds(n, self.cv_folds))
             if self.cv_grid and min(self.cv_grid) > min_train:
                 raise ValueError(
                     f"cv_grid needs a k <= {min_train}, the smallest training fold"
                 )
         else:
-            budget = n * self.resolved_r()
-            n_s, _ = std_budget_split(budget, self.estimator.removeprefix("std-"))
+            n_s, r_s = self.std_split()
             if n_s < 2:
-                raise ValueError(f"the {self.estimator} split of n*r = {budget} runs gives "
-                                 f"n_s={n_s} bootstrap parameters; the interval needs at least 2")
+                raise ValueError(f"the {self.estimator} split gives n_s={n_s} bootstrap "
+                                 f"parameters of r_s={r_s} runs; the interval needs at least 2")
             # the std pipeline simulates at the bootstrap set, whichever mode
             # was asked for; rows and summary then read the one it used
             object.__setattr__(self, "sampling", "bootstrap")
 
     def _check_int(self, name, low):
         """Require an integer field >= low; store it as int."""
-        value = getattr(self, name)
-        if not _is_int(value, low):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        object.__setattr__(self, name, int(value))
+        object.__setattr__(self, name, _require_int(name, getattr(self, name), low))
 
     def resolved_r(self):
         return DEFAULT_R[self.model] if self.r == "auto" else self.r
+
+    def std_split(self):
+        """(n_s, r_s): a std estimator's split of the pooled design's n*r runs."""
+        n, _ = sample_size_rule(self.m)
+        return std_budget_split(n * self.resolved_r(), self.estimator.removeprefix("std-"))
 
 
 @dataclass(frozen=True)
@@ -248,8 +255,7 @@ def run_iuq_std(testbed, theta_hat, cfg, rngs):
     bootstrap set doubles as the run table, so n = n_tilde and
     k_y = k_a = 0.
     """
-    n, _ = sample_size_rule(cfg.m)
-    n_s, r_s = std_budget_split(n * cfg.resolved_r(), cfg.estimator.removeprefix("std-"))
+    n_s, r_s = cfg.std_split()
     boots = bootstrap_params(testbed.input_model, theta_hat, cfg.m, n_s, rngs["boot"])
     table = build_run_table(testbed, boots, r_s, rngs["runs"])
     if table.pool.size == 0:
@@ -396,16 +402,20 @@ def emit_report(result, path):
 
 
 def load_report(csv_path):
-    """Parse an emitted CSV back into MacroRow records."""
+    """Parse an emitted CSV back into MacroRow records; a row whose cell
+    count differs from the header's raises ``ValueError`` naming its line."""
     with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
         if header != _CSV_FIELDS:
             raise ValueError(f"unexpected report header: {header}")
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if line:
                 cells = line.split(",")
+                if len(cells) != len(header):
+                    raise ValueError(f"{csv_path}:{lineno}: {len(cells)} cells, "
+                                     f"the header has {len(header)}")
                 rows.append(MacroRow(**{f.name: f.type(cell)
                                         for f, cell in zip(_CSV_COLUMNS, cells)}))
     return rows
@@ -418,8 +428,10 @@ def run_pilot(model_name, m, seed=0, san_topology=None, **pilot):
     """Run the variance-ratio pilot on a fresh dataset from the true model.
 
     Keyword arguments (``b``, ``s0``, ``ds``, ``c_zeta``, ``max_s``) go to
-    ``anova_select_r``, which holds their defaults.
+    ``anova_select_r``, which holds their defaults.  ``m`` follows the
+    config's rule, an integer >= 2, checked before any draw.
     """
+    m = _require_int("m", m, 2)
     testbed = make_testbed(model_name, san_topology=san_topology)
     rng = _rng(seed, 0, 99)
     data = testbed.input_model.sample(testbed.true_theta, rng, size=m)

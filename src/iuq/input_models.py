@@ -74,6 +74,15 @@ class ExponentialFamily:
             raise ValueError(f"parameter {theta} outside the support of {self!r}")
         return theta
 
+    def _check_data(self, data):
+        """Data as an (m, dim) float array, 1-D read as one column; m >= 1."""
+        data = np.asarray(data, dtype=float)
+        if data.ndim == 1:
+            data = data[:, None]
+        if data.shape[0] == 0 or data.shape[1] != self.dim:
+            raise EstimationError(f"need non-empty (m, {self.dim}) data")
+        return data
+
     def coefficients(self, theta):
         """LR coefficients beta(theta) = (eta(theta), -psi(theta)), (..., d) to (..., 2d)."""
         theta = np.asarray(theta, dtype=float)
@@ -120,11 +129,7 @@ class IndependentExponentials(ExponentialFamily):
 
     def mle(self, data):
         """Per-coordinate rate = 1 / sample mean."""
-        data = np.asarray(data, dtype=float)
-        if data.ndim == 1:
-            data = data[:, None]
-        if data.shape[0] == 0 or data.shape[1] != self.dim:
-            raise EstimationError(f"need non-empty (m, {self.dim}) data")
+        data = self._check_data(data)
         if np.any(data <= 0):
             raise EstimationError("exponential observations must be positive")
         means = data.mean(axis=0)
@@ -185,12 +190,7 @@ class MultivariateNormalKnownCov(ExponentialFamily):
         return out[0] if size is None else out
 
     def mle(self, data):
-        data = np.asarray(data, dtype=float)
-        if data.ndim == 1:
-            data = data[:, None]
-        if data.shape[0] == 0 or data.shape[1] != self.dim:
-            raise EstimationError(f"need non-empty (m, {self.dim}) data")
-        return data.mean(axis=0)
+        return self._check_data(data).mean(axis=0)
 
     def natural(self, theta):
         # a summed elementwise product, not BLAS: one parameter and a batch

@@ -13,14 +13,15 @@ ends the cycle, belongs to the current cycle's trace.
 
 Draws come from the generator in blocks of standard exponentials, each
 scaled by the mean of its kind as it is consumed; this is bit for bit
-``rng.exponential(mean)``.  No block outlives one ``simulate`` call: before
-the call returns, or raises, it gives the unread tail of its last block
-back, so the generator ends exactly where one ``rng.exponential`` call per
-draw would have left it.  Callers may therefore interleave their own draws
-with simulations on one generator.
+``rng.exponential(mean)``.  A ``simulate`` call leaves the generator where
+one ``rng.exponential`` call per used draw would have left it, also when
+it raises: it rewinds to the state it found and draws the used count again.
+Callers may therefore interleave their own draws with simulations on one
+generator.
 """
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -34,29 +35,33 @@ from ..input_models import EstimationError, IndependentExponentials
 # empty, which no run could finish
 MAX_CYCLE_DRAWS = 10**6
 
-# standard exponentials drawn per numpy call; the unread tail of the last
-# block is given back to the generator when a simulation returns
+# standard exponentials drawn per numpy call
 EXP_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class QueueConfig:
-    """Capacity of the queue; theta is (arrival rate, service rate)."""
+    """Capacity of the queue, an integer >= 1 (not a bool); theta is
+    (arrival rate, service rate)."""
 
     capacity: int = 10
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        capacity = self.capacity
+        if isinstance(capacity, bool) or not isinstance(capacity, numbers.Integral) or capacity < 1:
+            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
+        object.__setattr__(self, "capacity", int(capacity))
 
 
 def mm1_steady_state_mean(lam, mu, capacity=10):
     """Closed-form stationary mean number in system of the truncated queue.
 
     The stationary law is pi_n proportional to rho^n on {0, ..., capacity};
-    rates outside the support of the exponential inputs raise ``ValueError``.
+    rates outside the support of the exponential inputs, or a capacity that
+    ``QueueConfig`` rejects, raise ``ValueError``.
     """
     lam, mu = IndependentExponentials(2).check_theta([lam, mu]).tolist()
+    capacity = QueueConfig(capacity).capacity
     rho = lam / mu
     n = np.arange(capacity + 1)
     w = rho ** n
@@ -71,9 +76,8 @@ def _cycles(lam, mu, capacity, n_runs, rng):
     Each draw is a standard exponential times the mean of its kind, which
     is bit for bit ``rng.exponential(mean)``.  Standard exponentials are
     read in blocks of ``EXP_BLOCK``; on return, also by an error, the
-    generator is put back to the state saved before the last block and the
-    part of that block the cycles used is drawn again, so the generator is
-    left just after the last draw used.
+    generator is put back to its state on entry and the draws the cycles
+    used are drawn again, so it is left just after the last draw used.
 
     A cycle is one busy period and the arrival that closes it, so no sum is
     kept: each arrival time is the previous one plus its interarrival draw,
@@ -89,16 +93,9 @@ def _cycles(lam, mu, capacity, n_runs, rng):
     ia_scale = 1.0 / lam
     sv_scale = 1.0 / mu
     inf = math.inf
-    state = None  # generator state before the last block
-    blocks = 0
-
-    def block():
-        nonlocal state, blocks
-        state = rng.bit_generator.state
-        blocks += 1
-        return rng.standard_exponential(EXP_BLOCK).tolist()
-
-    draw = chain.from_iterable(iter(block, None)).__next__
+    state = rng.bit_generator.state  # rewound to on exit
+    draw = chain.from_iterable(
+        iter(lambda: rng.standard_exponential(EXP_BLOCK).tolist(), None)).__next__
     out = []
     used = ia_count = sv_count = 0  # draws of the finished cycles, of this one
     try:
@@ -144,9 +141,8 @@ def _cycles(lam, mu, capacity, n_runs, rng):
                     dep_next = pending.popleft() if n_sys else inf
             out += (area, t_prev, ia_count, sv_count, t_prev, last)
     finally:
-        if blocks:
-            rng.bit_generator.state = state
-            rng.standard_exponential(used + ia_count + sv_count - (blocks - 1) * EXP_BLOCK)
+        rng.bit_generator.state = state
+        rng.standard_exponential(used + ia_count + sv_count)
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from iuq import cli
 from iuq.ci import percentile_ci
+from iuq.design import make_folds, sample_size_rule
 from iuq.estimators import klr_fallback_k1, klr_ratio
 from iuq.harness import (
     DEFAULT_R,
@@ -144,6 +146,15 @@ class TestConfig:
                 assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
         assert cfg.resolved_r() == overrides.get("r", DEFAULT_R[cfg.model])
 
+    def test_training_fold_rule_is_the_cv_partition(self):
+        n, _ = sample_size_rule(50)
+        min_train = n - max(f.size for f in make_folds(n, 5))
+        assert ExperimentConfig(model="mm1", m=50, cv_grid=(min_train,)).cv_grid == (min_train,)
+        with pytest.raises(ValueError, match=f"k <= {min_train}, the smallest training fold"):
+            ExperimentConfig(model="mm1", m=50, cv_grid=(min_train + 1,))
+        with pytest.raises(ValueError, match="n_folds=6 for n=5"):
+            ExperimentConfig(model="mm1", m=4, cv_folds=6)
+
     def test_accepts_thousand_macros(self):
         cfg = ExperimentConfig(model="mm1", m=50, macros=1000)
         assert cfg.macros == 1000
@@ -205,6 +216,7 @@ class TestPipelines:
         estimates, sizes = run_iuq_std(testbed, theta_hat, cfg, mm1_rngs(3))
         n_s, r_s = std_budget_split(109 * 7, "even")
         assert sizes == (n_s, n_s, r_s, 0, 0)
+        assert cfg.std_split() == (n_s, r_s)  # the config checks the split it runs
         assert estimates.shape == (n_s,)
 
     def test_std_estimates_match_per_row_reference(self, monkeypatch):
@@ -443,6 +455,17 @@ class TestMacroExperiment:
         for ellipsoid, bootstrap in zip(paths["ellipsoid"], paths["bootstrap"]):
             assert open(ellipsoid, "rb").read() == open(bootstrap, "rb").read()
 
+    @pytest.mark.parametrize("cells", [16, 14], ids=["extra-cell", "missing-cell"])
+    def test_row_with_another_cell_count_rejected(self, small_result, tmp_path, cells):
+        _, result = small_result
+        emit_report(result, tmp_path / "trial")
+        csv_path = tmp_path / "trial.csv"
+        lines = csv_path.read_text().splitlines()
+        lines[2] = ",".join((lines[2] + ",7").split(",")[:cells])
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"trial.csv:3: {cells} cells, the header has 15"):
+            load_report(csv_path)
+
     def test_report_bytes_deterministic(self, small_result, tmp_path):
         _, result = small_result
         p1 = emit_report(result, str(tmp_path / "a"))[0]
@@ -589,6 +612,22 @@ class TestCli:
         proc = run_cli("pilot", "--model", "mm1", "--m", "20", "--repeats", "0")
         assert proc.returncode == 2
         assert proc.stderr == "error: --repeats must be >= 1, got 0\n"
+
+    def test_pilot_rejects_m_below_two(self):
+        # the config's rule for m, before any draw: exit 2, not an estimation failure
+        proc = run_cli("pilot", "--model", "mm1", "--m", "0")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: m must be an integer >= 2, got 0\n"
+
+    def test_run_help_defaults_are_the_config_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        # "--flag METAVAR help text (default value)", the help text holding no other flag
+        shown = dict(re.findall(r"--([\w-]+) [A-Z_]+ (?:(?!--)[^()])*\(default ([^)]+)\)", text))
+        assert set(shown) == {"alpha", "macros", "seed", "workers"}
+        defaults = {f.name: str(f.default) for f in dataclasses.fields(ExperimentConfig)}
+        assert shown == {name: defaults[name] for name in shown}
 
     def test_oracle_rejects_wrong_length_theta(self):
         proc = run_cli("oracle", "--model", "mm1", "--budget", "10000", "--theta", "1,2,3")

@@ -94,10 +94,19 @@ class TestMle:
         model = IndependentExponentials(1)
         assert model.mle(np.full(7, 4.0)) == pytest.approx([0.25])
 
-    def test_empty_data_errors(self):
-        model = IndependentExponentials(1)
-        with pytest.raises(EstimationError):
-            model.mle(np.empty((0, 1)))
+    @pytest.mark.parametrize("family", ["exp", "mvn"])
+    @pytest.mark.parametrize(
+        "dim, data",
+        [(1, np.empty((0, 1))), (2, np.empty((0, 2))), (2, np.ones((3, 3))), (2, np.ones(3))],
+        ids=["empty", "empty-2d", "wrong-width", "one-column"],
+    )
+    def test_bad_data_errors(self, family, dim, data):
+        if family == "exp":
+            model = IndependentExponentials(dim)
+        else:
+            model = MultivariateNormalKnownCov(np.eye(dim))
+        with pytest.raises(EstimationError, match=rf"need non-empty \(m, {dim}\) data"):
+            model.mle(data)
 
     def test_nonpositive_exponential_data_errors(self):
         model = IndependentExponentials(1)

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -465,6 +466,19 @@ class TestMm1Cycle:
     )
     def test_rates_outside_the_support_raise(self, theta, message):
         assert_rejected_without_draw(Mm1Testbed(), theta, message)
+
+    @pytest.mark.parametrize("capacity", [0, -1, 2.5, True, "3", None],
+                             ids=["zero", "negative", "fraction", "bool", "str", "none"])
+    def test_capacity_must_be_an_integer_of_at_least_one(self, capacity):
+        message = re.escape(f"capacity must be an integer >= 1, got {capacity!r}")
+        with pytest.raises(ValueError, match=message):
+            QueueConfig(capacity=capacity)
+        with pytest.raises(ValueError, match=message):
+            mm1_steady_state_mean(0.5, 1.5, capacity)
+
+    def test_numpy_integer_capacity_is_stored_as_int(self):
+        assert type(QueueConfig(np.int64(3)).capacity) is int
+        assert mm1_steady_state_mean(0.5, 1.5, np.int64(10)) == mm1_steady_state_mean(0.5, 1.5)
 
     def test_closed_form_value(self):
         # rho = 1/3, capacity 10: sum(n rho^n)/sum(rho^n)
