@@ -62,14 +62,16 @@ def _run_flags():
     p.add_argument("--alpha", type=float, help=f"1 - nominal coverage (default {d['alpha']})")
     p.add_argument("--estimator", choices=ESTIMATORS)
     p.add_argument("--sampling", choices=SAMPLING_MODES)
-    p.add_argument("--r", type=_parse_r, help="runs per simulation parameter or 'auto'")
+    p.add_argument("--r", type=_parse_r, help="runs per simulation parameter or 'auto' "
+                   "(the pinned pilot value; for san, the default network's)")
     p.add_argument("--macros", type=int, help=f"number of macro runs (default {d['macros']})")
     p.add_argument("--seed", type=int, help=f"master seed (default {d['seed']})")
     p.add_argument("--out", help="output base path for .csv/.json reports")
     p.add_argument("--san-topology", dest="san_topology", help="edge-list file")
     p.add_argument("--workers", type=int, help=f"parallel macro workers (default {d['workers']})")
     p.add_argument("--eta-ref", dest="eta_ref", type=float,
-                   help="override the pinned reference value")
+                   help="override the pinned reference value; required with a "
+                   "--san-topology other than the default network (else exit 2)")
     return p
 
 

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import nearest
+from .estimators import knn_means
 from .input_models import EstimationError
-
-# held-out rows per cross-validation distance block are capped so that the
-# arrays the block holds at once stay within this many bytes; 4 MiB blocks
-# score as fast as 16 MiB ones and keep the peak resident set lower
-CV_BLOCK_BYTES = 4 * 2**20
 
 # stopping rule of min_enclosing_ellipsoid: the duality gap, which keeps
 # large instances fast at a volume error far below the tolerance of any
@@ -361,51 +356,20 @@ def make_folds(n, n_folds):
 
 
 def cv_losses(params, means, ks, folds):
-    """Mean per-fold squared prediction errors of k-nearest-neighbor pooling,
-    one list of fold losses per k in ``ks``.
-
-    Each held-out parameter's run mean is predicted by the average of the
-    run means of its k nearest training-fold parameters.
-
-    Distances are built in blocks of held-out rows that stay within
-    ``CV_BLOCK_BYTES``; each block's max(ks) nearest training rows are
-    selected once and every k scores a prefix of them.  A block's squared
-    distances are summed one coordinate at a time from the coordinate-major
-    (d, train) training rows, so no (rows, train, d) difference tensor is
-    built.  A held-out row costs its distance row, the squared difference
-    added to it, the ``np.partition`` copy and keep mask of that row in
-    ``nearest``, and six max(ks)-wide rows (the kept indices, their values,
-    the sort order, the ranked values, the result and the gathered means);
-    their sum bounds what a block holds at any time.
-    """
+    """Mean per-fold squared prediction errors of k-nearest-neighbor pooling
+    (``knn_means``), one list of fold losses per k in ``ks``: each held-out
+    parameter's run mean is predicted by the average of the run means of
+    its k nearest training-fold parameters."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if params.shape[0] != np.asarray(means).shape[0]:
         raise ValueError("params and means must align")
     means = np.asarray(means, dtype=float)
-    k_max = max(ks)
     losses = [[] for _ in ks]
     for fold in folds:
         train = np.setdiff1d(np.arange(params.shape[0]), fold)
-        if k_max > train.size:
-            raise ValueError(f"k={k_max} exceeds training-fold size {train.size}")
-        held, pool, pool_means = params[fold], np.ascontiguousarray(params[train].T), means[train]
-        preds = np.empty((len(ks), fold.size))
-        row_bytes = train.size * (8 + 8 + 8 + 1) + 6 * 8 * k_max
-        step = max(1, CV_BLOCK_BYTES // row_bytes)
-        for lo in range(0, fold.size, step):
-            block = held[lo : lo + step]
-            dist = block[:, 0, None] - pool[0]
-            dist *= dist
-            for c in range(1, pool.shape[0]):
-                sq = block[:, c, None] - pool[c]
-                sq *= sq
-                dist += sq
-            sq = None  # freed before nearest's copies
-            order = nearest(dist, k_max)
-            for j, k in enumerate(ks):
-                pred = np.add.reduce(pool_means.take(order[:, :k]), axis=1)
-                pred /= k  # add.reduce then divide is how ndarray.mean computes it
-                preds[j, lo : lo + step] = pred
+        train_means = means[train]
+        preds = knn_means(np.ascontiguousarray(params[train].T), params[fold],
+                          [(train_means, k) for k in ks])
         for loss, pred in zip(losses, preds):
             loss.append(float(np.mean((means[fold] - pred) ** 2)))
     return losses

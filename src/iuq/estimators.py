@@ -5,17 +5,16 @@ parameter: the standard ratio of that parameter's own run means, the
 k-nearest-neighbor ratio that pools run means across nearby simulation
 parameters, and the likelihood-ratio variant that reweights each pooled
 run to be unbiased for the target parameter before pooling.  The standard
-ratio is taken at every eligible row of a run table in one vector step,
-from the row means the table already holds.
+ratio is taken at every eligible row in one vector step, from the table's
+row means; the k-nearest-neighbor ratio, like cross validation, takes its
+targets in blocks (``knn_means``); the likelihood-ratio variant runs once
+per target.
 
 Pooling only ever draws from *eligible* simulation parameters, those whose
 average denominator output is nonzero; the filter applies to numerator and
-denominator pools alike.
-
-The pooled estimators run once per target, so each of their means is
-``np.add.reduce`` followed by a division by the count.  That is how
-``ndarray.mean`` computes it, so the bits are those of ``.mean()``, without
-its Python-level wrapper.
+denominator pools alike.  Each pooled mean is ``np.add.reduce`` and a
+division by the count, as ``ndarray.mean`` computes it, so the bits are
+those of ``.mean()``.
 """
 
 import math
@@ -28,6 +27,10 @@ from .input_models import EstimationError, pack_stats
 # log-weights are clamped here before exponentiation; exp(700) is still
 # representable, anything larger would overflow to inf
 LOG_WEIGHT_CLAMP = 700.0
+
+# cap on the bytes a knn_means block of queries holds at once; 4 MiB blocks
+# score as fast as 16 MiB ones and keep the peak resident set lower
+KNN_BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,32 @@ def nearest(dist, k):
         out = flat.take(order)
         out -= np.arange(0, rows.size, n)[:, None]  # flat index to column
     return out.reshape(dist.shape[:-1] + (k,))
+
+
+def knn_means(coords, queries, columns):
+    """Mean of each ``(values, k)`` column over each query's k nearest points,
+    as a (len(columns), q) array, for (d, n) ``coords`` and (q, d) ``queries``.
+
+    Each block of queries selects its nearest points once, for the largest k,
+    within ``KNN_BLOCK_BYTES``: a query holds its distance row and one squared
+    difference, ``nearest``'s partition copy and keep mask, and six k-wide rows.
+    """
+    k_max = max(k for _, k in columns)
+    out = np.empty((len(columns), queries.shape[0]))
+    step = max(1, KNN_BLOCK_BYTES // (coords.shape[1] * (8 + 8 + 8 + 1) + 6 * 8 * k_max))
+    for lo in range(0, queries.shape[0], step):
+        block = queries[lo : lo + step]
+        dist = block[:, 0, None] - coords[0]
+        dist *= dist
+        for c in range(1, coords.shape[0]):
+            sq = block[:, c, None] - coords[c]
+            sq *= sq
+            dist += sq
+        sq = None  # freed before nearest's copies
+        order = nearest(dist, k_max)
+        for j, (values, k) in enumerate(columns):
+            out[j, lo : lo + step] = np.add.reduce(values.take(order[:, :k]), axis=1) / k
+    return out
 
 
 class NeighborIndex:
@@ -174,12 +203,16 @@ class RunTable:
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "index", NeighborIndex(self.params[pool]))
 
-    def neighbors(self, theta, k_y, k_a):
-        """Rows of the max(k_y, k_a) nearest eligible parameters, closest first."""
+    def check_pool_sizes(self, k_y, k_a):
+        """Raise unless k_y and k_a lie in [1, number of eligible rows]."""
         if self.pool.size == 0:
             raise EstimationError("no eligible simulation parameters to pool from")
         if not (1 <= k_y <= self.pool.size and 1 <= k_a <= self.pool.size):
             raise ValueError(f"pool sizes must lie in [1, {self.pool.size}]")
+
+    def neighbors(self, theta, k_y, k_a):
+        """Rows of the max(k_y, k_a) nearest eligible parameters, closest first."""
+        self.check_pool_sizes(k_y, k_a)
         return self.pool.take(self.index.query(theta, max(k_y, k_a)))
 
 
@@ -216,18 +249,22 @@ def std_ratio(table):
     return ratios
 
 
-def knn_ratio(table, theta_tilde, k_y, k_a):
-    """Pooled-mean ratio over the k nearest eligible simulation parameters.
-
-    Numerator and denominator pool k_y and k_a neighbors respectively, both
-    taken from the same distance-ordered eligible list.
-    """
-    nbrs = table.neighbors(theta_tilde, k_y, k_a)
-    num = float(np.add.reduce(table.y_mean.take(nbrs[:k_y]))) / k_y
-    den = float(np.add.reduce(table.a_mean.take(nbrs[:k_a]))) / k_a
-    if den == 0.0:
-        raise EstimationError("pooled denominator vanished")
-    return RatioEstimate(value=num / den)
+def knn_ratio(table, thetas, k_y, k_a):
+    """Pooled-mean ratio at each row of ``thetas`` (1-D: one row) over its k_y
+    and k_a nearest eligible simulation parameters; the first target whose
+    pooled denominator is zero or whose ratio is not finite raises."""
+    table.check_pool_sizes(k_y, k_a)
+    thetas, d = np.atleast_2d(np.asarray(thetas, dtype=float)), table.params.shape[1]
+    if thetas.shape[1] != d:
+        raise ValueError(f"targets must have shape (t, {d}), got {thetas.shape}")
+    num, den = knn_means(table.index.coords, thetas, [(table.y_mean[table.pool], k_y),
+                                                       (table.a_mean[table.pool], k_a)])
+    with np.errstate(all="ignore"):  # a zero or overflowing division is raised below
+        ratios = num / den
+    for i in np.flatnonzero(~np.isfinite(ratios))[:1]:
+        raise EstimationError("pooled denominator vanished" if den[i] == 0
+                              else "non-finite ratio estimate")
+    return ratios
 
 
 def _lr_run_means(table, nbrs, lr_target, k_y, k_a):

@@ -42,9 +42,9 @@ from .estimators import (
     knn_ratio,
     std_ratio,
 )
-from .input_models import EstimationError
+from .input_models import EstimationError, is_int, require_int
 from .reference import reference_eta
-from .simulators import TESTBEDS, make_testbed
+from .simulators import TESTBEDS, SanConfig, make_testbed
 
 ESTIMATORS = ("std-opt", "std-even", "knn", "klr")
 SAMPLING_MODES = ("bootstrap", "ellipsoid")
@@ -61,18 +61,6 @@ _PH_DATA, _PH_BOOT, _PH_SIM, _PH_RUNS = range(4)
 
 def _rng(seed, macro, phase):
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(macro), int(phase)]))
-
-
-def _is_int(value, low):
-    """True for an integer >= low; bools are excluded, numpy integers count."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
-
-
-def _require_int(name, value, low):
-    """``value`` as an int; raises ``ValueError`` unless ``_is_int(value, low)``."""
-    if not _is_int(value, low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def _is_finite_real(value):
@@ -119,7 +107,7 @@ class ExperimentConfig:
         self._check_int("cv_folds", 2)
         if self.cv_grid is not None:
             grid = tuple(self.cv_grid) if isinstance(self.cv_grid, Iterable) else ()
-            if not grid or not all(_is_int(k, 1) for k in grid):
+            if not grid or not all(is_int(k, 1) for k in grid):
                 raise ValueError(
                     f"cv_grid must be None or a non-empty sequence of integers >= 1, "
                     f"got {self.cv_grid!r}"
@@ -128,6 +116,10 @@ class ExperimentConfig:
         if self.eta_ref is not None and not _is_finite_real(self.eta_ref):
             raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
         object.__setattr__(self, "testbed", make_testbed(self.model, self.san_topology))
+        if (self.san_topology is not None and self.eta_ref is None
+                and self.testbed.config != SanConfig.default()):
+            raise ValueError(f"san_topology {self.san_topology!r} is not the default network, "
+                             "whose pinned reference value would judge it; give eta_ref")
         if self.estimator in ("knn", "klr"):
             n, _ = sample_size_rule(self.m)
             min_train = n - max(f.size for f in make_folds(n, self.cv_folds))
@@ -146,7 +138,7 @@ class ExperimentConfig:
 
     def _check_int(self, name, low):
         """Require an integer field >= low; store it as int."""
-        object.__setattr__(self, name, _require_int(name, getattr(self, name), low))
+        object.__setattr__(self, name, require_int(name, getattr(self, name), low))
 
     def resolved_r(self):
         return DEFAULT_R[self.model] if self.r == "auto" else self.r
@@ -214,14 +206,12 @@ def run_iuq_knn_klr(testbed, theta_hat, cfg, rngs):
     # pool sizes then coincide and the ratio keeps its error cancellation
     k_y = min(cv_select_k(sim.params, table.y_mean, grid, cfg.cv_folds), n_eligible)
     k_a = min(cv_select_k(sim.params, table.a_mean, grid, cfg.cv_folds), n_eligible)
-    estimates = np.empty(n_tilde)
     if cfg.estimator == "knn":
-        for i in range(n_tilde):
-            estimates[i] = knn_ratio(table, boots[i], k_y, k_a).value
-    else:
-        lr_targets = testbed.lr_param(boots)
-        for i in range(n_tilde):
-            estimates[i] = klr_ratio(table, boots[i], k_y, k_a, lr_targets[i]).value
+        return knn_ratio(table, boots, k_y, k_a), (n, n_tilde, r, k_y, k_a)
+    estimates = np.empty(n_tilde)
+    lr_targets = testbed.lr_param(boots)
+    for i in range(n_tilde):
+        estimates[i] = klr_ratio(table, boots[i], k_y, k_a, lr_targets[i]).value
     return estimates, (n, n_tilde, r, k_y, k_a)
 
 
@@ -431,7 +421,7 @@ def run_pilot(model_name, m, seed=0, san_topology=None, **pilot):
     ``anova_select_r``, which holds their defaults.  ``m`` follows the
     config's rule, an integer >= 2, checked before any draw.
     """
-    m = _require_int("m", m, 2)
+    m = require_int("m", m, 2)
     testbed = make_testbed(model_name, san_topology=san_topology)
     rng = _rng(seed, 0, 99)
     data = testbed.input_model.sample(testbed.true_theta, rng, size=m)

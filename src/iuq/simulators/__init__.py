@@ -13,7 +13,8 @@ Every testbed exposes the same surface:
 ``simulate(theta, n_runs, rng)`` first checks ``theta`` with
 ``input_model.check_theta``: a parameter of the wrong shape or outside the
 family's support raises ``ValueError``, naming the shape or the support,
-before any draw.  It then takes from ``rng`` exactly the draws its runs
+before any draw, as does an ``n_runs`` that is not an integer >= 0 (bools
+excluded).  It then takes from ``rng`` exactly the draws its runs
 consume: when it returns, or raises, the generator stands where drawing
 those inputs one at a time would have left it.  A testbed may read ahead in
 blocks, but it gives back what it did not use before returning, so callers

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..input_models import MultivariateNormalKnownCov
+from ..input_models import MultivariateNormalKnownCov, require_int
 
 
 def bs_price(kind, spot, strike, rate, vol, ttm):
@@ -155,7 +155,8 @@ class ErmTestbed:
         from . import SimBatch
 
         theta = self.input_model.check_theta(theta)
-        z = self.trace_model.sample(self.lr_param(theta), rng, size=int(n_runs))
+        n_runs = require_int("n_runs", n_runs, 0)
+        z = self.trace_model.sample(self.lr_param(theta), rng, size=n_runs)
         spots = self._s0 * np.exp(z)
         value = self.portfolio_value(spots)
         a = (spots.sum(axis=1) < self.config.k_star).astype(float)

@@ -21,14 +21,13 @@ generator.
 """
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from ..input_models import EstimationError, IndependentExponentials
+from ..input_models import EstimationError, IndependentExponentials, require_int
 
 # draws allowed in one regenerative cycle; with the arrival rate far above
 # the service rate a full queue takes about (lambda/mu)^capacity events to
@@ -47,10 +46,7 @@ class QueueConfig:
     capacity: int = 10
 
     def __post_init__(self):
-        capacity = self.capacity
-        if isinstance(capacity, bool) or not isinstance(capacity, numbers.Integral) or capacity < 1:
-            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
-        object.__setattr__(self, "capacity", int(capacity))
+        object.__setattr__(self, "capacity", require_int("capacity", self.capacity, 1))
 
 
 def mm1_steady_state_mean(lam, mu, capacity=10):
@@ -164,7 +160,7 @@ class Mm1Testbed:
         from . import SimBatch
 
         lam, mu = self.input_model.check_theta(theta).tolist()
-        n_runs = int(n_runs)
+        n_runs = require_int("n_runs", n_runs, 0)
         out = _cycles(lam, mu, self.config.capacity, n_runs, rng)
         out = np.array(out, dtype=float).reshape(n_runs, 6)
         return SimBatch(y=out[:, 0].copy(), a=out[:, 1].copy(),

@@ -18,7 +18,7 @@ from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
-from ..input_models import IndependentExponentials
+from ..input_models import IndependentExponentials, require_int
 
 DEFAULT_ARCS = (
     ("a", "b"),
@@ -159,7 +159,8 @@ class SanTestbed:
         from . import SimBatch
 
         theta = self.input_model.check_theta(theta)
-        durations = rng.exponential(1.0 / theta, size=(int(n_runs), self.config.dim))
+        n_runs = require_int("n_runs", n_runs, 0)
+        durations = rng.exponential(1.0 / theta, size=(n_runs, self.config.dim))
         v_time, t_time = self.path_times(durations)
         a = (t_time < self.config.threshold).astype(float)
         y = v_time * a

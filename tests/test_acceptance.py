@@ -8,6 +8,7 @@ between the coverage, width-ordering, and reproducibility criteria.
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,5 +209,5 @@ def test_criterion_12_reproducibility_across_workers(klr_m50_result, tmp_path):
     result2 = run_macro_experiment(cfg2)
     p1 = emit_report(result, str(tmp_path / "serial"))[0]
     p2 = emit_report(result2, str(tmp_path / "parallel"))[0]
-    same = open(p1, "rb").read() == open(p2, "rb").read()
+    same = Path(p1).read_bytes() == Path(p2).read_bytes()
     _report(12, same, "criterion-4 CSVs byte-identical for 1 vs 2 workers")

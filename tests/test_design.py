@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mvee_oracle import min_ellipse_area_bruteforce
-from iuq import design
+from test_estimators import mean_knn
+from iuq import design, estimators
 from iuq.design import (
     ConfigurationError,
     anova_select_r,
@@ -19,6 +20,7 @@ from iuq.design import (
     sample_size_rule,
     zeta_estimate,
 )
+from iuq.estimators import RunTable, knn_ratio
 from iuq.input_models import (
     EstimationError,
     IndependentExponentials,
@@ -464,9 +466,16 @@ class TestCrossValidation:
         folds = make_folds(n, 5)
         ks = [1, 2, 3, 8, n - max(f.size for f in folds)]
         expected = brute_cv_losses(params, means, ks, folds)
-        for budget in (design.CV_BLOCK_BYTES, 2**16, 1):
-            monkeypatch.setattr(design, "CV_BLOCK_BYTES", budget)
+        # the knn estimator takes its targets through the same blocks
+        table = RunTable(params=params, y=means[:, None], a=rng.uniform(0.5, 1.5, (n, 1)),
+                         trace_model=MultivariateNormalKnownCov(np.eye(d)),
+                         stats=np.zeros((n, 1, 2 * d)), lr_params=params)
+        targets = params[::3] + 0.5
+        want = [mean_knn(table, theta, 3, ks[-1]) for theta in targets]
+        for budget in (estimators.KNN_BLOCK_BYTES, 2**16, 1):
+            monkeypatch.setattr(estimators, "KNN_BLOCK_BYTES", budget)
             assert cv_losses(params, means, ks, folds) == expected
+            assert knn_ratio(table, targets, 3, ks[-1]).tolist() == want
             best = ks[int(np.argmin([np.mean(losses) for losses in expected]))]
             assert cv_select_k(params, means, ks) == best
 

@@ -203,7 +203,7 @@ class TestKnnRatio:
     def test_two_neighbor_arithmetic(self):
         table = knn_table([0.0, 1.0], y=[[1.0], [3.0]], a=[[1.0], [1.0]])
         est = knn_ratio(table, np.array([0.4]), 2, 2)
-        assert est.value == pytest.approx(2.0)
+        assert est[0] == pytest.approx(2.0)
 
     def test_full_pool_is_grand_mean_ratio(self, rng):
         params = rng.normal(size=(20, 1))
@@ -211,25 +211,44 @@ class TestKnnRatio:
         a = rng.uniform(0.5, 1.0, size=(20, 3))
         table = knn_table(params, y, a)
         est = knn_ratio(table, np.array([0.0]), 20, 20)
-        assert est.value == pytest.approx(
+        assert est[0] == pytest.approx(
             y.mean(axis=1).mean() / a.mean(axis=1).mean()
         )
 
     def test_nearest_neighbor_selection(self):
         table = knn_table([0.0, 1.0, 2.0], y=[[5.0], [7.0], [9.0]], a=[[1.0]] * 3)
         est = knn_ratio(table, np.array([0.1]), 1, 1)
-        assert est.value == pytest.approx(5.0)
+        assert est[0] == pytest.approx(5.0)
 
     def test_eligibility_filter_skips_zero_denominators(self):
         table = knn_table([0.0, 1.0, 2.0], y=[[5.0], [7.0], [9.0]],
                           a=[[0.0], [1.0], [1.0]])
         est = knn_ratio(table, np.array([-1.0]), 1, 1)
-        assert est.value == pytest.approx(7.0)  # param 0 is ineligible
+        assert est[0] == pytest.approx(7.0)  # param 0 is ineligible
 
     def test_no_eligible_parameters_errors(self):
         table = knn_table([0.0, 1.0], y=[[1.0], [1.0]], a=[[0.0], [0.0]])
         with pytest.raises(EstimationError):
             knn_ratio(table, np.array([0.0]), 1, 1)
+
+    @pytest.mark.parametrize("order, message", [((0, 1, 2), "pooled denominator vanished"),
+                                                ((2, 1, 0), "non-finite ratio estimate")])
+    def test_first_failing_target_names_the_error(self, order, message):
+        # target 0.5 pools a means 1 and -1, target 10.5 an infinite y mean,
+        # target 20 nothing amiss; the first failing target in order decides
+        table = knn_table([0.0, 1.0, 10.0, 11.0, 20.0], y=[[1.0], [1.0], [np.inf], [1.0], [1.0]],
+                          a=[[1.0], [-1.0], [1.0], [1.0], [1.0]])
+        targets = np.array([[0.5], [10.5], [20.0]])[list(order)]
+        with pytest.raises(EstimationError, match=message):
+            knn_ratio(table, targets, 2, 2)
+        assert knn_ratio(table, [20.0], 1, 1).tolist() == [1.0]
+
+    @pytest.mark.parametrize("targets", [[[0.0, 1.0]], [0.0, 1.0], np.zeros((3, 2))])
+    def test_targets_of_another_width_rejected(self, targets):
+        # a 1-D target is one row; a table over d = 1 takes no second column
+        table = knn_table([0.0, 1.0, 2.0], y=[[1.0]] * 3, a=[[1.0]] * 3)
+        with pytest.raises(ValueError, match=r"targets must have shape \(t, 1\)"):
+            knn_ratio(table, targets, 1, 1)
 
     def test_storage_order_permutation_invariance(self, rng):
         params = rng.normal(size=(30, 2))
@@ -240,8 +259,8 @@ class TestKnnRatio:
         t2 = knn_table(params[perm], y[perm], a[perm])
         target = rng.normal(size=2)
         for k in (1, 3, 17):
-            v1 = knn_ratio(t1, target, k, k).value
-            v2 = knn_ratio(t2, target, k, k).value
+            v1 = knn_ratio(t1, target, k, k)[0]
+            v2 = knn_ratio(t2, target, k, k)[0]
             assert v1 == pytest.approx(v2, rel=1e-12)
 
 
@@ -257,7 +276,7 @@ class TestKlrRatio:
         target = np.array([1.3])
         knn = knn_ratio(table, target, 4, 2)
         klr = klr_ratio(table, target, 4, 2, target)
-        assert klr.value == knn.value
+        assert klr.value == knn[0]
 
     def test_normal_neighbors_at_target_match_knn_exactly(self, rng):
         model = MultivariateNormalKnownCov(np.array([[1.0, 0.4, 0.1],
@@ -271,7 +290,7 @@ class TestKlrRatio:
         table = RunTable(params=params, y=y, a=a, trace_model=model, stats=stats,
                          lr_params=params)
         assert (klr_ratio(table, target, 4, 2, target).value
-                == knn_ratio(table, target, 4, 2).value)
+                == knn_ratio(table, target, 4, 2)[0])
 
     def test_numerator_unbiased_under_reweighting(self, rng):
         # single simulation parameter at rate 1, target rate 1.2, output is
@@ -529,11 +548,12 @@ class TestPerTargetBits:
         want_knn, want_klr, got_knn, got_klr = [], [], [], []
         for theta, lr_target in zip(boots, lr_targets):
             want_knn.append(mean_knn(table, theta, k_y, k_a))
-            got_knn.append(knn_ratio(table, theta, k_y, k_a).value)
+            got_knn.append(knn_ratio(table, theta, k_y, k_a)[0])
             want_klr.append(mean_klr(table, theta, k_y, k_a, lr_target))
             est = klr_ratio(table, theta, k_y, k_a, lr_target)
             got_klr.append((est.value, est.clamped_weights))
         assert got_knn == want_knn
+        assert knn_ratio(table, boots, k_y, k_a).tolist() == want_knn  # all targets at once
         assert got_klr == want_klr
         assert estimates.tolist() == [value for value, _ in want_klr]
 
@@ -542,8 +562,10 @@ class TestPerTargetBits:
         # the CV grid holds powers of two, whose reciprocals are exact; these
         # sizes make a mean taken as a product with 1/k differ from .mean()
         table, boots, lr_targets, *_ = macro_table
+        assert (knn_ratio(table, boots, k_y, k_a).tolist()
+                == [mean_knn(table, theta, k_y, k_a) for theta in boots])
         for theta, lr_target in zip(boots[::5], lr_targets[::5]):
-            assert knn_ratio(table, theta, k_y, k_a).value == mean_knn(table, theta, k_y, k_a)
+            assert knn_ratio(table, theta, k_y, k_a)[0] == mean_knn(table, theta, k_y, k_a)
             est = klr_ratio(table, theta, k_y, k_a, lr_target)
             assert (est.value, est.clamped_weights) == mean_klr(table, theta, k_y, k_a,
                                                                    lr_target)
@@ -552,7 +574,7 @@ class TestPerTargetBits:
     @pytest.mark.parametrize("k_y, k_a", [(4, 6), (7, 3), (12, 12), (1, 1)])
     def test_edge_tables_equal_the_mean_formulas(self, case, k_y, k_a):
         table, target, lr_target = only_read_table(case)
-        assert knn_ratio(table, target, k_y, k_a).value == mean_knn(table, target, k_y, k_a)
+        assert knn_ratio(table, target, k_y, k_a)[0] == mean_knn(table, target, k_y, k_a)
         est = klr_ratio(table, target, k_y, k_a, lr_target)
         assert (est.value, est.clamped_weights) == mean_klr(table, target, k_y, k_a,
                                                                lr_target)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +107,8 @@ class TestConfig:
             ({"model": "san", "san_topology": "malformed.txt"}, False),
             ({"model": "san", "san_topology": 3}, False),
             ({"san_topology": "net.txt"}, False),  # read by model san only
+            ({"model": "san", "san_topology": "short.txt"}, False),  # needs its own eta_ref
+            ({"model": "san", "san_topology": "short.txt", "eta_ref": 2.24}, True),
             ({"m": 2, "estimator": "std-even", "r": 1}, False),  # n_s = 1
             ({"m": 2, "estimator": "std-opt", "r": 1}, False),  # n_s = 1
             ({"m": 3, "estimator": "std-even", "r": 1}, False),  # n_s = 1
@@ -119,7 +122,8 @@ class TestConfig:
              "cv_grid-list", "eta_ref-nan", "eta_ref-inf", "eta_ref-str", "eta_ref-float",
              "alpha-str", "alpha-nan", "alpha-none", "san_topology-file",
              "san_topology-missing", "san_topology-cyclic", "san_topology-malformed",
-             "san_topology-int", "san_topology-not-san", "std-even-m2-r1", "std-opt-m2-r1",
+             "san_topology-int", "san_topology-not-san", "san_topology-custom-no-eta_ref",
+             "san_topology-custom-eta_ref", "std-even-m2-r1", "std-opt-m2-r1",
              "std-even-m3-r1", "std-opt-m3-r1", "std-even-m2-r2"],
     )
     def test_bad_fields_rejected_at_build(self, overrides, accepted, tmp_path, monkeypatch):
@@ -127,6 +131,7 @@ class TestConfig:
         (tmp_path / "net.txt").write_text(SAN_EDGES)
         (tmp_path / "cyclic.txt").write_text(SAN_EDGES + "i a\n")
         (tmp_path / "malformed.txt").write_text("a b c\n")
+        (tmp_path / "short.txt").write_text("a d\nd f\nf i\n")
         kwargs = {"model": "mm1", "m": 50, **overrides}
         if not accepted:
             # a bad topology is named in the error
@@ -434,7 +439,7 @@ class TestMacroExperiment:
         csv_path, json_path = emit_report(result, str(tmp_path / "trial"))
         rows = load_report(csv_path)
         assert tuple(rows) == result.rows
-        summary = json.loads(open(json_path).read())
+        summary = json.loads(Path(json_path).read_text())
         assert summary["coverage"] == result.summary["coverage"]
 
     @pytest.mark.parametrize("name", ["trial", "trial.csv"])
@@ -453,7 +458,7 @@ class TestMacroExperiment:
             assert cfg.sampling == "bootstrap"
             paths[sampling] = emit_report(run_macro_experiment(cfg), tmp_path / sampling)
         for ellipsoid, bootstrap in zip(paths["ellipsoid"], paths["bootstrap"]):
-            assert open(ellipsoid, "rb").read() == open(bootstrap, "rb").read()
+            assert Path(ellipsoid).read_bytes() == Path(bootstrap).read_bytes()
 
     @pytest.mark.parametrize("cells", [16, 14], ids=["extra-cell", "missing-cell"])
     def test_row_with_another_cell_count_rejected(self, small_result, tmp_path, cells):
@@ -470,7 +475,7 @@ class TestMacroExperiment:
         _, result = small_result
         p1 = emit_report(result, str(tmp_path / "a"))[0]
         p2 = emit_report(result, str(tmp_path / "b"))[0]
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestReference:
@@ -539,7 +544,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         rows = load_report(str(out) + ".csv")
         assert len(rows) == 2
-        summary = json.loads(open(str(out) + ".json").read())
+        summary = json.loads(Path(str(out) + ".json").read_text())
         assert summary["completed"] == 2
 
     def test_run_accepts_thousand_macros_flag(self):
@@ -684,7 +689,7 @@ class TestImports:
                            "--r", "3", "--macros", "2", "--seed", "4",
                            "--workers", workers, "--out", str(out))
             assert proc.returncode == 0, proc.stderr
-            outputs.append([open(f"{out}{ext}", "rb").read() for ext in (".csv", ".json")])
+            outputs.append([Path(f"{out}{ext}").read_bytes() for ext in (".csv", ".json")])
         assert outputs[0] == outputs[1]
 
 

@@ -29,11 +29,20 @@ SHAPE = "parameter must have shape"
 SUPPORT = "outside the support"
 
 
-def assert_rejected_without_draw(testbed, theta, message):
+def assert_rejected_without_draw(testbed, theta, message, n_runs=1):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=message):
-        testbed.simulate(theta, 1, rng)
+        testbed.simulate(theta, n_runs, rng)
     assert rng.random() == np.random.default_rng(0).random()  # no draw was made
+
+
+@pytest.mark.parametrize("testbed", [SanTestbed, Mm1Testbed, ErmTestbed],
+                         ids=["san", "mm1", "erm"])
+@pytest.mark.parametrize("n_runs", [-1, 2.7, True], ids=["negative", "fraction", "bool"])
+def test_run_count_must_be_an_integer_of_at_least_zero(testbed, n_runs):
+    tb = testbed()
+    message = re.escape(f"n_runs must be an integer >= 0, got {n_runs!r}")
+    assert_rejected_without_draw(tb, tb.true_theta, message, n_runs)
 
 
 class ScriptedRng:
