@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .input_models import is_finite_real
+
 
 @dataclass(frozen=True)
 class CIResult:
@@ -39,7 +41,7 @@ def empirical_quantile(values, alpha):
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot take a quantile of an empty sample")
-    if not 0.0 < alpha <= 1.0:
+    if not (is_finite_real(alpha) and 0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     rank = math.ceil(values.size * alpha)
     return float(np.sort(values)[rank - 1])
@@ -50,7 +52,7 @@ def percentile_ci(estimates, alpha):
     estimates = np.asarray(estimates, dtype=float)
     if estimates.size < 2:
         raise ValueError("need at least two estimates")
-    if not 0.0 < alpha < 1.0:
+    if not (is_finite_real(alpha) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     lo = empirical_quantile(estimates, alpha / 2.0)
     hi = empirical_quantile(estimates, 1.0 - alpha / 2.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import knn_means
-from .input_models import EstimationError
+from .input_models import EstimationError, is_finite_real, require_int
 
 # stopping rule of min_enclosing_ellipsoid: the duality gap, which keeps
 # large instances fast at a volume error far below the tolerance of any
@@ -37,8 +37,7 @@ def sample_size_rule(m):
     bootstrap parameters.  The small epsilon guards exact powers against
     floating-point round-down.
     """
-    if m < 2:
-        raise ValueError("input data size must be at least 2")
+    m = require_int("m", m, 2)
     n = int(math.floor(m**1.2 + 1e-9))
     return n, max(n, 1000)
 
@@ -54,11 +53,8 @@ class SimParamSet:
 def bootstrap_params(model, theta_hat, m, n_tilde, rng):
     """The bootstrap parameter set at theta_hat: an (n_tilde, d) array of
     the MLEs of n_tilde fresh size-m resamples from ``model`` at theta_hat."""
-    if m < 2:
-        raise ValueError("resample size m must be at least 2")
-    if n_tilde < 1:
-        raise ValueError("bootstrap set size must be at least 1")
-    return model.resample_mle(theta_hat, int(m), int(n_tilde), rng)
+    return model.resample_mle(theta_hat, require_int("m", m, 2),
+                              require_int("n_tilde", n_tilde, 1), rng)
 
 
 # -- minimum-volume enclosing ellipsoid ----------------------------------
@@ -200,11 +196,11 @@ def sample_in_ellipsoid(ellipsoid, count, rng):
     Uniform in the unit ball (normalized Gaussian direction times a
     U^(1/d) radius) mapped through the ellipsoid's Cholesky factor.
     """
-    d = ellipsoid.center.size
-    g = rng.standard_normal((int(count), d))
+    d, count = ellipsoid.center.size, require_int("count", count, 0)
+    g = rng.standard_normal((count, d))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    radii = rng.random(int(count)) ** (1.0 / d)
+    radii = rng.random(count) ** (1.0 / d)
     ball = g / norms * radii[:, None]
     return ellipsoid.center + ball @ ellipsoid.sampling_transform().T
 
@@ -218,21 +214,19 @@ def sample_sim_params(mode, boots, model, theta_hat, m, n, rng):
     ``bootstrap_params``), redrawing any points that leave the model's
     support.
     """
-    if n < 1:
-        raise ValueError("simulation set size must be at least 1")
+    n = require_int("n", n, 1)
     if mode == "bootstrap":
-        params = model.resample_mle(theta_hat, int(m), int(n), rng)
-        return SimParamSet(params=params, mode=mode)
+        return SimParamSet(params=bootstrap_params(model, theta_hat, m, n, rng), mode=mode)
     if mode != "ellipsoid":
         raise ValueError(f"unknown sampling mode {mode!r}")
     if boots is None or boots.shape[0] == 0:
         raise ValueError("ellipsoid sampling needs a non-empty bootstrap set")
     ell = min_enclosing_ellipsoid(boots)
-    out = np.empty((int(n), boots.shape[1]))
+    out = np.empty((n, boots.shape[1]))
     filled = 0
     drawn = accepted = 0
     while filled < n:
-        want = max(int(n) - filled, 64)
+        want = max(n - filled, 64)
         cand = sample_in_ellipsoid(ell, want, rng)
         ok = model.support_mask(cand)
         drawn += want
@@ -297,13 +291,9 @@ def anova_select_r(sample_param, simulate, b=50, s0=10, ds=10, c_zeta=0.1,
     both variance-ratio estimates are positive; the returned r is the
     smallest integer at which both reach ``c_zeta``, capped at ``PILOT_MAX_R``.
     """
-    if b < 2 or s0 < 2:
-        raise ValueError("need b >= 2 pilot parameters and s0 >= 2 runs")
-    if ds < 1:
-        raise ValueError("need ds >= 1 added runs per round")
-    if max_s < s0:
-        raise ValueError(f"need max_s >= s0, got max_s={max_s}, s0={s0}")
-    if not (math.isfinite(c_zeta) and c_zeta > 0):
+    b, s0, ds = require_int("b", b, 2), require_int("s0", s0, 2), require_int("ds", ds, 1)
+    max_s = require_int("max_s", max_s, s0)
+    if not (is_finite_real(c_zeta) and c_zeta > 0):
         raise ValueError(f"c_zeta must be finite and positive, got {c_zeta!r}")
     params = sample_param(b, rng)
     ys = np.empty((b, 0))
@@ -335,7 +325,7 @@ def anova_select_r(sample_param, simulate, b=50, s0=10, ds=10, c_zeta=0.1,
     binding = min(zeta1_y, zeta1_a)
     r = max(1, math.ceil(c_zeta / binding))
     r = min(r, PILOT_MAX_R)
-    return PilotResult(r=int(r), final_s=int(s), zeta_y=r * zeta1_y, zeta_a=r * zeta1_a)
+    return PilotResult(r=r, final_s=s, zeta_y=r * zeta1_y, zeta_a=r * zeta1_a)
 
 
 # -- cross-validated selection of the pooling size k ----------------------
@@ -350,8 +340,9 @@ def make_folds(n, n_folds):
     (their losses then correlate and the selected pool sizes agree whenever
     the two outputs are strongly dependent).
     """
-    if not 2 <= n_folds <= n:
-        raise ValueError(f"need 2 <= n_folds <= n, got n_folds={n_folds} for n={n}")
+    n, n_folds = require_int("n", n, 2), require_int("n_folds", n_folds, 2)
+    if n_folds > n:
+        raise ValueError(f"need n_folds <= n, got n_folds={n_folds} for n={n}")
     return np.array_split(np.arange(n), n_folds)
 
 
@@ -377,7 +368,7 @@ def cv_losses(params, means, ks, folds):
 
 def default_k_grid(n):
     """Geometric candidate grid {2^j} up to half the parameter count."""
-    if n < 4:
+    if require_int("n", n, 1) < 4:
         return [1]
     top = int(math.floor(math.log2(n / 2)))
     return [2**j for j in range(1, top + 1)]
@@ -387,21 +378,19 @@ def cv_select_k(sim_params, run_means, candidates, n_folds=5):
     """K-fold cross-validated pooling size.
 
     Returns the candidate with the smallest average fold loss; ties go to
-    the smallest candidate.  Candidates larger than the smallest training
-    fold are skipped with a warning.
+    the smallest candidate.  A candidate that is not an integer >= 1
+    raises; one larger than the smallest training fold is skipped with a
+    warning.
     """
     params = np.atleast_2d(np.asarray(sim_params, dtype=float))
     n = params.shape[0]
     folds = make_folds(n, n_folds)
     min_train = n - max(f.size for f in folds)
-    usable = []
-    for k in sorted(set(int(k) for k in candidates)):
-        if k < 1:
-            continue
+    ks = sorted({require_int("candidate k", k, 1) for k in candidates})
+    for k in ks:
         if k > min_train:
             warnings.warn(f"skipping k={k}: exceeds training-fold size {min_train}")
-            continue
-        usable.append(k)
+    usable = [k for k in ks if k <= min_train]
     if not usable:
         raise ValueError("no usable pooling-size candidates")
     scores = [np.mean(loss) for loss in cv_losses(params, run_means, usable, folds)]

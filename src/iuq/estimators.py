@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .input_models import EstimationError, pack_stats
+from .input_models import EstimationError, pack_stats, require_int
 
 # log-weights are clamped here before exponentiation; exp(700) is still
 # representable, anything larger would overflow to inf
@@ -219,9 +219,7 @@ class RunTable:
 def build_run_table(testbed, params, r, rng):
     """Simulate r runs at each parameter and assemble the run table."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    n = params.shape[0]
-    if r < 1:
-        raise ValueError("need at least one run per parameter")
+    n, r = params.shape[0], require_int("r", r, 1)
     y = np.empty((n, r))
     a = np.empty((n, r))
     stats = np.empty((n, r, 2 * testbed.trace_model.dim))

@@ -17,7 +17,6 @@ and are merged by macro index.
 import dataclasses
 import json
 import math
-import numbers
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ from .estimators import (
     knn_ratio,
     std_ratio,
 )
-from .input_models import EstimationError, is_int, require_int
+from .input_models import EstimationError, is_finite_real, is_int, require_int
 from .reference import reference_eta
 from .simulators import TESTBEDS, SanConfig, make_testbed
 
@@ -61,12 +60,6 @@ _PH_DATA, _PH_BOOT, _PH_SIM, _PH_RUNS = range(4)
 
 def _rng(seed, macro, phase):
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(macro), int(phase)]))
-
-
-def _is_finite_real(value):
-    """True for a finite real number other than a bool."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,7 @@ class ExperimentConfig:
         if self.model not in TESTBEDS:
             raise ValueError(f"model must be one of {TESTBEDS}")
         self._check_int("m", 2)
-        if not (_is_finite_real(self.alpha) and 0.0 < self.alpha < 1.0):
+        if not (is_finite_real(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be a real in (0, 1), got {self.alpha!r}")
         self._check_int("macros", 1)
         if self.estimator not in ESTIMATORS:
@@ -113,7 +106,7 @@ class ExperimentConfig:
                     f"got {self.cv_grid!r}"
                 )
             object.__setattr__(self, "cv_grid", tuple(int(k) for k in grid))
-        if self.eta_ref is not None and not _is_finite_real(self.eta_ref):
+        if self.eta_ref is not None and not is_finite_real(self.eta_ref):
             raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
         object.__setattr__(self, "testbed", make_testbed(self.model, self.san_topology))
         if (self.san_topology is not None and self.eta_ref is None
@@ -222,8 +215,7 @@ def std_budget_split(budget, split):
     'opt' uses (budget^(2/3), budget^(1/3)); 'even' splits evenly as
     (sqrt(budget), sqrt(budget)).  Values floor to integers >= 1.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    budget = require_int("budget", budget, 1)
     if split == "opt":
         n_s = budget ** (2.0 / 3.0)
         r_s = budget ** (1.0 / 3.0)

@@ -46,6 +46,12 @@ def require_int(name, value, low):
     return int(value)
 
 
+def is_finite_real(value):
+    """True for a finite real number other than a bool."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
 def _as_thetas(thetas, dim):
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 0 or thetas.shape[-1] != dim:
@@ -131,9 +137,7 @@ class IndependentExponentials(ExponentialFamily):
     support = (0.0, math.inf)
 
     def __init__(self, dim):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = int(dim)
+        self.dim = require_int("dim", dim, 1)
 
     def __repr__(self):
         return f"IndependentExponentials(dim={self.dim})"
@@ -143,7 +147,7 @@ class IndependentExponentials(ExponentialFamily):
         theta = self.check_theta(theta)
         if size is None:
             return rng.exponential(1.0 / theta)
-        return rng.exponential(1.0 / theta, size=(int(size), self.dim))
+        return rng.exponential(1.0 / theta, size=(require_int("size", size, 0), self.dim))
 
     def mle(self, data):
         """Per-coordinate rate = 1 / sample mean."""
@@ -169,6 +173,7 @@ class IndependentExponentials(ExponentialFamily):
         resample and calling ``mle`` on it.
         """
         theta_hat = self.check_theta(theta_hat)
+        m, count = require_int("m", m, 1), require_int("count", count, 0)
         sums = rng.gamma(shape=m, scale=1.0 / theta_hat, size=(count, self.dim))
         if not (sums > 0).all():  # a Gamma draw underflowed to 0
             raise EstimationError("degenerate bootstrap resample")
@@ -202,7 +207,7 @@ class MultivariateNormalKnownCov(ExponentialFamily):
 
     def sample(self, theta, rng, size=None):
         theta = self.check_theta(theta)
-        n = 1 if size is None else int(size)
+        n = 1 if size is None else require_int("size", size, 0)
         z = rng.standard_normal((n, self.dim))
         out = theta + z @ self._chol.T
         return out[0] if size is None else out
@@ -226,5 +231,6 @@ class MultivariateNormalKnownCov(ExponentialFamily):
         The size-m sample mean is exactly N(theta_hat, cov/m).
         """
         theta_hat = self.check_theta(theta_hat)
+        m, count = require_int("m", m, 1), require_int("count", count, 0)
         noise = self.sample(np.zeros(self.dim), rng, size=count)
         return theta_hat + noise / math.sqrt(m)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..input_models import EstimationError
+from ..input_models import EstimationError, require_int
 from .san import SanConfig, SanTestbed
 from .mm1 import QueueConfig, Mm1Testbed, mm1_steady_state_mean
 from .erm import ErmConfig, ErmTestbed, bs_price
@@ -103,9 +103,7 @@ def true_eta_oracle(testbed, theta, budget, rng):
     and only their sums and sums of products are kept, so memory stays at
     one chunk for any budget.
     """
-    budget = int(budget)
-    if budget < 10_000:
-        raise ValueError("oracle budget must be at least 10^4 runs")
+    budget = require_int("budget", budget, 10_000)
     sum_y = sum_a = s_yy = s_ya = s_aa = 0.0
     done = 0
     while done < budget:

@@ -23,8 +23,9 @@ class TestEmpiricalQuantile:
             empirical_quantile([], 0.5)
 
     def test_bad_alpha_errors(self):
-        with pytest.raises(ValueError):
-            empirical_quantile([1.0], 0.0)
+        for alpha in (0.0, True):
+            with pytest.raises(ValueError):
+                empirical_quantile([1.0], alpha)
 
 
 class TestPercentileCI:
@@ -59,6 +60,11 @@ class TestPercentileCI:
         shifted = percentile_ci(values + 2.5, 0.1)
         assert shifted.lower == pytest.approx(base.lower + 2.5)
         assert shifted.upper == pytest.approx(base.upper + 2.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan"), True, "0.05"])
+    def test_bad_alpha_errors(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            percentile_ci(np.arange(1.0, 101.0), alpha)
 
     def test_width_and_covers(self):
         ci = percentile_ci(np.arange(1.0, 101.0), 0.10)

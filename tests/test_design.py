@@ -96,8 +96,9 @@ class TestSampleSizeRule:
             prev = (n, n_tilde)
 
     def test_small_m_rejected(self):
-        with pytest.raises(ValueError):
-            sample_size_rule(1)
+        for m in (1, 2.5, True):
+            with pytest.raises(ValueError):
+                sample_size_rule(m)
 
 
 class TestBootstrapParams:
@@ -108,8 +109,9 @@ class TestBootstrapParams:
 
     def test_empty_set_rejected(self, rng):
         model = IndependentExponentials(1)
-        with pytest.raises(ValueError):
-            bootstrap_params(model, np.array([1.0]), 100, 0, rng)
+        for n_tilde in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                bootstrap_params(model, np.array([1.0]), 100, n_tilde, rng)
 
     def test_exponential_mean_matches_mle_bias(self, rng):
         # the rate MLE of a size-m exponential sample has mean
@@ -381,8 +383,11 @@ class TestAnovaSelectR:
         "kwargs, match",
         [({"c_zeta": 0.0}, "c_zeta"), ({"c_zeta": -0.1}, "c_zeta"),
          ({"c_zeta": float("nan")}, "c_zeta"), ({"c_zeta": float("inf")}, "c_zeta"),
-         ({"s0": 10, "max_s": 9}, "max_s")],
-        ids=["c_zeta-zero", "c_zeta-negative", "c_zeta-nan", "c_zeta-inf", "max_s-below-s0"],
+         ({"s0": 10, "max_s": 9}, "max_s"), ({"b": 4.5}, "b must be an integer"),
+         ({"s0": True}, "s0 must be an integer"), ({"ds": 2.5}, "ds must be an integer"),
+         ({"c_zeta": True}, "c_zeta")],
+        ids=["c_zeta-zero", "c_zeta-negative", "c_zeta-nan", "c_zeta-inf", "max_s-below-s0",
+             "b-fraction", "s0-bool", "ds-fraction", "c_zeta-bool"],
     )
     def test_bad_settings_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):

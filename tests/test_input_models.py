@@ -1,15 +1,28 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.stats import expon, multivariate_normal
 
+from iuq.design import (
+    bootstrap_params,
+    cv_select_k,
+    default_k_grid,
+    make_folds,
+    min_enclosing_ellipsoid,
+    sample_in_ellipsoid,
+    sample_sim_params,
+)
+from iuq.estimators import build_run_table
+from iuq.harness import std_budget_split
 from iuq.input_models import (
     EstimationError,
     IndependentExponentials,
     MultivariateNormalKnownCov,
     pack_stats,
 )
+from iuq.simulators import Mm1Testbed
 
 
 class TestExponentialSampling:
@@ -326,3 +339,61 @@ class TestSupportMask:
         model = IndependentExponentials(2)
         with pytest.raises(ValueError):
             model.support_mask(np.ones((4, 3)))
+
+
+# -- the count rule: every count a public function takes goes through
+# require_int at its boundary
+
+EXP2 = IndependentExponentials(2)
+MVN2 = MultivariateNormalKnownCov(np.eye(2))
+THETA = np.array([1.0, 2.0])
+BOOTS = np.random.default_rng(1).uniform(0.5, 1.5, size=(30, 2))
+ELLIPSOID = min_enclosing_ellipsoid(BOOTS)
+
+# site id: (call(count, rng), argument name, floor)
+COUNT_SITES = {
+    "sample_sim_params-bootstrap-n": (
+        lambda v, rng: sample_sim_params("bootstrap", None, EXP2, THETA, 20, v, rng), "n", 1),
+    "sample_sim_params-bootstrap-m": (
+        lambda v, rng: sample_sim_params("bootstrap", None, EXP2, THETA, v, 5, rng), "m", 2),
+    "sample_sim_params-ellipsoid-n": (
+        lambda v, rng: sample_sim_params("ellipsoid", BOOTS, EXP2, THETA, 20, v, rng), "n", 1),
+    "bootstrap_params-m": (lambda v, rng: bootstrap_params(EXP2, THETA, v, 5, rng), "m", 2),
+    "sample_in_ellipsoid": (lambda v, rng: sample_in_ellipsoid(ELLIPSOID, v, rng), "count", 0),
+    "build_run_table": (
+        lambda v, rng: build_run_table(Mm1Testbed(), [[0.5, 1.0]], v, rng).y, "r", 1),
+    "cv_select_k": (lambda v, rng: cv_select_k(BOOTS, BOOTS[:, 0], [v, 4]), "candidate k", 1),
+    "default_k_grid": (lambda v, rng: default_k_grid(v), "n", 1),
+    "make_folds-n": (lambda v, rng: make_folds(v, 2), "n", 2),
+    "make_folds-n_folds": (lambda v, rng: make_folds(10, v), "n_folds", 2),
+    "std_budget_split": (lambda v, rng: std_budget_split(v, "even"), "budget", 1),
+    "IndependentExponentials": (lambda v, rng: IndependentExponentials(v), "dim", 1),
+    "sample-exponential": (lambda v, rng: EXP2.sample(THETA, rng, size=v), "size", 0),
+    "sample-normal": (lambda v, rng: MVN2.sample(THETA, rng, size=v), "size", 0),
+    "resample_mle-exponential-m": (lambda v, rng: EXP2.resample_mle(THETA, v, 3, rng), "m", 1),
+    "resample_mle-exponential-count": (
+        lambda v, rng: EXP2.resample_mle(THETA, 5, v, rng), "count", 0),
+    "resample_mle-normal-m": (lambda v, rng: MVN2.resample_mle(THETA, v, 3, rng), "m", 1),
+    "resample_mle-normal-count": (
+        lambda v, rng: MVN2.resample_mle(THETA, 5, v, rng), "count", 0),
+}
+
+
+@pytest.mark.parametrize("kind", ["fraction", "bool", "below-floor"])
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_bad_count_raises_the_shared_message_before_any_draw(site, kind):
+    call, name, low = COUNT_SITES[site]
+    value = {"fraction": low + 1.5, "bool": True, "below-floor": low - 1}[kind]
+    rng = np.random.default_rng(0)
+    message = re.escape(f"{name} must be an integer >= {low}, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(value, rng)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw was made
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_numpy_integer_count_acts_as_int(site):
+    call, _, low = COUNT_SITES[site]
+    got = call(np.int64(low + 1), np.random.default_rng(0))
+    want = call(low + 1, np.random.default_rng(0))
+    assert repr(got) == repr(want)

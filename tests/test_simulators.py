@@ -591,8 +591,9 @@ class TestErm:
 class TestOracle:
     def test_rejects_small_budget(self, rng):
         tb = Mm1Testbed()
-        with pytest.raises(ValueError):
-            true_eta_oracle(tb, tb.true_theta, 100, rng)
+        for budget in (100, 10_000.9, True):
+            with pytest.raises(ValueError):
+                true_eta_oracle(tb, tb.true_theta, budget, rng)
 
     def test_chunked_sums_match_a_two_pass_reference(self, monkeypatch):
         import iuq.simulators as simulators
