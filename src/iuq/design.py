@@ -125,7 +125,12 @@ def min_enclosing_ellipsoid(points):
     call and does the floating-point operations of the update
     x_inv <- (x_inv - beta w w') / (1 - step) and its leverage counterpart
     in their written order, so its results are bit for bit those of that
-    formula evaluated with fresh arrays.
+    formula evaluated with fresh arrays.  The lifted inverse x_inv and the
+    leverages are two views of one buffer, and the downdate terms beta w w'
+    and beta v v the matching views of a second buffer with the same
+    layout, so one subtract and one divide over the whole buffer update
+    both.  x_inv comes first, so that the matrix products read it from the
+    start of an allocation, as they read a fresh array.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -137,52 +142,57 @@ def min_enclosing_ellipsoid(points):
     q = np.vstack([points.T, np.ones(n)])  # lifted (d+1, n)
     qt = q.T  # a view: qt[j] is the lifted point j
     u = np.full(n, 1.0 / n)
+    lifted = d + 1.0
+    square = (d + 1) ** 2
+    state = np.empty(square + n)
+    x_inv = state[:square].reshape(d + 1, d + 1)
+    leverage = state[square:]
+    upd = np.empty(square + n)
+    ww = upd[:square].reshape(d + 1, d + 1)
+    vv = upd[square:]
 
     def refresh():
-        x_inv = np.linalg.inv((q * u) @ qt)
-        return x_inv, np.einsum("ij,ji->i", qt, x_inv @ q)
+        x_inv[...] = np.linalg.inv((q * u) @ qt)
+        leverage[...] = np.einsum("ij,ji->i", qt, x_inv @ q)
 
-    bound = (d + 1) * (1.0 + MVEE_GAP_TOL)
+    bound = lifted * (1.0 + MVEE_GAP_TOL)
     # step buffers, reused by every rank-1 downdate; the step's two scalars
     # are held in 0-d arrays too, which in-place ufuncs take faster than floats
     w = np.empty(d + 1)
     w_col = w[:, None]
-    ww = np.empty((d + 1, d + 1))
     v = np.empty(n)
-    vv = np.empty(n)
     keep_arr = np.empty(())
     beta_arr = np.empty(())
+    argmax, item = leverage.argmax, leverage.item
     try:
-        x_inv, leverage = refresh()
+        refresh()
         for it in range(MVEE_MAX_ITER):
-            j = int(leverage.argmax())
-            maximum = leverage.item(j)
+            j = argmax()
+            maximum = item(j)
             if maximum <= bound:
                 break
-            step = (maximum - d - 1.0) / ((d + 1.0) * (maximum - 1.0))
+            step = (maximum - d - 1.0) / (lifted * (maximum - 1.0))
             keep = 1.0 - step
             keep_arr[()] = keep
             u *= keep_arr
             u[j] += step
             if (it + 1) % 512 == 0:
                 # refresh from scratch to keep rank-1 rounding drift in check
-                x_inv, leverage = refresh()
+                refresh()
                 continue
             # rank-1 downdate of the lifted inverse and the membership diagonal:
             # leverage = (leverage - beta v v) / keep and
             # x_inv = (x_inv - beta w w') / keep, written into the buffers
-            np.matmul(x_inv, qt[j], out=w)
+            np.dot(x_inv, qt[j], out=w)
             c = step / keep
             beta_arr[()] = c / (1.0 + c * maximum)
-            np.matmul(qt, w, out=v)
+            np.dot(qt, w, out=v)
             np.multiply(beta_arr, v, out=vv)
             vv *= v
-            leverage -= vv
-            leverage /= keep_arr
             np.multiply(w_col, w, out=ww)
             ww *= beta_arr
-            x_inv -= ww
-            x_inv /= keep_arr
+            state -= upd
+            state /= keep_arr
         center = points.T @ u
         shape = np.linalg.inv((points.T * u) @ points - np.outer(center, center)) / d
     except np.linalg.LinAlgError:

@@ -152,12 +152,12 @@ class RunTable:
     likelihood-ratio reweighting.
 
     ``stats`` packs each run's draw sums and counts under ``trace_model``
-    (see ``input_models.pack_stats``); every table carries them, although
-    the k-nearest-neighbor estimator reads none.  ``lr_params`` are the
-    trace-model parameters of each simulation parameter, as the testbed's
-    ``lr_param`` maps them (on ``erm`` they are not ``params``), and must
-    lie in the trace model's support; ``lr_coefs`` are their
-    likelihood-ratio coefficients.
+    (see ``input_models.pack_stats``) and must be finite; every table
+    carries them, although the k-nearest-neighbor estimator reads none.
+    ``lr_params`` are the trace-model parameters of each simulation
+    parameter, as the testbed's ``lr_param`` maps them (on ``erm`` they are
+    not ``params``), and must lie in the trace model's support; ``lr_coefs``
+    are their likelihood-ratio coefficients.
     ``pool`` lists the eligible rows, those whose average denominator
     output is nonzero, and ``index`` searches exactly those rows, so no
     estimator can pool an ineligible one.
@@ -187,6 +187,9 @@ class RunTable:
                 f"trace statistics must pack (n, r, {d}) counts and sums into shape "
                 f"{(n, r, 2 * d)}, got {self.stats.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(self.stats).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"trace statistics rows {bad[:5].tolist()} are not finite")
         if self.lr_params.shape != (n, d):
             raise ValueError(f"lr_params must have shape {(n, d)}, got {self.lr_params.shape}")
         outside = np.flatnonzero(~self.trace_model.support_mask(self.lr_params))
@@ -251,6 +254,7 @@ def knn_ratio(table, thetas, k_y, k_a):
     """Pooled-mean ratio at each row of ``thetas`` (1-D: one row) over its k_y
     and k_a nearest eligible simulation parameters; the first target whose
     pooled denominator is zero or whose ratio is not finite raises."""
+    k_y, k_a = require_int("k_y", k_y, 1), require_int("k_a", k_a, 1)
     table.check_pool_sizes(k_y, k_a)
     thetas, d = np.atleast_2d(np.asarray(thetas, dtype=float)), table.params.shape[1]
     if thetas.shape[1] != d:
@@ -271,32 +275,27 @@ def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
     Returns the averages of Y*W over the first ``k_y`` neighbor rows and of
     A*W over the first ``k_a``, with W the trace LR from each run's own
     parameter to the target, plus the clamp counter over all of ``nbrs``.
-    The log-weights and the gathered rows are fresh arrays, so the clamp,
-    the exponential and the products with W are written into them; the
-    table itself is only read.
+    The table's statistics and coefficients are finite, so every weight is
+    too, short of a log-weight product past the float range, whose NaN then
+    reaches the ratio and is rejected there.  The log-weights and the
+    gathered rows are fresh arrays, so the clamp, the exponential and the
+    products with W are written into them; the table itself is only read.
     """
     log_w = table.trace_model.log_weights(
         table.stats.take(nbrs, axis=0), table.lr_coefs.take(nbrs, axis=0), lr_target
     )
     clamped = int(np.count_nonzero(log_w > LOG_WEIGHT_CLAMP))
     w = np.exp(np.minimum(log_w, LOG_WEIGHT_CLAMP, out=log_w), out=log_w)
-    finite = np.isfinite(w)
-    all_finite = finite.all()
-    if not all_finite:
-        w[~finite] = 0.0
+    r = w.shape[1]
     y_w = table.y.take(nbrs[:k_y], axis=0)
     y_w *= w[:k_y]
+    y_lr = np.add.reduce(y_w, axis=1)
+    y_lr /= r
     a_w = table.a.take(nbrs[:k_a], axis=0)
     a_w *= w[:k_a]
-    if all_finite:
-        r = w.shape[1]
-        y_lr = np.add.reduce(y_w, axis=1)
-        y_lr /= r
-        a_lr = np.add.reduce(a_w, axis=1)
-        a_lr /= r
-        return y_lr, a_lr, clamped
-    denom = np.maximum(finite.sum(axis=1), 1)
-    return y_w.sum(axis=1) / denom[:k_y], a_w.sum(axis=1) / denom[:k_a], clamped
+    a_lr = np.add.reduce(a_w, axis=1)
+    a_lr /= r
+    return y_lr, a_lr, clamped
 
 
 def klr_ratio(table, theta_tilde, k_y, k_a, lr_target):

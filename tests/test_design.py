@@ -209,6 +209,20 @@ class TestMvee:
         assert np.array_equal(ell.center, ref.center)
         assert np.array_equal(ell.shape, ref.shape)
 
+    def test_iteration_cap_matches_the_allocating_loop_bit_for_bit(self, monkeypatch):
+        # ~3k steps uncapped; a cap of 700 stops one refresh and 188 rank-1
+        # steps later, mid-window, where the reference stops too
+        pts = np.random.default_rng(0).standard_normal((1000, 2)) @ np.array(
+            [[1.0, 0.4], [0.0, 0.7]])
+        uncapped, uncapped_steps = allocating_mvee(pts)
+        monkeypatch.setattr(design, "MVEE_MAX_ITER", 700)
+        ell = min_enclosing_ellipsoid(pts)
+        ref, last = allocating_mvee(pts)
+        assert uncapped_steps > 700 and last == 699
+        assert not np.array_equal(ref.shape, uncapped.shape)
+        assert np.array_equal(ell.center, ref.center)
+        assert np.array_equal(ell.shape, ref.shape)
+
     @pytest.mark.parametrize("failing", ["first refresh", "512-step refresh", "final inverse"])
     def test_singular_matrix_falls_back_to_ridge(self, monkeypatch, failing):
         # ~3k iterations: the first refresh, six 512-step refreshes and the

@@ -14,7 +14,7 @@ from iuq.design import (
     sample_in_ellipsoid,
     sample_sim_params,
 )
-from iuq.estimators import build_run_table
+from iuq.estimators import RunTable, build_run_table, knn_ratio
 from iuq.harness import std_budget_split
 from iuq.input_models import (
     EstimationError,
@@ -349,6 +349,8 @@ MVN2 = MultivariateNormalKnownCov(np.eye(2))
 THETA = np.array([1.0, 2.0])
 BOOTS = np.random.default_rng(1).uniform(0.5, 1.5, size=(30, 2))
 ELLIPSOID = min_enclosing_ellipsoid(BOOTS)
+RUNS = RunTable(params=BOOTS, y=np.ones((30, 2)), a=np.ones((30, 2)), trace_model=MVN2,
+                stats=np.zeros((30, 2, 4)), lr_params=BOOTS)
 
 # site id: (call(count, rng), argument name, floor)
 COUNT_SITES = {
@@ -364,6 +366,8 @@ COUNT_SITES = {
         lambda v, rng: build_run_table(Mm1Testbed(), [[0.5, 1.0]], v, rng).y, "r", 1),
     "cv_select_k": (lambda v, rng: cv_select_k(BOOTS, BOOTS[:, 0], [v, 4]), "candidate k", 1),
     "default_k_grid": (lambda v, rng: default_k_grid(v), "n", 1),
+    "knn_ratio-k_y": (lambda v, rng: knn_ratio(RUNS, BOOTS, v, 2), "k_y", 1),
+    "knn_ratio-k_a": (lambda v, rng: knn_ratio(RUNS, BOOTS, 2, v), "k_a", 1),
     "make_folds-n": (lambda v, rng: make_folds(v, 2), "n", 2),
     "make_folds-n_folds": (lambda v, rng: make_folds(10, v), "n_folds", 2),
     "std_budget_split": (lambda v, rng: std_budget_split(v, "even"), "budget", 1),
