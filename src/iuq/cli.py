@@ -7,8 +7,7 @@ Subcommands:
 ``iuq oracle``  brute-force reference value of the target ratio
 
 A flat ``key=value`` config file can prefill any flag of ``run`` (keys are
-the flags' dest names, plus ``cv.folds`` and ``cv.grid``); explicit
-command-line flags take precedence.
+the flags' dest names); explicit command-line flags take precedence.
 """
 
 import argparse
@@ -49,10 +48,6 @@ def _parse_r(text):
     return "auto" if text == "auto" else int(text)
 
 
-def _parse_grid(text):
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-
 def _run_flags():
     """The ``run`` flags, one per ExperimentConfig field of the same name."""
     d = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}  # quoted in help
@@ -78,27 +73,17 @@ def _run_flags():
 RUN_FLAGS = _run_flags()
 
 
-def _config_file_keys():
-    """Config-file key -> (ExperimentConfig field, converter): every ``run``
-    flag's dest, parsed as its flag parses it, plus the CV settings."""
-    keys = {a.dest: (a.dest, a.type or str) for a in RUN_FLAGS._actions}
-    keys["cv.folds"] = ("cv_folds", int)
-    keys["cv.grid"] = ("cv_grid", _parse_grid)
-    return keys
-
-
 def build_experiment_config(args):
     """Merge config-file values and command-line flags into a config."""
     merged = {}
     if args.config:
-        keys = _config_file_keys()
+        # each key is a run flag's dest, parsed as that flag parses it
+        parsers = {a.dest: a.type or str for a in RUN_FLAGS._actions}
         raw = parse_config_file(args.config)
-        unknown = set(raw) - set(keys)
+        unknown = set(raw) - set(parsers)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, text in raw.items():
-            field, convert = keys[key]
-            merged[field] = convert(text)
+        merged = {key: parsers[key](text) for key, text in raw.items()}
     for action in RUN_FLAGS._actions:
         value = getattr(args, action.dest)
         if value is not None:

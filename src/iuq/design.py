@@ -340,6 +340,8 @@ def anova_select_r(sample_param, simulate, b=50, s0=10, ds=10, c_zeta=0.1,
 
 # -- cross-validated selection of the pooling size k ----------------------
 
+CV_FOLDS = 5
+
 
 def make_folds(n, n_folds):
     """Partition range(n) into n_folds contiguous index arrays.
@@ -384,7 +386,7 @@ def default_k_grid(n):
     return [2**j for j in range(1, top + 1)]
 
 
-def cv_select_k(sim_params, run_means, candidates, n_folds=5):
+def cv_select_k(sim_params, run_means, candidates, n_folds=CV_FOLDS):
     """K-fold cross-validated pooling size.
 
     Returns the candidate with the smallest average fold loss; ties go to

@@ -207,15 +207,18 @@ class RunTable:
         object.__setattr__(self, "index", NeighborIndex(self.params[pool]))
 
     def check_pool_sizes(self, k_y, k_a):
-        """Raise unless k_y and k_a lie in [1, number of eligible rows]."""
+        """(k_y, k_a) as ints; raises unless the table has an eligible row
+        and both are integers in [1, number of eligible rows]."""
         if self.pool.size == 0:
-            raise EstimationError("no eligible simulation parameters to pool from")
-        if not (1 <= k_y <= self.pool.size and 1 <= k_a <= self.pool.size):
+            raise EstimationError("every simulation parameter has zero average denominator")
+        k_y, k_a = require_int("k_y", k_y, 1), require_int("k_a", k_a, 1)
+        if not (k_y <= self.pool.size and k_a <= self.pool.size):
             raise ValueError(f"pool sizes must lie in [1, {self.pool.size}]")
+        return k_y, k_a
 
     def neighbors(self, theta, k_y, k_a):
         """Rows of the max(k_y, k_a) nearest eligible parameters, closest first."""
-        self.check_pool_sizes(k_y, k_a)
+        k_y, k_a = self.check_pool_sizes(k_y, k_a)
         return self.pool.take(self.index.query(theta, max(k_y, k_a)))
 
 
@@ -254,8 +257,7 @@ def knn_ratio(table, thetas, k_y, k_a):
     """Pooled-mean ratio at each row of ``thetas`` (1-D: one row) over its k_y
     and k_a nearest eligible simulation parameters; the first target whose
     pooled denominator is zero or whose ratio is not finite raises."""
-    k_y, k_a = require_int("k_y", k_y, 1), require_int("k_a", k_a, 1)
-    table.check_pool_sizes(k_y, k_a)
+    k_y, k_a = table.check_pool_sizes(k_y, k_a)
     thetas, d = np.atleast_2d(np.asarray(thetas, dtype=float)), table.params.shape[1]
     if thetas.shape[1] != d:
         raise ValueError(f"targets must have shape (t, {d}), got {thetas.shape}")
@@ -308,8 +310,9 @@ def klr_ratio(table, theta_tilde, k_y, k_a, lr_target):
     """
     nbrs = table.neighbors(theta_tilde, k_y, k_a)
     y_lr, a_lr, clamped = _lr_run_means(table, nbrs, lr_target, k_y, k_a)
-    num = float(np.add.reduce(y_lr)) / k_y
-    den = float(np.add.reduce(a_lr)) / k_a
+    # divide by the row counts, ints even for numpy-integer k_y and k_a
+    num = float(np.add.reduce(y_lr)) / len(y_lr)
+    den = float(np.add.reduce(a_lr)) / len(a_lr)
     if den == 0.0:
         raise EstimationError("pooled denominator vanished")
     return RatioEstimate(value=num / den, clamped_weights=clamped)

@@ -18,7 +18,6 @@ import dataclasses
 import json
 import math
 import os
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from .ci import percentile_ci
 from .design import (
+    CV_FOLDS,
     anova_select_r,
     bootstrap_params,
     cv_select_k,
@@ -41,7 +41,7 @@ from .estimators import (
     knn_ratio,
     std_ratio,
 )
-from .input_models import EstimationError, is_finite_real, is_int, require_int
+from .input_models import EstimationError, is_finite_real, require_int
 from .reference import reference_eta
 from .simulators import TESTBEDS, SanConfig, make_testbed
 
@@ -76,8 +76,6 @@ class ExperimentConfig:
     san_topology: str = None
     workers: int = 1
     eta_ref: float = None
-    cv_folds: int = 5
-    cv_grid: tuple = None
     # built from model and san_topology, so a bad topology file fails here
     # and the experiment reads it only this once
     testbed: object = field(init=False, repr=False, compare=False)
@@ -97,15 +95,6 @@ class ExperimentConfig:
             self._check_int("r", 1)
         self._check_int("seed", 0)
         self._check_int("workers", 1)
-        self._check_int("cv_folds", 2)
-        if self.cv_grid is not None:
-            grid = tuple(self.cv_grid) if isinstance(self.cv_grid, Iterable) else ()
-            if not grid or not all(is_int(k, 1) for k in grid):
-                raise ValueError(
-                    f"cv_grid must be None or a non-empty sequence of integers >= 1, "
-                    f"got {self.cv_grid!r}"
-                )
-            object.__setattr__(self, "cv_grid", tuple(int(k) for k in grid))
         if self.eta_ref is not None and not is_finite_real(self.eta_ref):
             raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
         object.__setattr__(self, "testbed", make_testbed(self.model, self.san_topology))
@@ -114,12 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"san_topology {self.san_topology!r} is not the default network, "
                              "whose pinned reference value would judge it; give eta_ref")
         if self.estimator in ("knn", "klr"):
-            n, _ = sample_size_rule(self.m)
-            min_train = n - max(f.size for f in make_folds(n, self.cv_folds))
-            if self.cv_grid and min(self.cv_grid) > min_train:
-                raise ValueError(
-                    f"cv_grid needs a k <= {min_train}, the smallest training fold"
-                )
+            # the CV of k splits the n simulation parameters into CV_FOLDS folds
+            make_folds(sample_size_rule(self.m)[0], CV_FOLDS)
         else:
             n_s, r_s = self.std_split()
             if n_s < 2:
@@ -190,15 +175,12 @@ def run_iuq_knn_klr(testbed, theta_hat, cfg, rngs):
     boots = bootstrap_params(model, theta_hat, cfg.m, n_tilde, rngs["boot"])
     sim = sample_sim_params(cfg.sampling, boots, model, theta_hat, cfg.m, n, rngs["sim"])
     table = build_run_table(testbed, sim.params, r, rngs["runs"])
-    n_eligible = table.pool.size
-    if n_eligible == 0:
-        raise EstimationError("every simulation parameter has zero average denominator")
-    grid = list(cfg.cv_grid) if cfg.cv_grid else default_k_grid(n)
+    grid = default_k_grid(n)
     # both cross-validations use the same deterministic fold partition so
     # their losses correlate; with strongly dependent (Y, A) the selected
     # pool sizes then coincide and the ratio keeps its error cancellation
-    k_y = min(cv_select_k(sim.params, table.y_mean, grid, cfg.cv_folds), n_eligible)
-    k_a = min(cv_select_k(sim.params, table.a_mean, grid, cfg.cv_folds), n_eligible)
+    k_y = min(cv_select_k(sim.params, table.y_mean, grid), table.pool.size)
+    k_a = min(cv_select_k(sim.params, table.a_mean, grid), table.pool.size)
     if cfg.estimator == "knn":
         return knn_ratio(table, boots, k_y, k_a), (n, n_tilde, r, k_y, k_a)
     estimates = np.empty(n_tilde)
@@ -240,8 +222,6 @@ def run_iuq_std(testbed, theta_hat, cfg, rngs):
     n_s, r_s = cfg.std_split()
     boots = bootstrap_params(testbed.input_model, theta_hat, cfg.m, n_s, rngs["boot"])
     table = build_run_table(testbed, boots, r_s, rngs["runs"])
-    if table.pool.size == 0:
-        raise EstimationError("every bootstrap parameter has zero average denominator")
     estimates = np.empty(n_s)
     estimates[table.pool] = std_ratio(table)
     for i in np.flatnonzero(table.a_mean == 0):
@@ -352,12 +332,6 @@ _CSV_COLUMNS = dataclasses.fields(MacroRow)  # each field's type parses its cell
 _CSV_FIELDS = [f.name for f in _CSV_COLUMNS]
 
 
-def _format_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_report(result, path):
     """Write ``<path>.csv`` (one row per macro run) and ``<path>.json``
     (the summary); ``path`` is a str or path-like, with or without the
@@ -372,7 +346,7 @@ def emit_report(result, path):
     json_path = base + ".json"
     lines = [",".join(_CSV_FIELDS)]
     for row in result.rows:
-        lines.append(",".join(_format_cell(getattr(row, f)) for f in _CSV_FIELDS))
+        lines.append(",".join(str(getattr(row, f)) for f in _CSV_FIELDS))
     with open(csv_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     payload = dict(result.summary)

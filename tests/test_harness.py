@@ -11,8 +11,8 @@ import pytest
 
 from iuq import cli
 from iuq.ci import percentile_ci
-from iuq.design import make_folds, sample_size_rule
-from iuq.estimators import klr_fallback_k1, klr_ratio
+from iuq.design import CV_FOLDS, sample_size_rule
+from iuq.estimators import RunTable, klr_fallback_k1, klr_ratio
 from iuq.harness import (
     DEFAULT_R,
     ExperimentConfig,
@@ -78,22 +78,12 @@ class TestConfig:
         "overrides, accepted",
         [
             ({"model": "bogus"}, False),
-            ({"cv_folds": 1}, False),
-            ({"cv_folds": 2.0}, False),
-            ({"m": 4, "cv_folds": 6}, False),  # 5 simulation parameters
+            ({"m": 3}, False),  # 3 simulation parameters for 5 folds
             ({"seed": -1}, False),
             ({"workers": 0}, False),
             ({"r": True}, False),
             ({"r": np.int64(5)}, True),
             ({"seed": np.int64(3), "workers": np.int32(2)}, True),
-            ({"m": 20, "cv_grid": (0,)}, False),
-            ({"cv_grid": (2.5,)}, False),
-            ({"cv_grid": ()}, False),
-            ({"cv_grid": (True,)}, False),
-            ({"cv_grid": 4}, False),
-            ({"cv_grid": (2, 1000)}, True),  # k=1000 is skipped by the CV
-            ({"cv_grid": (1000,)}, False),  # above every training fold
-            ({"cv_grid": [np.int64(2), 4]}, True),
             ({"eta_ref": float("nan")}, False),
             ({"eta_ref": float("inf")}, False),
             ({"eta_ref": "0.5"}, False),
@@ -115,11 +105,9 @@ class TestConfig:
             ({"m": 3, "estimator": "std-opt", "r": 1}, True),  # n_s = 2
             ({"m": 2, "estimator": "std-even", "r": 2}, True),  # n_s = 2
         ],
-        ids=["model-bogus", "cv_folds-1", "cv_folds-float", "cv_folds-above-n",
+        ids=["model-bogus", "klr-m3",
              "seed-negative", "workers-0", "r-bool", "r-numpy-int", "numpy-ints",
-             "cv_grid-zero", "cv_grid-float", "cv_grid-empty", "cv_grid-bool",
-             "cv_grid-scalar", "cv_grid-some-usable", "cv_grid-none-usable",
-             "cv_grid-list", "eta_ref-nan", "eta_ref-inf", "eta_ref-str", "eta_ref-float",
+             "eta_ref-nan", "eta_ref-inf", "eta_ref-str", "eta_ref-float",
              "alpha-str", "alpha-nan", "alpha-none", "san_topology-file",
              "san_topology-missing", "san_topology-cyclic", "san_topology-malformed",
              "san_topology-int", "san_topology-not-san", "san_topology-custom-no-eta_ref",
@@ -142,23 +130,17 @@ class TestConfig:
             return
         cfg = ExperimentConfig(**kwargs)
         for name, value in overrides.items():
-            if name == "cv_grid":
-                assert cfg.cv_grid == tuple(value)
-                assert all(type(k) is int for k in cfg.cv_grid)
-            elif name in ("eta_ref", "model", "san_topology", "estimator"):
+            if name in ("eta_ref", "model", "san_topology", "estimator"):
                 assert getattr(cfg, name) == value
             else:
                 assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
         assert cfg.resolved_r() == overrides.get("r", DEFAULT_R[cfg.model])
 
-    def test_training_fold_rule_is_the_cv_partition(self):
-        n, _ = sample_size_rule(50)
-        min_train = n - max(f.size for f in make_folds(n, 5))
-        assert ExperimentConfig(model="mm1", m=50, cv_grid=(min_train,)).cv_grid == (min_train,)
-        with pytest.raises(ValueError, match=f"k <= {min_train}, the smallest training fold"):
-            ExperimentConfig(model="mm1", m=50, cv_grid=(min_train + 1,))
-        with pytest.raises(ValueError, match="n_folds=6 for n=5"):
-            ExperimentConfig(model="mm1", m=4, cv_folds=6)
+    def test_fold_count_rule_is_the_cv_partition(self):
+        assert sample_size_rule(3)[0] == 3 and sample_size_rule(4)[0] == 5
+        with pytest.raises(ValueError, match=f"n_folds={CV_FOLDS} for n=3"):
+            ExperimentConfig(model="mm1", m=3)
+        assert ExperimentConfig(model="mm1", m=4).m == 4
 
     def test_accepts_thousand_macros(self):
         cfg = ExperimentConfig(model="mm1", m=50, macros=1000)
@@ -336,12 +318,26 @@ class _AlwaysZeroDenominator(Mm1Testbed):
 
 class TestFailureHandling:
     def test_degenerate_macro_annotated(self):
-        idx, row, err = _run_single_macro(
-            ExperimentConfig(model="mm1", m=20, estimator="klr", r=2, macros=1),
-            _AlwaysZeroDenominator(), 0, 0.5,
-        )
-        assert row is None
-        assert "zero average denominator" in err
+        for estimator in ("klr", "std-even"):
+            idx, row, err = _run_single_macro(
+                ExperimentConfig(model="mm1", m=20, estimator=estimator, r=2, macros=1),
+                _AlwaysZeroDenominator(), 0, 0.5,
+            )
+            assert row is None, estimator
+            assert "zero average denominator" in err, estimator
+
+    def test_empty_pool_rule_has_one_owner(self, monkeypatch):
+        # neither pipeline checks the pool itself: the run table's rule raises
+        def owner(table, k_y, k_a):
+            raise EstimationError("the run table's rule")
+
+        monkeypatch.setattr(RunTable, "check_pool_sizes", owner)
+        for estimator in ("knn", "klr", "std-even"):
+            _, _, err = _run_single_macro(
+                ExperimentConfig(model="mm1", m=20, estimator=estimator, r=2, macros=1),
+                _AlwaysZeroDenominator(), 0, 0.5,
+            )
+            assert err == "the run table's rule", estimator
 
     def test_too_many_failures_abort(self, monkeypatch):
         import iuq.harness as harness
@@ -442,6 +438,17 @@ class TestMacroExperiment:
         summary = json.loads(Path(json_path).read_text())
         assert summary["coverage"] == result.summary["coverage"]
 
+    def test_numpy_float_cells_round_trip(self, small_result, tmp_path):
+        # numpy 2 reprs a float64 as "np.float64(...)", which no cell may read
+        _, result = small_result
+        rows = tuple(dataclasses.replace(row, **{name: np.float64(getattr(row, name))
+                                                 for name in ("lower", "upper", "width")})
+                     for row in result.rows)
+        csv_path, _ = emit_report(dataclasses.replace(result, rows=rows), tmp_path / "numpy")
+        assert tuple(load_report(csv_path)) == result.rows
+        plain_path, _ = emit_report(result, tmp_path / "plain")
+        assert Path(csv_path).read_bytes() == Path(plain_path).read_bytes()
+
     @pytest.mark.parametrize("name", ["trial", "trial.csv"])
     def test_report_path_like(self, small_result, tmp_path, name):
         _, result = small_result
@@ -520,12 +527,6 @@ class TestConfigFile:
             assert from_file == from_flag, dest
             assert getattr(from_file, dest) != getattr(default, dest), dest
 
-    def test_cv_keys(self, tmp_path):
-        cfg_file = tmp_path / "cv.cfg"
-        cfg_file.write_text("model=mm1\nm=20\ncv.folds=3\ncv.grid=2, 4\n")
-        assert self.build("--config", str(cfg_file)) == ExperimentConfig(
-            model="mm1", m=20, cv_folds=3, cv_grid=(2, 4))
-
 
 def run_cli(*args):
     return subprocess.run(
@@ -557,7 +558,6 @@ class TestCli:
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(
             "model=mm1\nm=20\nestimator=std-even\nr=2\nmacros=4\nseed=1\n"
-            "cv.folds=4\n"
         )
         out = tmp_path / "from_config"
         proc = run_cli("run", "--config", str(cfg_file), "--macros", "2",
@@ -573,11 +573,13 @@ class TestCli:
         assert "model must be one of" in proc.stderr
 
     def test_unknown_config_key_rejected(self, tmp_path):
+        # the keys are exactly the run flags' dests: no CV settings either
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("model=mm1\nm=20\nbudget=12\n")
-        proc = run_cli("run", "--config", str(cfg_file))
-        assert proc.returncode == 2
-        assert "unknown config keys" in proc.stderr
+        for line in ("budget=12", "cv.folds=3", "cv.grid=2, 4"):
+            cfg_file.write_text(f"model=mm1\nm=20\n{line}\n")
+            proc = run_cli("run", "--config", str(cfg_file))
+            assert proc.returncode == 2, line
+            assert "unknown config keys" in proc.stderr, line
 
     def test_run_config_rejects_pilot_keys(self, tmp_path):
         cfg_file = tmp_path / "pilot.cfg"

@@ -14,7 +14,7 @@ from iuq.design import (
     sample_in_ellipsoid,
     sample_sim_params,
 )
-from iuq.estimators import RunTable, build_run_table, knn_ratio
+from iuq.estimators import RunTable, build_run_table, klr_ratio, knn_ratio
 from iuq.harness import std_budget_split
 from iuq.input_models import (
     EstimationError,
@@ -368,6 +368,8 @@ COUNT_SITES = {
     "default_k_grid": (lambda v, rng: default_k_grid(v), "n", 1),
     "knn_ratio-k_y": (lambda v, rng: knn_ratio(RUNS, BOOTS, v, 2), "k_y", 1),
     "knn_ratio-k_a": (lambda v, rng: knn_ratio(RUNS, BOOTS, 2, v), "k_a", 1),
+    "klr_ratio-k_y": (lambda v, rng: klr_ratio(RUNS, BOOTS[0], v, 2, BOOTS[0]), "k_y", 1),
+    "klr_ratio-k_a": (lambda v, rng: klr_ratio(RUNS, BOOTS[0], 2, v, BOOTS[0]), "k_a", 1),
     "make_folds-n": (lambda v, rng: make_folds(v, 2), "n", 2),
     "make_folds-n_folds": (lambda v, rng: make_folds(10, v), "n_folds", 2),
     "std_budget_split": (lambda v, rng: std_budget_split(v, "even"), "budget", 1),
