@@ -10,7 +10,6 @@ and three ready-made simulation testbeds.
 
 from .ci import CIResult, empirical_quantile, percentile_ci
 from .design import (
-    ConfigurationError,
     Ellipsoid,
     PilotResult,
     SimParamSet,

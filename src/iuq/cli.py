@@ -30,8 +30,9 @@ from .simulators import TESTBEDS, make_testbed, true_eta_oracle
 
 
 def parse_config_file(path):
-    """Read a flat key=value config file; '#' starts a comment."""
-    values = {}
+    """Read a flat key=value config file; '#' starts a comment and a key
+    may appear once."""
+    values, first = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -39,8 +40,11 @@ def parse_config_file(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first at line {first[key]})")
+            values[key], first[key] = val, lineno
     return values
 
 

@@ -26,10 +26,6 @@ MVEE_MAX_ITER = 100_000
 PILOT_MAX_R = 10_000
 
 
-class ConfigurationError(RuntimeError):
-    """Raised when an experiment configuration cannot produce valid samples."""
-
-
 def sample_size_rule(m):
     """Simulation and bootstrap set sizes for input data size m.
 
@@ -222,7 +218,7 @@ def sample_sim_params(mode, boots, model, theta_hat, m, n, rng):
     of the bootstrap set ``boots`` itself; ``ellipsoid`` mode draws uniformly
     inside the minimum-volume ellipsoid enclosing ``boots`` (the array from
     ``bootstrap_params``), redrawing any points that leave the model's
-    support.
+    support; an ``EstimationError`` ends a draw that rejects more than 99%.
     """
     n = require_int("n", n, 1)
     if mode == "bootstrap":
@@ -245,7 +241,7 @@ def sample_sim_params(mode, boots, model, theta_hat, m, n, rng):
         out[filled : filled + take.shape[0]] = take
         filled += take.shape[0]
         if drawn >= 6400 and accepted < 0.01 * drawn:
-            raise ConfigurationError(
+            raise EstimationError(
                 "ellipsoid rejection rate above 99%: the enclosing ellipsoid "
                 "lies almost entirely outside the parameter support"
             )

@@ -95,6 +95,8 @@ class ExperimentConfig:
             self._check_int("r", 1)
         self._check_int("seed", 0)
         self._check_int("workers", 1)
+        if self.out == "":
+            raise ValueError("out must be None (no reports) or a non-empty path, got ''")
         if self.eta_ref is not None and not is_finite_real(self.eta_ref):
             raise ValueError(f"eta_ref must be None or a finite real, got {self.eta_ref!r}")
         object.__setattr__(self, "testbed", make_testbed(self.model, self.san_topology))

@@ -1,25 +1,6 @@
 """Simulation testbeds mapping a parameter vector and a random stream to
 runs' outputs (Y, A) plus the sufficient statistics of the raw inputs each
-run consumed.
-
-Every testbed exposes the same surface:
-
-``input_model``   parametric family of the observable input data (MLE target)
-``trace_model``   family of the raw draws consumed by a run (LR weights)
-``true_theta``    the data-generating parameter of the experiment
-``lr_param``      map from raw parameters (..., d) to trace-model parameters
-``simulate``      runs at one parameter, returned as a ``SimBatch``
-
-``simulate(theta, n_runs, rng)`` first checks ``theta`` with
-``input_model.check_theta``: a parameter of the wrong shape or outside the
-family's support raises ``ValueError``, naming the shape or the support,
-before any draw, as does an ``n_runs`` that is not an integer >= 0 (bools
-excluded).  It then takes from ``rng`` exactly the draws its runs
-consume: when it returns, or raises, the generator stands where drawing
-those inputs one at a time would have left it.  A testbed may read ahead in
-blocks, but it gives back what it did not use before returning, so callers
-can interleave their own draws with simulations on one generator and get
-the same streams.
+run consumed.  Every testbed is a ``Testbed``.
 """
 
 import os
@@ -28,12 +9,62 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..input_models import EstimationError, require_int
+
+
+@dataclass(frozen=True)
+class SimBatch:
+    """Columnar view of many runs: outputs plus per-run trace statistics.
+
+    ``counts``/``sums`` are the (runs, d) sufficient statistics of each
+    run's input trace under the testbed's trace model.  Every batch carries
+    them; ``counts`` may be a read-only broadcast view when every run
+    consumes the same number of draws.
+    """
+
+    y: np.ndarray
+    a: np.ndarray
+    counts: np.ndarray
+    sums: np.ndarray
+
+
+class Testbed:
+    """Base of the testbeds, which set ``name`` (for ``make_testbed``),
+    ``input_model`` (family of the observable input data, the MLE target),
+    ``trace_model`` (family of the raw draws a run consumes, for the LR
+    weights) and ``true_theta`` (the data-generating parameter), and
+    implement ``_runs(theta, n_runs, rng)``, which returns the runs'
+    ``(y, a, counts, sums)``.  ``lr_param`` maps raw parameters (..., d) to
+    trace-model parameters; it is the identity unless overridden.
+
+    ``simulate(theta, n_runs, rng)`` first checks ``theta`` with
+    ``input_model.check_theta``: a parameter of the wrong shape or outside
+    the family's support raises ``ValueError``, naming the shape or the
+    support, before any draw, as does an ``n_runs`` that is not an integer
+    >= 0 (bools excluded).  ``_runs`` then takes from ``rng`` exactly the
+    draws its runs consume: when it returns, or raises, the generator
+    stands where drawing those inputs one at a time would have left it.  A
+    testbed may read ahead in blocks, but it gives back what it did not use
+    before returning, so callers can interleave their own draws with
+    simulations on one generator and get the same streams.
+    """
+
+    def lr_param(self, theta):
+        return np.asarray(theta, dtype=float)
+
+    def simulate(self, theta, n_runs, rng):
+        theta = self.input_model.check_theta(theta)
+        n_runs = require_int("n_runs", n_runs, 0)
+        return SimBatch(*self._runs(theta, n_runs, rng))
+
+
+# the testbed modules subclass Testbed, so they are imported after it
 from .san import SanConfig, SanTestbed
 from .mm1 import QueueConfig, Mm1Testbed, mm1_steady_state_mean
 from .erm import ErmConfig, ErmTestbed, bs_price
 
 __all__ = [
     "SimBatch",
+    "Testbed",
     "SanConfig",
     "SanTestbed",
     "QueueConfig",
@@ -52,22 +83,6 @@ TESTBEDS = tuple(_TESTBED_CLASSES)
 
 # runs simulated per batch by ``true_eta_oracle``; bounds its batch memory
 ORACLE_CHUNK = 200_000
-
-
-@dataclass(frozen=True)
-class SimBatch:
-    """Columnar view of many runs: outputs plus per-run trace statistics.
-
-    ``counts``/``sums`` are the (runs, d) sufficient statistics of each
-    run's input trace under the testbed's trace model.  Every batch carries
-    them; ``counts`` may be a read-only broadcast view when every run
-    consumes the same number of draws.
-    """
-
-    y: np.ndarray
-    a: np.ndarray
-    counts: np.ndarray
-    sums: np.ndarray
 
 
 def make_testbed(name, san_topology=None):

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..input_models import MultivariateNormalKnownCov, require_int
+from ..input_models import MultivariateNormalKnownCov
+from . import Testbed
 
 
 def bs_price(kind, spot, strike, rate, vol, ttm):
@@ -115,7 +116,7 @@ class ErmConfig:
         )
 
 
-class ErmTestbed:
+class ErmTestbed(Testbed):
     """Conditional expected option-portfolio value at the horizon."""
 
     name = "erm"
@@ -151,15 +152,11 @@ class ErmTestbed:
                 total += bs_price("put", s, k, cfg.rate, vol, ttm)
         return total
 
-    def simulate(self, theta, n_runs, rng):
-        from . import SimBatch
-
-        theta = self.input_model.check_theta(theta)
-        n_runs = require_int("n_runs", n_runs, 0)
+    def _runs(self, theta, n_runs, rng):
         z = self.trace_model.sample(self.lr_param(theta), rng, size=n_runs)
         spots = self._s0 * np.exp(z)
         value = self.portfolio_value(spots)
         a = (spots.sum(axis=1) < self.config.k_star).astype(float)
         y = value * a
         # one vector draw per run: the counts are a read-only view of a single 1.0
-        return SimBatch(y=y, a=a, counts=np.broadcast_to(1.0, z.shape), sums=z)
+        return y, a, np.broadcast_to(1.0, z.shape), z

@@ -28,6 +28,7 @@ from itertools import chain
 import numpy as np
 
 from ..input_models import EstimationError, IndependentExponentials, require_int
+from . import Testbed
 
 # draws allowed in one regenerative cycle; with the arrival rate far above
 # the service rate a full queue takes about (lambda/mu)^capacity events to
@@ -142,7 +143,7 @@ def _cycles(lam, mu, capacity, n_runs, rng):
     return out
 
 
-class Mm1Testbed:
+class Mm1Testbed(Testbed):
     """Steady-state mean number in system via regenerative cycles."""
 
     name = "mm1"
@@ -153,15 +154,8 @@ class Mm1Testbed:
         self.trace_model = self.input_model
         self.true_theta = np.array([0.5, 1.5])
 
-    def lr_param(self, theta):
-        return np.asarray(theta, dtype=float)
-
-    def simulate(self, theta, n_runs, rng):
-        from . import SimBatch
-
-        lam, mu = self.input_model.check_theta(theta).tolist()
-        n_runs = require_int("n_runs", n_runs, 0)
+    def _runs(self, theta, n_runs, rng):
+        lam, mu = theta.tolist()
         out = _cycles(lam, mu, self.config.capacity, n_runs, rng)
         out = np.array(out, dtype=float).reshape(n_runs, 6)
-        return SimBatch(y=out[:, 0].copy(), a=out[:, 1].copy(),
-                        counts=out[:, 2:4], sums=out[:, 4:6])
+        return out[:, 0].copy(), out[:, 1].copy(), out[:, 2:4], out[:, 4:6]

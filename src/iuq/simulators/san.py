@@ -18,7 +18,8 @@ from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
-from ..input_models import IndependentExponentials, require_int
+from ..input_models import IndependentExponentials
+from . import Testbed
 
 DEFAULT_ARCS = (
     ("a", "b"),
@@ -121,7 +122,7 @@ class SanConfig:
         return cls(arcs=tuple(arcs), **kwargs)
 
 
-class SanTestbed:
+class SanTestbed(Testbed):
     """Conditional expectation of the source-to-sink completion time."""
 
     name = "san"
@@ -136,9 +137,6 @@ class SanTestbed:
         self._arc_idx = [(k, order[arcs[k][0]], order[arcs[k][1]]) for k in self.config.arc_order]
         self._sink = order[self.config.sink]
         self._t_idx = [order[t] for t in self.config.t_nodes]
-
-    def lr_param(self, theta):
-        return np.asarray(theta, dtype=float)
 
     def path_times(self, durations):
         """Longest-path completion times (V, T) for given arc durations.
@@ -155,15 +153,10 @@ class SanTestbed:
         t_time = comp[:, self._t_idx].max(axis=1)
         return v_time, t_time
 
-    def simulate(self, theta, n_runs, rng):
-        from . import SimBatch
-
-        theta = self.input_model.check_theta(theta)
-        n_runs = require_int("n_runs", n_runs, 0)
+    def _runs(self, theta, n_runs, rng):
         durations = rng.exponential(1.0 / theta, size=(n_runs, self.config.dim))
         v_time, t_time = self.path_times(durations)
         a = (t_time < self.config.threshold).astype(float)
         y = v_time * a
         # one draw per arc: the counts are a read-only view of a single 1.0
-        counts = np.broadcast_to(1.0, durations.shape)
-        return SimBatch(y=y, a=a, counts=counts, sums=durations)
+        return y, a, np.broadcast_to(1.0, durations.shape), durations

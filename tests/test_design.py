@@ -7,7 +7,6 @@ from mvee_oracle import min_ellipse_area_bruteforce
 from test_estimators import mean_knn
 from iuq import design, estimators
 from iuq.design import (
-    ConfigurationError,
     anova_select_r,
     bootstrap_params,
     cv_losses,
@@ -307,7 +306,7 @@ class TestSampleSimParams:
     def test_hopeless_support_rejection_errors(self, rng):
         model = IndependentExponentials(2)
         boots = rng.normal(loc=-9.5, scale=0.1, size=(100, 2))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(EstimationError, match="rejection rate above 99%"):
             sample_sim_params("ellipsoid", boots, model, np.array([1.0, 1.0]), 50, 10, rng)
 
     def test_unknown_mode_rejected(self, rng):

@@ -26,7 +26,7 @@ from iuq.harness import (
     run_pilot,
     std_budget_split,
 )
-from iuq.input_models import EstimationError
+from iuq.input_models import EstimationError, IndependentExponentials
 from iuq.reference import REFERENCE_ETA, reference_eta
 from iuq.simulators import Mm1Testbed, make_testbed
 from iuq.simulators.mm1 import MAX_CYCLE_DRAWS
@@ -104,6 +104,7 @@ class TestConfig:
             ({"m": 3, "estimator": "std-even", "r": 1}, False),  # n_s = 1
             ({"m": 3, "estimator": "std-opt", "r": 1}, True),  # n_s = 2
             ({"m": 2, "estimator": "std-even", "r": 2}, True),  # n_s = 2
+            ({"out": ""}, False),  # would write no reports
         ],
         ids=["model-bogus", "klr-m3",
              "seed-negative", "workers-0", "r-bool", "r-numpy-int", "numpy-ints",
@@ -112,7 +113,7 @@ class TestConfig:
              "san_topology-missing", "san_topology-cyclic", "san_topology-malformed",
              "san_topology-int", "san_topology-not-san", "san_topology-custom-no-eta_ref",
              "san_topology-custom-eta_ref", "std-even-m2-r1", "std-opt-m2-r1",
-             "std-even-m3-r1", "std-opt-m3-r1", "std-even-m2-r2"],
+             "std-even-m3-r1", "std-opt-m3-r1", "std-even-m2-r2", "out-empty"],
     )
     def test_bad_fields_rejected_at_build(self, overrides, accepted, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -356,6 +357,20 @@ class TestFailureHandling:
         assert (idx, row) == (31, None)
         assert f"exceeded {MAX_CYCLE_DRAWS} draws" in err
 
+    def test_hopeless_ellipsoid_fails_the_macro(self, monkeypatch, capsys):
+        # no draw inside the support: the ellipsoid sampler gives up on the macro
+        monkeypatch.setattr(IndependentExponentials, "support_mask",
+                            lambda self, thetas: np.zeros(len(thetas), dtype=bool))
+        cfg = ExperimentConfig(model="mm1", m=20, estimator="klr", r=2, macros=1)
+        with pytest.raises(EstimationError, match=r"1 of 1 macro runs failed; "
+                           r"first: \(0, 'ellipsoid rejection rate above 99%"):
+            run_macro_experiment(cfg)
+        argv = ["run", "--model", "mm1", "--m", "20", "--r", "2", "--macros", "1"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: 1 of 1 macro runs failed") and err.count("\n") == 1
+
     def test_other_errors_name_the_macro(self, monkeypatch):
         import iuq.harness as harness
 
@@ -521,7 +536,9 @@ class TestConfigFile:
         for dest, text in self.FLAG_VALUES.items():
             model = "san" if dest == "san_topology" else "mm1"  # only san reads a topology
             cfg_file = tmp_path / f"{dest}.cfg"
-            cfg_file.write_text(f"model={model}\nm=20\n{dest}={text}\n")
+            # each key once: the flag's line replaces model's or m's
+            lines = {"model": model, "m": "20", dest: text}
+            cfg_file.write_text("".join(f"{k}={v}\n" for k, v in lines.items()))
             from_file = self.build("--config", str(cfg_file))
             from_flag = self.build("--model", model, "--m", "20", flags[dest], text)
             assert from_file == from_flag, dest
@@ -578,6 +595,23 @@ class TestCli:
         proc = run_cli("run", "--config", str(cfg_file))
         assert proc.returncode == 2
         assert "unknown config keys" in proc.stderr
+
+    def test_duplicate_config_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "dup.cfg"
+        cfg_file.write_text("model=mm1\nm=20\n# a comment\nm = 30\n")
+        proc = run_cli("run", "--config", str(cfg_file))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {cfg_file}:4: duplicate key 'm' (first at line 2)\n"
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_empty_out_rejected(self, tmp_path, where):
+        cfg_file = tmp_path / "out.cfg"
+        extra = "out=\n" if where == "config" else ""
+        cfg_file.write_text(f"model=mm1\nm=20\nr=2\nmacros=1\n{extra}")
+        flags = ("--out", "") if where == "flag" else ()
+        proc = run_cli("run", "--config", str(cfg_file), *flags)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: out must be None") and proc.stdout == ""
 
     @pytest.mark.parametrize("line", ["cv.folds=3", "cv.grid=2, 4"], ids=["folds", "grid"])
     def test_cv_keys_rejected(self, tmp_path, line):
