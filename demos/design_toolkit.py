@@ -50,5 +50,5 @@ smooth = params[:, 0] + rng.normal(0.0, 0.02, size=n)
 noisy = params[:, 0] + rng.normal(0.0, 1.0, size=n)
 grid = default_k_grid(n)
 print(f"\ncandidate pooling sizes for n={n}: {grid}")
-print("  low-noise run means  -> k =", cv_select_k(params, smooth, grid))
-print("  high-noise run means -> k =", cv_select_k(params, noisy, grid))
+print("  low-noise run means  -> k =", cv_select_k(params, smooth))
+print("  high-noise run means -> k =", cv_select_k(params, noisy))

@@ -136,7 +136,7 @@ def _cmd_pilot(args):
 def _cmd_oracle(args):
     testbed = make_testbed(args.model, san_topology=args.san_topology)
     theta = testbed.true_theta
-    if args.theta:
+    if args.theta is not None:
         theta = np.array([float(t) for t in args.theta.replace(",", " ").split()])
     rng = np.random.default_rng(args.seed)
     res = true_eta_oracle(testbed, theta, args.budget, rng)

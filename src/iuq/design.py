@@ -8,7 +8,6 @@ the cross-validated choice of the pooling size k.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,19 +338,16 @@ def anova_select_r(sample_param, simulate, b=50, s0=10, ds=10, c_zeta=0.1,
 CV_FOLDS = 5
 
 
-def make_folds(n, n_folds):
-    """Partition range(n) into n_folds contiguous index arrays.
+def make_folds(n):
+    """Partition range(n) into ``CV_FOLDS`` contiguous index arrays.
 
-    When the fold count does not divide n, the first n mod n_folds folds
-    receive one extra index.  The partition is deterministic, so the
+    When the fold count does not divide n, the first n mod ``CV_FOLDS``
+    folds receive one extra index.  The partition is deterministic, so the
     numerator and denominator cross-validations of one experiment share it
     (their losses then correlate and the selected pool sizes agree whenever
     the two outputs are strongly dependent).
     """
-    n, n_folds = require_int("n", n, 2), require_int("n_folds", n_folds, 2)
-    if n_folds > n:
-        raise ValueError(f"need n_folds <= n, got n_folds={n_folds} for n={n}")
-    return np.array_split(np.arange(n), n_folds)
+    return np.array_split(np.arange(require_int("n", n, CV_FOLDS)), CV_FOLDS)
 
 
 def cv_losses(params, means, ks, folds):
@@ -382,24 +378,16 @@ def default_k_grid(n):
     return [2**j for j in range(1, top + 1)]
 
 
-def cv_select_k(sim_params, run_means, candidates, n_folds=CV_FOLDS):
+def cv_select_k(sim_params, run_means):
     """K-fold cross-validated pooling size.
 
-    Returns the candidate with the smallest average fold loss; ties go to
-    the smallest candidate.  A candidate that is not an integer >= 1
-    raises; one larger than the smallest training fold is skipped with a
-    warning.
+    Scores every pool size of ``default_k_grid(n)`` on the ``make_folds(n)``
+    partition and returns the one with the smallest average fold loss; ties
+    go to the smallest.  The grid's top, at most n/2, never exceeds the
+    smallest training fold, n - ceil(n / ``CV_FOLDS``).
     """
     params = np.atleast_2d(np.asarray(sim_params, dtype=float))
     n = params.shape[0]
-    folds = make_folds(n, n_folds)
-    min_train = n - max(f.size for f in folds)
-    ks = sorted({require_int("candidate k", k, 1) for k in candidates})
-    for k in ks:
-        if k > min_train:
-            warnings.warn(f"skipping k={k}: exceeds training-fold size {min_train}")
-    usable = [k for k in ks if k <= min_train]
-    if not usable:
-        raise ValueError("no usable pooling-size candidates")
-    scores = [np.mean(loss) for loss in cv_losses(params, run_means, usable, folds)]
-    return usable[int(np.argmin(scores))]
+    ks = default_k_grid(n)
+    scores = [np.mean(loss) for loss in cv_losses(params, run_means, ks, make_folds(n))]
+    return ks[int(np.argmin(scores))]

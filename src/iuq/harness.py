@@ -25,11 +25,9 @@ import numpy as np
 
 from .ci import percentile_ci
 from .design import (
-    CV_FOLDS,
     anova_select_r,
     bootstrap_params,
     cv_select_k,
-    default_k_grid,
     make_folds,
     sample_sim_params,
     sample_size_rule,
@@ -105,8 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"san_topology {self.san_topology!r} is not the default network, "
                              "whose pinned reference value would judge it; give eta_ref")
         if self.estimator in ("knn", "klr"):
-            # the CV of k splits the n simulation parameters into CV_FOLDS folds
-            make_folds(sample_size_rule(self.m)[0], CV_FOLDS)
+            # the CV of k splits the n simulation parameters into design.CV_FOLDS folds
+            make_folds(sample_size_rule(self.m)[0])
         else:
             n_s, r_s = self.std_split()
             if n_s < 2:
@@ -177,12 +175,11 @@ def run_iuq_knn_klr(testbed, theta_hat, cfg, rngs):
     boots = bootstrap_params(model, theta_hat, cfg.m, n_tilde, rngs["boot"])
     sim = sample_sim_params(cfg.sampling, boots, model, theta_hat, cfg.m, n, rngs["sim"])
     table = build_run_table(testbed, sim.params, r, rngs["runs"])
-    grid = default_k_grid(n)
     # both cross-validations use the same deterministic fold partition so
     # their losses correlate; with strongly dependent (Y, A) the selected
     # pool sizes then coincide and the ratio keeps its error cancellation
-    k_y = min(cv_select_k(sim.params, table.y_mean, grid), table.pool.size)
-    k_a = min(cv_select_k(sim.params, table.a_mean, grid), table.pool.size)
+    k_y = min(cv_select_k(sim.params, table.y_mean), table.pool.size)
+    k_a = min(cv_select_k(sim.params, table.a_mean), table.pool.size)
     if cfg.estimator == "knn":
         return knn_ratio(table, boots, k_y, k_a), (n, n_tilde, r, k_y, k_a)
     estimates = np.empty(n_tilde)
@@ -287,7 +284,7 @@ def run_macro_experiment(cfg):
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.macros)) as pool:
             outcomes = list(pool.map(_run_single_macro, repeat(cfg), repeat(cfg.testbed),
                                      range(cfg.macros), repeat(eta_ref), chunksize=1))
     else:
@@ -386,10 +383,11 @@ def run_pilot(model_name, m, seed=0, san_topology=None, **pilot):
     """Run the variance-ratio pilot on a fresh dataset from the true model.
 
     Keyword arguments (``b``, ``s0``, ``ds``, ``c_zeta``, ``max_s``) go to
-    ``anova_select_r``, which holds their defaults.  ``m`` follows the
-    config's rule, an integer >= 2, checked before any draw.
+    ``anova_select_r``, which holds their defaults.  ``m`` and ``seed``
+    follow the config's rules, integers >= 2 and >= 0, checked before any
+    draw.
     """
-    m = require_int("m", m, 2)
+    m, seed = require_int("m", m, 2), require_int("seed", seed, 0)
     testbed = make_testbed(model_name, san_topology=san_topology)
     rng = _rng(seed, 0, 99)
     data = testbed.input_model.sample(testbed.true_theta, rng, size=m)

@@ -7,6 +7,7 @@ from mvee_oracle import min_ellipse_area_bruteforce
 from test_estimators import mean_knn
 from iuq import design, estimators
 from iuq.design import (
+    CV_FOLDS,
     anova_select_r,
     bootstrap_params,
     cv_losses,
@@ -422,13 +423,18 @@ class TestAnovaSelectR:
 
 class TestFolds:
     def test_sizes_first_folds_get_extra(self):
-        folds = make_folds(11, 3)
-        assert [f.size for f in folds] == [4, 4, 3]
-        assert sorted(np.concatenate(folds)) == list(range(11))
+        folds = make_folds(12)
+        assert [f.size for f in folds] == [3, 3, 2, 2, 2]
+        assert sorted(np.concatenate(folds)) == list(range(12))
 
     def test_contiguous_by_default(self):
-        folds = make_folds(6, 2)
-        assert folds[0].tolist() == [0, 1, 2]
+        folds = make_folds(6)
+        assert folds[0].tolist() == [0, 1]
+
+    def test_grid_fits_every_training_fold(self):
+        # the top pool size, at most n/2, never exceeds n minus the largest fold
+        for n in range(CV_FOLDS, 20_001):
+            assert default_k_grid(n)[-1] <= n - make_folds(n)[0].size, n
 
 
 def brute_cv_losses(params, means, ks, folds):
@@ -455,7 +461,7 @@ class TestCrossValidation:
         n = sample_size_rule(800)[0]
         params = rng.uniform([0.3, 1.0], [0.7, 2.0], size=(n, 2))
         means = rng.lognormal(size=n)
-        folds = make_folds(n, 5)
+        folds = make_folds(n)
         ks = default_k_grid(n)
         assert (n, ks[-1]) == (3045, 1024)
         assert cv_losses(params, means, ks, folds) == brute_cv_losses(params, means, ks, folds)
@@ -481,9 +487,12 @@ class TestCrossValidation:
         else:
             params = rng.normal(size=(n, d))
         means = rng.normal(size=n)
-        folds = make_folds(n, 5)
+        folds = make_folds(n)
         ks = [1, 2, 3, 8, n - max(f.size for f in folds)]
         expected = brute_cv_losses(params, means, ks, folds)
+        grid = default_k_grid(n)
+        grid_losses = brute_cv_losses(params, means, grid, folds)
+        best = grid[int(np.argmin([np.mean(losses) for losses in grid_losses]))]
         # the knn estimator takes its targets through the same blocks
         table = RunTable(params=params, y=means[:, None], a=rng.uniform(0.5, 1.5, (n, 1)),
                          trace_model=MultivariateNormalKnownCov(np.eye(d)),
@@ -494,24 +503,26 @@ class TestCrossValidation:
             monkeypatch.setattr(estimators, "KNN_BLOCK_BYTES", budget)
             assert cv_losses(params, means, ks, folds) == expected
             assert knn_ratio(table, targets, 3, ks[-1]).tolist() == want
-            best = ks[int(np.argmin([np.mean(losses) for losses in expected]))]
-            assert cv_select_k(params, means, ks) == best
+            assert cv_select_k(params, means) == best
 
-    def test_tied_nonzero_losses_return_smallest_k(self):
+    def test_tied_nonzero_losses_return_smallest_k(self, monkeypatch):
         # two far-apart halves, each with a constant run mean: every held-out
         # point is predicted from the other half whatever k is, so every
         # candidate scores exactly 1.0
         params = np.concatenate([np.arange(5.0), 100.0 + np.arange(5.0)])[:, None]
         means = np.repeat([0.0, 1.0], 5)
-        folds = make_folds(10, 2)
+        folds = [np.arange(5), np.arange(5, 10)]
         assert cv_losses(params, means, [1, 2, 3, 5], folds) == [[1.0, 1.0]] * 4
-        assert cv_select_k(params, means, [5, 3, 2, 1], n_folds=2) == 1
-        assert cv_select_k(params, means, [4, 2, 3], n_folds=2) == 2
+        # equal losses for every grid size: the smallest wins
+        monkeypatch.setattr(design, "cv_losses",
+                            lambda params, means, ks, folds: [[1.0] * len(folds)] * len(ks))
+        ks = default_k_grid(40)
+        assert len(ks) > 1 and cv_select_k(np.arange(40.0)[:, None], np.ones(40)) == ks[0]
 
     def test_constant_response_returns_smallest_k(self, rng):
         params = rng.normal(size=(40, 1))
         means = np.full(40, 7.7)
-        assert cv_select_k(params, means, [2, 4, 8], n_folds=5) == 2
+        assert cv_select_k(params, means) == 2
 
     def test_noise_level_moves_k_up(self):
         n = 200
@@ -520,22 +531,9 @@ class TestCrossValidation:
         rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
         quiet = signal + rng1.normal(0.0, 0.01, size=n)
         loud = signal + rng2.normal(0.0, 2.0, size=n)
-        k_quiet = cv_select_k(params, quiet, [1, 2, 4, 8, 16, 32], n_folds=5)
-        k_loud = cv_select_k(params, loud, [1, 2, 4, 8, 16, 32], n_folds=5)
+        k_quiet = cv_select_k(params, quiet)
+        k_loud = cv_select_k(params, loud)
         assert k_quiet < k_loud
-
-    def test_oversized_candidate_skipped_with_warning(self, rng):
-        params = rng.normal(size=(10, 1))
-        means = rng.normal(size=10)
-        with pytest.warns(UserWarning, match="skipping k=9"):
-            got = cv_select_k(params, means, [2, 9], n_folds=2)
-        assert got == 2
-
-    def test_all_candidates_unusable_errors(self, rng):
-        params = rng.normal(size=(6, 1))
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValueError):
-                cv_select_k(params, np.zeros(6), [5, 6], n_folds=2)
 
     def test_default_grid(self):
         assert default_k_grid(109) == [2, 4, 8, 16, 32]

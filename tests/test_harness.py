@@ -139,7 +139,7 @@ class TestConfig:
 
     def test_fold_count_rule_is_the_cv_partition(self):
         assert sample_size_rule(3)[0] == 3 and sample_size_rule(4)[0] == 5
-        with pytest.raises(ValueError, match=f"n_folds={CV_FOLDS} for n=3"):
+        with pytest.raises(ValueError, match=f"^n must be an integer >= {CV_FOLDS}, got 3$"):
             ExperimentConfig(model="mm1", m=3)
         assert ExperimentConfig(model="mm1", m=4).m == 4
 
@@ -439,6 +439,32 @@ class TestMacroExperiment:
         cfg2 = dataclasses.replace(cfg, workers=2)
         assert run_macro_experiment(cfg2).rows == result.rows
 
+    @pytest.mark.parametrize("workers, macros, started", [(64, 3, 3), (2, 3, 2)])
+    def test_pool_never_exceeds_the_macro_count(self, monkeypatch, workers, macros, started):
+        # a fork pool starts all of its workers at the first submit
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(model="mm1", m=20, estimator="std-even", r=2, macros=macros)
+        pooled = run_macro_experiment(dataclasses.replace(cfg, workers=workers))
+        assert sizes == [started]
+        assert pooled.rows == run_macro_experiment(cfg).rows
+
     def test_coverage_judged_against_reference(self, small_result):
         cfg, result = small_result
         eta = reference_eta("mm1")
@@ -661,6 +687,11 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == "error: --repeats must be >= 1, got 0\n"
 
+    def test_pilot_rejects_negative_seed(self):
+        proc = run_cli("pilot", "--model", "mm1", "--m", "20", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: seed must be an integer >= 0, got -1\n"
+
     def test_pilot_rejects_m_below_two(self):
         # the config's rule for m, before any draw: exit 2, not an estimation failure
         proc = run_cli("pilot", "--model", "mm1", "--m", "0")
@@ -681,6 +712,13 @@ class TestCli:
         proc = run_cli("oracle", "--model", "mm1", "--budget", "10000", "--theta", "1,2,3")
         assert proc.returncode == 2
         assert proc.stderr == "error: parameter must have shape (2,), got (3,)\n"
+
+    def test_oracle_rejects_empty_theta(self):
+        # an empty override is a parameter of the wrong shape, not an absent one
+        proc = run_cli("oracle", "--model", "mm1", "--budget", "10000", "--theta", "")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: parameter must have shape (2,), got (0,)\n"
+        assert proc.stdout == ""
 
     def test_estimation_error_is_one_line_with_exit_code_one(self):
         # arrival rate 14.7 times the service rate: the first cycle cannot empty

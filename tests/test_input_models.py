@@ -7,7 +7,6 @@ from scipy.stats import expon, multivariate_normal
 
 from iuq.design import (
     bootstrap_params,
-    cv_select_k,
     default_k_grid,
     make_folds,
     min_enclosing_ellipsoid,
@@ -15,7 +14,7 @@ from iuq.design import (
     sample_sim_params,
 )
 from iuq.estimators import RunTable, build_run_table, klr_ratio, knn_ratio
-from iuq.harness import std_budget_split
+from iuq.harness import run_pilot, std_budget_split
 from iuq.input_models import (
     EstimationError,
     IndependentExponentials,
@@ -364,15 +363,14 @@ COUNT_SITES = {
     "sample_in_ellipsoid": (lambda v, rng: sample_in_ellipsoid(ELLIPSOID, v, rng), "count", 0),
     "build_run_table": (
         lambda v, rng: build_run_table(Mm1Testbed(), [[0.5, 1.0]], v, rng).y, "r", 1),
-    "cv_select_k": (lambda v, rng: cv_select_k(BOOTS, BOOTS[:, 0], [v, 4]), "candidate k", 1),
     "default_k_grid": (lambda v, rng: default_k_grid(v), "n", 1),
     "knn_ratio-k_y": (lambda v, rng: knn_ratio(RUNS, BOOTS, v, 2), "k_y", 1),
     "knn_ratio-k_a": (lambda v, rng: knn_ratio(RUNS, BOOTS, 2, v), "k_a", 1),
     "klr_ratio-k_y": (lambda v, rng: klr_ratio(RUNS, BOOTS[0], v, 2, BOOTS[0]), "k_y", 1),
     "klr_ratio-k_a": (lambda v, rng: klr_ratio(RUNS, BOOTS[0], 2, v, BOOTS[0]), "k_a", 1),
-    "make_folds-n": (lambda v, rng: make_folds(v, 2), "n", 2),
-    "make_folds-n_folds": (lambda v, rng: make_folds(10, v), "n_folds", 2),
+    "make_folds-n": (lambda v, rng: make_folds(v), "n", 5),
     "std_budget_split": (lambda v, rng: std_budget_split(v, "even"), "budget", 1),
+    "run_pilot-seed": (lambda v, rng: run_pilot("mm1", 20, seed=v, b=10, s0=10), "seed", 0),
     "IndependentExponentials": (lambda v, rng: IndependentExponentials(v), "dim", 1),
     "sample-exponential": (lambda v, rng: EXP2.sample(THETA, rng, size=v), "size", 0),
     "sample-normal": (lambda v, rng: MVN2.sample(THETA, rng, size=v), "size", 0),

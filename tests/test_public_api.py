@@ -95,6 +95,13 @@ def test_pipelines_share_one_contract():
     assert list(inspect.signature(percentile_ci).parameters) == ["estimates", "alpha"]
 
 
+def test_cross_validation_takes_only_the_data():
+    from iuq import cv_select_k, make_folds
+
+    assert list(inspect.signature(cv_select_k).parameters) == ["sim_params", "run_means"]
+    assert list(inspect.signature(make_folds).parameters) == ["n"]
+
+
 def test_results_carry_only_what_callers_read():
     import dataclasses
 
