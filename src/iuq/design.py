@@ -361,7 +361,7 @@ def cv_losses(params, means, ks, folds):
     means = np.asarray(means, dtype=float)
     losses = [[] for _ in ks]
     for fold in folds:
-        train = np.setdiff1d(np.arange(params.shape[0]), fold)
+        train = np.delete(np.arange(params.shape[0]), fold)  # np.setdiff1d would import numpy.ma
         train_means = means[train]
         preds = knn_means(np.ascontiguousarray(params[train].T), params[fold],
                           [(train_means, k) for k in ks])

@@ -28,8 +28,11 @@ from .input_models import EstimationError, pack_stats, require_int
 # representable, anything larger would overflow to inf
 LOG_WEIGHT_CLAMP = 700.0
 
-# cap on the bytes a knn_means block of queries holds at once; 4 MiB blocks
-# score as fast as 16 MiB ones and keep the peak resident set lower
+# cap on the bytes a knn_means block of queries holds at once.  Per query of
+# n points the live arrays are, in turn: distances and one squared difference,
+# distances and nearest's partition copy, distances with the keep mask and the
+# kept entries, then four k-wide rows and a k-wide mask.  4 MiB blocks score
+# as fast as 16 MiB ones and keep the peak resident set lower
 KNN_BLOCK_BYTES = 4 * 2**20
 
 
@@ -57,6 +60,10 @@ def nearest(dist, k):
     the kept prefix, or a NaN when k is the row length) are sorted again
     with the stable sort.
 
+    The 2-D path drops each scratch array after its last use, and drops
+    ``dist`` once its kept values are gathered, which frees the block when
+    the caller passed its only reference.
+
     A 1-D ``dist`` (one query) takes the same steps on its one row without
     the flat offsets that let a 2-D block select all its rows at once; both
     paths gather with ``ndarray.take``, which reads the same entries as
@@ -77,8 +84,11 @@ def nearest(dist, k):
             order = vals.argsort(kind="stable")
         return keep.take(order)
     rows = dist.reshape(-1, n)
-    kth = np.partition(rows, k - 1, axis=1)[:, k - 1 : k]
-    keep = ~(rows > kth)  # at least k per row; a NaN is kept, so its row is fully sorted
+    shape = dist.shape[:-1] + (k,)
+    dist = None  # rows is the block's last reference here, dropped once gathered
+    kth = np.partition(rows, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partition copy
+    keep = rows > kth
+    np.invert(keep, out=keep)  # at least k per row; a NaN is kept, so its row is fully sorted
     flat = np.flatnonzero(keep)  # row-major: ascending index within a row
     if flat.size > rows.shape[0] * k:
         tied = keep.sum(axis=1) > k
@@ -86,18 +96,33 @@ def nearest(dist, k):
         out[tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :k]
         out[~tied] = nearest(rows[~tied], k)
     else:
+        keep = None
+        offsets = np.arange(0, rows.size, n)[:, None]  # flat index of each row's first column
         vals = rows.take(flat)
+        rows = None
         start = np.arange(0, flat.size, k)[:, None]  # row offsets into flat
         order = vals.reshape(-1, k).argsort(axis=1)
         order += start
         ranked = vals.take(order)
         rising = ranked[:, 1:] > ranked[:, :-1]  # False at a tie or a NaN
+        ranked = None
         if np.count_nonzero(rising) < rising.size:
             redo = ~rising.all(axis=1)
             order[redo] = vals.reshape(-1, k)[redo].argsort(axis=1, kind="stable") + start[redo]
         out = flat.take(order)
-        out -= np.arange(0, rows.size, n)[:, None]  # flat index to column
-    return out.reshape(dist.shape[:-1] + (k,))
+        out -= offsets  # flat index to column
+    return out.reshape(shape)
+
+
+def _sq_dists(coords, block):
+    """Squared distances from each query of ``block`` to each point of ``coords``."""
+    dist = block[:, 0, None] - coords[0]
+    dist *= dist
+    for c in range(1, coords.shape[0]):
+        sq = block[:, c, None] - coords[c]
+        sq *= sq
+        dist += sq
+    return dist
 
 
 def knn_means(coords, queries, columns):
@@ -105,22 +130,20 @@ def knn_means(coords, queries, columns):
     as a (len(columns), q) array, for (d, n) ``coords`` and (q, d) ``queries``.
 
     Each block of queries selects its nearest points once, for the largest k,
-    within ``KNN_BLOCK_BYTES``: a query holds its distance row and one squared
-    difference, ``nearest``'s partition copy and keep mask, and six k-wide rows.
+    within ``KNN_BLOCK_BYTES``.  The block's distances go straight into
+    ``nearest``, which frees each scratch array after its last use, so a
+    query holds, in turn: its distance row and one squared difference; its
+    distance row and ``nearest``'s partition copy; its distance row, keep
+    mask and kept indices; its distance row, kept indices and kept values;
+    then, with the distance row gone, four k-wide rows and a k-wide mask.
+    The block size counts 25 bytes a point and 48 a k slot per query, which
+    bounds each of these sets with room to spare.
     """
     k_max = max(k for _, k in columns)
     out = np.empty((len(columns), queries.shape[0]))
     step = max(1, KNN_BLOCK_BYTES // (coords.shape[1] * (8 + 8 + 8 + 1) + 6 * 8 * k_max))
     for lo in range(0, queries.shape[0], step):
-        block = queries[lo : lo + step]
-        dist = block[:, 0, None] - coords[0]
-        dist *= dist
-        for c in range(1, coords.shape[0]):
-            sq = block[:, c, None] - coords[c]
-            sq *= sq
-            dist += sq
-        sq = None  # freed before nearest's copies
-        order = nearest(dist, k_max)
+        order = nearest(_sq_dists(coords, queries[lo : lo + step]), k_max)
         for j, (values, k) in enumerate(columns):
             out[j, lo : lo + step] = np.add.reduce(values.take(order[:, :k]), axis=1) / k
     return out

@@ -25,10 +25,10 @@ import numpy as np
 
 from .ci import percentile_ci
 from .design import (
+    CV_FOLDS,
     anova_select_r,
     bootstrap_params,
     cv_select_k,
-    make_folds,
     sample_sim_params,
     sample_size_rule,
 )
@@ -103,8 +103,11 @@ class ExperimentConfig:
             raise ValueError(f"san_topology {self.san_topology!r} is not the default network, "
                              "whose pinned reference value would judge it; give eta_ref")
         if self.estimator in ("knn", "klr"):
-            # the CV of k splits the n simulation parameters into design.CV_FOLDS folds
-            make_folds(sample_size_rule(self.m)[0])
+            n, _ = sample_size_rule(self.m)
+            if n < CV_FOLDS:
+                raise ValueError(f"m={self.m} is too small for the {self.estimator} estimator: "
+                                 f"its {CV_FOLDS}-fold cross-validation of k needs at least "
+                                 f"{CV_FOLDS} simulation parameters, and m={self.m} gives {n}")
         else:
             n_s, r_s = self.std_split()
             if n_s < 2:

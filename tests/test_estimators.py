@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import kurtosis, skew
 
 from iuq import harness
+from iuq.design import default_k_grid, make_folds, sample_size_rule
 from iuq.estimators import (
+    KNN_BLOCK_BYTES,
     LOG_WEIGHT_CLAMP,
     NeighborIndex,
     RunTable,
     build_run_table,
     klr_fallback_k1,
     klr_ratio,
+    knn_means,
     knn_ratio,
     nearest,
     std_ratio,
@@ -150,6 +154,29 @@ class TestNearest:
         for k in (0, 4):
             with pytest.raises(ValueError):
                 nearest(np.zeros(3), k)
+
+
+class TestKnnMeansMemory:
+    def test_mm1_m800_fold_peaks_within_the_block_budget(self, rng):
+        # one cross-validation fold of an mm1 m=800 design: 2436 training
+        # points, 609 held-out queries, the default grid up to k = 1024
+        n = sample_size_rule(800)[0]
+        params = rng.uniform([0.3, 1.0], [0.7, 2.0], size=(n, 2))
+        means = rng.lognormal(size=n)
+        fold = make_folds(n)[0]
+        train = np.setdiff1d(np.arange(n), fold)
+        columns = [(means[train], k) for k in default_k_grid(n)]
+        coords = np.ascontiguousarray(params[train].T)
+        queries = params[fold]
+        assert (train.size, fold.size, columns[-1][1]) == (2436, 609, 1024)
+        knn_means(coords, queries, columns)  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            knn_means(coords, queries, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= KNN_BLOCK_BYTES
 
 
 class TestKnnQuery:

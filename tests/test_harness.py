@@ -78,7 +78,10 @@ class TestConfig:
         "overrides, accepted",
         [
             ({"model": "bogus"}, False),
-            ({"m": 3}, False),  # 3 simulation parameters for 5 folds
+            ({"m": 3}, f"^m=3 is too small for the klr estimator: its {CV_FOLDS}-fold "
+                       f"cross-validation of k needs at least {CV_FOLDS} simulation "
+                       "parameters, and m=3 gives 3$"),
+            ({"m": 4}, True),  # n = 5, one parameter per fold
             ({"seed": -1}, False),
             ({"workers": 0}, False),
             ({"r": True}, False),
@@ -106,7 +109,7 @@ class TestConfig:
             ({"m": 2, "estimator": "std-even", "r": 2}, True),  # n_s = 2
             ({"out": ""}, False),  # would write no reports
         ],
-        ids=["model-bogus", "klr-m3",
+        ids=["model-bogus", "klr-m3", "klr-m4",
              "seed-negative", "workers-0", "r-bool", "r-numpy-int", "numpy-ints",
              "eta_ref-nan", "eta_ref-inf", "eta_ref-str", "eta_ref-float",
              "alpha-str", "alpha-nan", "alpha-none", "san_topology-file",
@@ -122,10 +125,10 @@ class TestConfig:
         (tmp_path / "malformed.txt").write_text("a b c\n")
         (tmp_path / "short.txt").write_text("a d\nd f\nf i\n")
         kwargs = {"model": "mm1", "m": 50, **overrides}
-        if not accepted:
-            # a bad topology is named in the error
+        if accepted is not True:
+            # a bad topology is named in the error; a string is the message's pattern
             path = overrides.get("san_topology")
-            named = None if path is None else re.escape(repr(path))
+            named = re.escape(repr(path)) if path is not None else accepted or None
             with pytest.raises(ValueError, match=named):
                 ExperimentConfig(**kwargs)
             return
@@ -138,10 +141,8 @@ class TestConfig:
         assert cfg.resolved_r() == overrides.get("r", DEFAULT_R[cfg.model])
 
     def test_fold_count_rule_is_the_cv_partition(self):
-        assert sample_size_rule(3)[0] == 3 and sample_size_rule(4)[0] == 5
-        with pytest.raises(ValueError, match=f"^n must be an integer >= {CV_FOLDS}, got 3$"):
-            ExperimentConfig(model="mm1", m=3)
-        assert ExperimentConfig(model="mm1", m=4).m == 4
+        # the klr-m3 and klr-m4 cases above sit on either side of the rule
+        assert sample_size_rule(3)[0] < CV_FOLDS <= sample_size_rule(4)[0]
 
     def test_accepts_thousand_macros(self):
         cfg = ExperimentConfig(model="mm1", m=50, macros=1000)
@@ -608,6 +609,11 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert len(load_report(str(out) + ".csv")) == 2  # flag beat config
 
+    def test_run_rejects_an_m_too_small_for_the_cv_of_k(self):
+        proc = run_cli("run", "--model", "mm1", "--m", "3", "--estimator", "klr")
+        assert proc.returncode == 2
+        assert "error: m=3 is too small for the klr estimator" in proc.stderr
+
     def test_config_file_bad_model_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("model=bogus\nm=20\n")
@@ -747,7 +753,7 @@ import iuq
 for model in ("mm1", "san"):
     iuq.run_macro_experiment(iuq.ExperimentConfig(
         model=model, m=20, estimator="klr", r=3, macros=1, workers=1))
-lazy = ("scipy.special", "concurrent.futures.process")
+lazy = ("scipy.special", "concurrent.futures.process", "numpy.ma")
 loaded = [name for name in lazy if name in sys.modules]
 testbed = iuq.ErmTestbed()
 testbed.simulate(testbed.true_theta, 5, np.random.default_rng(0))
