@@ -94,15 +94,12 @@ def _enclosing(center, shape, points):
     return ell
 
 
-def _ridge_ellipsoid(points):
-    """Fallback for clouds that do not affinely span R^d: ridge-regularized
-    scatter around the mean, inflated to contain every point."""
-    center = points.mean(axis=0)
-    diff = points - center
-    scatter = diff.T @ diff / points.shape[0]
+def _ridge_ellipsoid(points, mean, scatter):
+    """Fallback for clouds that do not affinely span R^d: the ridge-regularized
+    ``scatter`` (covariance) around ``mean``, inflated to contain every point."""
     d = points.shape[1]
     eps = 1e-9 * max(float(np.trace(scatter)), 1.0)
-    return _enclosing(center, np.linalg.inv(scatter + eps * np.eye(d)) / d, points)
+    return _enclosing(mean, np.linalg.inv(scatter + eps * np.eye(d)) / d, points)
 
 
 def min_enclosing_ellipsoid(points):
@@ -111,10 +108,14 @@ def min_enclosing_ellipsoid(points):
     Iterates until the duality gap falls below ``MVEE_GAP_TOL``: the largest
     lifted leverage is at most (d+1)(1 + ``MVEE_GAP_TOL``), the
     epsilon-optimality test of Todd & Yildirim (2007).  At most
-    ``MVEE_MAX_ITER`` steps are taken.  A cloud that does not affinely span
-    R^d, or any singular matrix met on the way, gets the ridge ellipsoid
-    instead.  Either result's shape is rescaled so that every input point
-    satisfies membership <= 1 exactly.
+    ``MVEE_MAX_ITER`` steps are taken.  The cloud spans R^d affinely when
+    n > d and the Cholesky factor L of its scatter S about the mean has every
+    L_ii^2 > 1e-12 S_ii, the share of coordinate i's variance left
+    unexplained by the earlier coordinates, a rule free of the coordinates'
+    units.  A cloud that does not span, or any singular matrix met on the
+    way, takes the one ridge entry: the ridge ellipsoid of S.  Either
+    result's shape is rescaled so that every input point satisfies
+    membership <= 1 exactly.
 
     Each rank-1 step allocates no array: it writes into buffers made once per
     call and does the floating-point operations of the update
@@ -129,11 +130,11 @@ def min_enclosing_ellipsoid(points):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
-    if n == 0:
-        raise ValueError("need at least one point")
-    if n <= d or np.linalg.matrix_rank(points - points.mean(axis=0), tol=1e-12) < d:
-        return _ridge_ellipsoid(points)
-
+    if n == 0 or not np.isfinite(points).all():
+        raise ValueError("need at least one point, and only finite coordinates")
+    mean = points.mean(axis=0)
+    diff = points - mean
+    scatter = diff.T @ diff / n
     q = np.vstack([points.T, np.ones(n)])  # lifted (d+1, n)
     qt = q.T  # a view: qt[j] is the lifted point j
     u = np.full(n, 1.0 / n)
@@ -160,6 +161,8 @@ def min_enclosing_ellipsoid(points):
     beta_arr = np.empty(())
     argmax, item = leverage.argmax, leverage.item
     try:
+        if n <= d or (np.diag(np.linalg.cholesky(scatter)) ** 2 <= 1e-12 * np.diag(scatter)).any():
+            raise np.linalg.LinAlgError("the cloud does not affinely span R^d")
         refresh()
         for it in range(MVEE_MAX_ITER):
             j = argmax()
@@ -191,7 +194,7 @@ def min_enclosing_ellipsoid(points):
         center = points.T @ u
         shape = np.linalg.inv((points.T * u) @ points - np.outer(center, center)) / d
     except np.linalg.LinAlgError:
-        return _ridge_ellipsoid(points)
+        return _ridge_ellipsoid(points, mean, scatter)
     return _enclosing(center, shape, points)
 
 

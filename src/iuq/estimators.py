@@ -53,21 +53,23 @@ def nearest(dist, k):
 
     Equals ``np.argsort(dist, axis=-1, kind="stable")[..., :k]``: ties go to
     the smaller index.  Each row keeps the entries not above its k-th
-    smallest value.  A row that keeps more than k (a tie at the k-th value,
-    or a NaN) is stable-sorted in full.  A row that keeps exactly k sorts
-    them with the default, unstable sort, which is exact wherever the
-    ranked values strictly increase; rows where they do not (a tie inside
-    the kept prefix, or a NaN when k is the row length) are sorted again
-    with the stable sort.
+    smallest value.  When some row of a block keeps more than k (a tie at
+    the k-th value, or a NaN), the whole block is stable-sorted in full.
+    Otherwise each row sorts its k kept entries with the default, unstable
+    sort, which is exact wherever the ranked values strictly increase; rows
+    where they do not (a tie inside the kept prefix, or a NaN when k is the
+    row length) are sorted again with the stable sort.
 
     The 2-D path drops each scratch array after its last use, and drops
     ``dist`` once its kept values are gathered, which frees the block when
     the caller passed its only reference.
 
-    A 1-D ``dist`` (one query) takes the same steps on its one row without
-    the flat offsets that let a 2-D block select all its rows at once; both
-    paths gather with ``ndarray.take``, which reads the same entries as
-    fancy indexing, so either gives the indices above.
+    A 1-D ``dist`` (one query) returns from its own fast path, without the
+    flat offsets of the block path, when it keeps exactly k entries and they
+    strictly increase once sorted.  Any other 1-D row, tied or holding a
+    NaN, goes on through the block path as a block of one row, so ties have
+    one route.  Both paths gather with ``ndarray.take``, which reads the
+    same entries as fancy indexing.
     """
     dist = np.asarray(dist)
     n = dist.shape[-1]
@@ -75,14 +77,12 @@ def nearest(dist, k):
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if dist.ndim == 1:
         keep = np.flatnonzero(~(dist > np.partition(dist, k - 1)[k - 1]))
-        if keep.size > k:
-            return np.argsort(dist, kind="stable")[:k]
-        vals = dist.take(keep)
-        order = vals.argsort()
-        ranked = vals.take(order)
-        if not (ranked[1:] > ranked[:-1]).all():  # a tie or a NaN
-            order = vals.argsort(kind="stable")
-        return keep.take(order)
+        if keep.size == k:
+            vals = dist.take(keep)
+            order = vals.argsort()
+            ranked = vals.take(order)
+            if (ranked[1:] > ranked[:-1]).all():  # no tie and no NaN
+                return keep.take(order)
     rows = dist.reshape(-1, n)
     shape = dist.shape[:-1] + (k,)
     dist = None  # rows is the block's last reference here, dropped once gathered
@@ -90,11 +90,8 @@ def nearest(dist, k):
     keep = rows > kth
     np.invert(keep, out=keep)  # at least k per row; a NaN is kept, so its row is fully sorted
     flat = np.flatnonzero(keep)  # row-major: ascending index within a row
-    if flat.size > rows.shape[0] * k:
-        tied = keep.sum(axis=1) > k
-        out = np.empty((rows.shape[0], k), dtype=np.intp)
-        out[tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :k]
-        out[~tied] = nearest(rows[~tied], k)
+    if flat.size > rows.shape[0] * k:  # a row ties at its k-th value or holds a NaN
+        out = np.argsort(rows, axis=1, kind="stable")[:, :k]
     else:
         keep = None
         offsets = np.arange(0, rows.size, n)[:, None]  # flat index of each row's first column

@@ -226,7 +226,7 @@ def run_iuq_std(testbed, theta_hat, cfg, rngs):
     table = build_run_table(testbed, boots, r_s, rngs["runs"])
     estimates = np.empty(n_s)
     estimates[table.pool] = std_ratio(table)
-    for i in np.flatnonzero(table.a_mean == 0):
+    for i in np.delete(np.arange(n_s), table.pool):
         estimates[i] = klr_fallback_k1(table, boots[i], table.lr_params[i]).value
     return estimates, (n_s, n_s, r_s, 0, 0)
 

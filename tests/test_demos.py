@@ -1,11 +1,12 @@
 """The demo scripts run to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -14,13 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
     "script", ["reweighting_basics.py", "design_toolkit.py", "network_completion_time.py"]
 )
 def test_demo_exits_cleanly(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout

@@ -229,7 +229,9 @@ class TestMvee:
         # final scatter inverse are the eight np.linalg.inv calls
         pts = np.random.default_rng(0).standard_normal((1000, 2)) @ np.array(
             [[1.0, 0.4], [0.0, 0.7]])
-        ridge = design._ridge_ellipsoid(pts)
+        mean = pts.mean(axis=0)
+        diff = pts - mean
+        ridge = design._ridge_ellipsoid(pts, mean, diff.T @ diff / len(pts))
         inv = np.linalg.inv
         calls = []
         fail_at = None
@@ -250,6 +252,55 @@ class TestMvee:
         assert np.array_equal(ell.center, ridge.center)
         assert np.array_equal(ell.shape, ridge.shape)
         assert np.all(ell.membership(pts) <= 1.0 + 1e-9)
+
+    def test_scaled_cloud_gets_the_scaled_ellipsoid(self):
+        # the spanning rule reads each coordinate's share of unexplained
+        # variance, so a healthy cloud of tiny units is not sent to the ridge
+        pts = np.random.default_rng(0).standard_normal((1000, 2)) @ np.array(
+            [[1.0, 0.4], [0.0, 0.7]])
+        s = 1e-14
+        ell, tiny = min_enclosing_ellipsoid(pts), min_enclosing_ellipsoid(s * pts)
+        np.testing.assert_allclose(tiny.shape, ell.shape / s**2, rtol=1e-9)
+
+    @pytest.mark.parametrize("name, m", [("san", 50), ("mm1", 800), ("erm", 200)])
+    def test_spanning_rule_runs_no_svd(self, monkeypatch, name, m):
+        boots = bootstrap_cloud(name, m, seed=3)
+        ref, _ = allocating_mvee(boots)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spanning rule took an SVD")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        ell = min_enclosing_ellipsoid(boots)
+        assert np.array_equal(ell.center, ref.center)
+        assert np.array_equal(ell.shape, ref.shape)
+
+    @pytest.mark.parametrize("cloud", ["duplicated", "collinear", "3 points in d=5",
+                                       "constant coordinate"])
+    def test_degenerate_clouds_take_the_ridge_of_their_scatter(self, cloud):
+        rng = np.random.default_rng(7)
+        t = np.linspace(0.0, 1.0, 9)
+        pts = {
+            "duplicated": np.tile([[2.0, 3.0]], (5, 1)),
+            "collinear": np.stack([t, 2.0 * t], axis=1),
+            "3 points in d=5": rng.standard_normal((3, 5)),
+            "constant coordinate": np.column_stack([rng.standard_normal((40, 2)),
+                                                    np.full(40, 1.5)]),
+        }[cloud]
+        mean = pts.mean(axis=0)
+        diff = pts - mean
+        ridge = design._ridge_ellipsoid(pts, mean, diff.T @ diff / len(pts))
+        ell = min_enclosing_ellipsoid(pts)
+        assert np.array_equal(ell.center, ridge.center)
+        assert np.array_equal(ell.shape, ridge.shape)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cloud_is_rejected(self, bad):
+        pts = np.random.default_rng(0).standard_normal((50, 2))
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            min_enclosing_ellipsoid(pts)
 
 
 class TestEllipsoidSampling:

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import re
 import subprocess
 import sys
@@ -9,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import src_env
 from iuq import cli
 from iuq.ci import percentile_ci
 from iuq.design import CV_FOLDS, sample_size_rule
@@ -574,7 +574,7 @@ class TestConfigFile:
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "iuq.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "iuq.cli", *args], env=src_env(), capture_output=True, text=True
     )
 
 
@@ -763,7 +763,7 @@ print(json.dumps({"loaded": loaded, "erm_loads_scipy": "scipy.special" in sys.mo
 
 class TestImports:
     def test_one_worker_runs_load_neither_scipy_nor_the_pool(self):
-        proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS],
+        proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS], env=src_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"loaded": [], "erm_loads_scipy": True}
@@ -812,10 +812,10 @@ class TestCpuDispatch:
         # rng.random(count) ** (1 / d) and the LR weights use them.  On an
         # AVX-512 host that moves the last digits of san's pooled intervals
         # only; every other config must not move at all.
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_PATHS))
+        env = src_env(NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_PATHS))
         procs = [subprocess.Popen([sys.executable, "-c", DISPATCH_ROWS], env=penv,
                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-                 for penv in (None, env)]
+                 for penv in (src_env(), env)]
         (avx512, err_a), (avx2, err_b) = [proc.communicate(timeout=300) for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0], err_a + err_b
         avx512, avx2 = json.loads(avx512), json.loads(avx2)
