@@ -35,6 +35,14 @@ LOG_WEIGHT_CLAMP = 700.0
 # as fast as 16 MiB ones and keep the peak resident set lower
 KNN_BLOCK_BYTES = 4 * 2**20
 
+# cap on the runs one ``simulate`` call of ``build_run_table`` makes.  A call
+# amortises its fixed cost (the parameter check, the M/M/1 generator rewind,
+# the batch) over its rows; the cap keeps its scratch, the M/M/1 cycles'
+# Python floats above all, to one chunk however large the table.  At 2048
+# runs the mm1 m=800 peak resident set sits about 0.25 MB above that of one
+# call per row, and 8192 put it 0.7 MB above
+RUN_CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class RatioEstimate:
@@ -243,17 +251,28 @@ class RunTable:
 
 
 def build_run_table(testbed, params, r, rng):
-    """Simulate r runs at each parameter and assemble the run table."""
+    """Simulate r runs at each parameter and assemble the run table.
+
+    The parameters are simulated in chunks of consecutive rows, one
+    ``simulate`` call per chunk, each chunk holding at most ``RUN_CHUNK``
+    runs (one row when r exceeds it).  Each call's parameter-major batch
+    is written into the table's y, a and packed statistics by rows, so the
+    table, the generator's stream and its end state are those of one call
+    per row.
+    """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     n, r = params.shape[0], require_int("r", r, 1)
+    d = testbed.trace_model.dim
     y = np.empty((n, r))
     a = np.empty((n, r))
-    stats = np.empty((n, r, 2 * testbed.trace_model.dim))
-    for j in range(n):
-        batch = testbed.simulate(params[j], r, rng)
-        y[j] = batch.y
-        a[j] = batch.a
-        stats[j] = pack_stats(batch.counts, batch.sums)
+    stats = np.empty((n, r, 2 * d))
+    rows = max(1, RUN_CHUNK // r)
+    for lo in range(0, n, rows):
+        chunk = slice(lo, lo + rows)
+        batch = testbed.simulate(params[chunk], r, rng)
+        y[chunk] = batch.y.reshape(-1, r)
+        a[chunk] = batch.a.reshape(-1, r)
+        stats[chunk] = pack_stats(batch.counts, batch.sums).reshape(-1, r, 2 * d)
     return RunTable(
         params=params,
         y=y,

@@ -73,9 +73,9 @@ class ExponentialFamily:
     Subclasses declare ``support``, the open interval (lo, hi) that holds
     every coordinate of a valid parameter, and supply ``natural(theta)``,
     the per-coordinate ``log_partition(theta)`` (both map (..., d) to
-    (..., d)) and ``resample_mle``.  ``support_mask`` and ``check_theta``
-    both derive from ``support``; a testbed's ``simulate`` calls
-    ``check_theta`` on its input model, so a parameter of the wrong shape or
+    (..., d)) and ``resample_mle``.  ``support_mask``, ``check_theta`` and
+    ``check_thetas`` derive from ``support``; a testbed's ``simulate`` calls
+    ``check_thetas`` on its input model, so a parameter of the wrong shape or
     outside the support raises a ``ValueError`` naming which, before any
     draw.
     """
@@ -97,6 +97,27 @@ class ExponentialFamily:
         if not all(lo < x < hi for x in theta.tolist()):  # False for NaN
             raise ValueError(f"parameter {theta} outside the support of {self!r}")
         return theta
+
+    def check_thetas(self, thetas):
+        """Parameters as an (n, d) float array.  A (d,) parameter is checked
+        by ``check_theta``, with its messages, and becomes the one row of
+        n = 1.  Any other shape than (d,) or (n, d) raises ``ValueError``
+        naming the shape, and then a row with a coordinate outside
+        ``support`` raises one naming the first such row."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim < 2:
+            return self.check_theta(thetas)[None]
+        if thetas.ndim != 2 or thetas.shape[1] != self.dim:
+            raise ValueError(
+                f"parameter must have shape ({self.dim},) or (n, {self.dim}), "
+                f"got {thetas.shape}"
+            )
+        outside = np.flatnonzero(~self.support_mask(thetas))
+        if outside.size:
+            j = outside[0]
+            raise ValueError(
+                f"parameter row {j} {thetas[j].tolist()} outside the support of {self!r}")
+        return thetas
 
     def _check_data(self, data):
         """Data as an (m, dim) float array, 1-D read as one column; m >= 1."""
@@ -187,7 +208,9 @@ class MultivariateNormalKnownCov(ExponentialFamily):
     and never estimated.  The MLE of the mean is the sample mean.  With P
     the precision matrix the natural parameter is P theta and the
     per-coordinate log-partition theta_j (P theta)_j / 2; every coordinate
-    of a run's vector draws has the same count.
+    of a run's vector draws has the same count.  ``chol`` is the lower
+    Cholesky factor of ``cov``: ``sample`` returns theta + z @ chol.T for
+    standard normal rows z.
     """
 
     support = (-math.inf, math.inf)
@@ -197,7 +220,7 @@ class MultivariateNormalKnownCov(ExponentialFamily):
         if cov.shape[0] != cov.shape[1] or not np.allclose(cov, cov.T):
             raise ValueError("covariance must be square symmetric")
         # fails for non positive definite covariances
-        self._chol = np.linalg.cholesky(cov)
+        self.chol = np.linalg.cholesky(cov)
         self.cov = cov
         self.prec = np.linalg.inv(cov)
         self.dim = cov.shape[0]
@@ -209,7 +232,7 @@ class MultivariateNormalKnownCov(ExponentialFamily):
         theta = self.check_theta(theta)
         n = 1 if size is None else require_int("size", size, 0)
         z = rng.standard_normal((n, self.dim))
-        out = theta + z @ self._chol.T
+        out = theta + z @ self.chol.T
         return out[0] if size is None else out
 
     def mle(self, data):

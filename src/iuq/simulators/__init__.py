@@ -15,10 +15,13 @@ from ..input_models import EstimationError, require_int
 class SimBatch:
     """Columnar view of many runs: outputs plus per-run trace statistics.
 
-    ``counts``/``sums`` are the (runs, d) sufficient statistics of each
-    run's input trace under the testbed's trace model.  Every batch carries
-    them; ``counts`` may be a read-only broadcast view when every run
-    consumes the same number of draws.
+    ``y`` and ``a`` hold one entry per run, ``counts``/``sums`` the (runs,
+    d) sufficient statistics of each run's input trace under the testbed's
+    trace model.  A batch simulated at n parameters holds their runs in
+    parameter-major order: with r runs per parameter, run i * r + s is run
+    s of parameter i.  Every batch carries the statistics; ``counts`` may
+    be a read-only broadcast view when every run consumes the same number
+    of draws.
     """
 
     y: np.ndarray
@@ -33,26 +36,33 @@ class Testbed:
     ``trace_model`` (family of the raw draws a run consumes, for the LR
     weights) and ``true_theta`` (the data-generating parameter), and
     implement ``_runs(theta, n_runs, rng)``, which returns the runs'
-    ``(y, a, counts, sums)``.  ``lr_param`` maps raw parameters (..., d) to
-    trace-model parameters; it is the identity unless overridden.
+    ``(y, a, counts, sums)`` for an (n, d) ``theta``, ``n_runs`` runs per
+    row in parameter-major order.  ``lr_param`` maps raw parameters (...,
+    d) to trace-model parameters; it is the identity unless overridden.
 
-    ``simulate(theta, n_runs, rng)`` first checks ``theta`` with
-    ``input_model.check_theta``: a parameter of the wrong shape or outside
-    the family's support raises ``ValueError``, naming the shape or the
-    support, before any draw, as does an ``n_runs`` that is not an integer
-    >= 0 (bools excluded).  ``_runs`` then takes from ``rng`` exactly the
-    draws its runs consume: when it returns, or raises, the generator
-    stands where drawing those inputs one at a time would have left it.  A
-    testbed may read ahead in blocks, but it gives back what it did not use
-    before returning, so callers can interleave their own draws with
-    simulations on one generator and get the same streams.
+    ``simulate(theta, n_runs, rng)`` takes one (d,) parameter or n of them
+    as an (n, d) array and returns one ``SimBatch`` of n * ``n_runs`` runs.
+    It first checks the whole of ``theta`` with
+    ``input_model.check_thetas``: a parameter array of the wrong shape, or
+    a row outside the family's support, raises ``ValueError`` naming the
+    shape or the first bad row, before any draw, as does an ``n_runs``
+    that is not an integer >= 0 (bools excluded).  A (d,) parameter keeps
+    the messages of ``check_theta`` and is simulated as the one row of a
+    (1, d) array.  ``_runs`` then takes from ``rng`` exactly the draws its
+    runs consume, row after row: when it returns, or raises, the generator
+    stands where drawing those inputs one at a time would have left it, so
+    one call at n rows gives the bits, and leaves the generator in the
+    state, of n calls at one row each.  A testbed may read ahead in
+    blocks, but it gives back what it did not use before returning, so
+    callers can interleave their own draws with simulations on one
+    generator and get the same streams.
     """
 
     def lr_param(self, theta):
         return np.asarray(theta, dtype=float)
 
     def simulate(self, theta, n_runs, rng):
-        theta = self.input_model.check_theta(theta)
+        theta = self.input_model.check_thetas(theta)
         n_runs = require_int("n_runs", n_runs, 0)
         return SimBatch(*self._runs(theta, n_runs, rng))
 
@@ -114,11 +124,14 @@ def true_eta_oracle(testbed, theta, budget, rng):
     """Brute-force estimate of eta(theta) = E[Y]/E[A] from independent runs.
 
     Used only as a reference oracle; the standard error is the delta-method
-    SE of the ratio of means.  Runs are simulated ``ORACLE_CHUNK`` at a time
-    and only their sums and sums of products are kept, so memory stays at
-    one chunk for any budget.
+    SE of the ratio of means.  ``theta`` is one (d,) parameter: any other
+    shape, an (n, d) array included, raises ``ValueError`` naming it, since
+    runs at n parameters would pool into one ratio.  Runs are simulated
+    ``ORACLE_CHUNK`` at a time and only their sums and sums of products are
+    kept, so memory stays at one chunk for any budget.
     """
     budget = require_int("budget", budget, 10_000)
+    theta = testbed.input_model.check_theta(theta)
     sum_y = sum_a = s_yy = s_ya = s_aa = 0.0
     done = 0
     while done < budget:

@@ -153,7 +153,14 @@ class ErmTestbed(Testbed):
         return total
 
     def _runs(self, theta, n_runs, rng):
-        z = self.trace_model.sample(self.lr_param(theta), rng, size=n_runs)
+        # ``trace_model.sample`` at each row in turn, in one draw: the normals
+        # fill (n, n_runs, d) in C order, and the stacked product multiplies
+        # each row's (n_runs, d) block as a call at that row alone would
+        # (numpy picks its BLAS routine by the block's shape)
+        n, d = theta.shape
+        z = rng.standard_normal((n, n_runs, d))
+        z = self.lr_param(theta)[:, None, :] + z @ self.trace_model.chol.T
+        z = z.reshape(n * n_runs, d)
         spots = self._s0 * np.exp(z)
         value = self.portfolio_value(spots)
         a = (spots.sum(axis=1) < self.config.k_star).astype(float)

@@ -15,9 +15,9 @@ Draws come from the generator in blocks of standard exponentials, each
 scaled by the mean of its kind as it is consumed; this is bit for bit
 ``rng.exponential(mean)``.  A ``simulate`` call leaves the generator where
 one ``rng.exponential`` call per used draw would have left it, also when
-it raises: it rewinds to the state it found and draws the used count again.
-Callers may therefore interleave their own draws with simulations on one
-generator.
+it raises: it rewinds to the state it found and draws the used count again,
+once per call whatever the number of parameters.  Callers may therefore
+interleave their own draws with simulations on one generator.
 """
 
 import math
@@ -65,16 +65,20 @@ def mm1_steady_state_mean(lam, mu, capacity=10):
     return float((n * w).sum() / w.sum())
 
 
-def _cycles(lam, mu, capacity, n_runs, rng):
-    """Simulate ``n_runs`` regenerative cycles; returns one flat list of
-    (Y, A, interarrival count, service count, interarrival sum, service sum)
-    per cycle.
+def _cycles(rates, capacity, n_runs, rng):
+    """Simulate ``n_runs`` regenerative cycles at each (arrival rate,
+    service rate) pair of ``rates``, pair after pair; returns one flat list
+    of (Y, A, interarrival count, service count, interarrival sum, service
+    sum) per cycle, the cycles of the first pair first.
 
     Each draw is a standard exponential times the mean of its kind, which
     is bit for bit ``rng.exponential(mean)``.  Standard exponentials are
-    read in blocks of ``EXP_BLOCK``; on return, also by an error, the
-    generator is put back to its state on entry and the draws the cycles
-    used are drawn again, so it is left just after the last draw used.
+    read in blocks of ``EXP_BLOCK``, one stream for all pairs; on return,
+    also by an error, the generator is put back to its state on entry and
+    the draws the cycles used are drawn again, so it is left just after
+    the last draw used.  That is where one call per pair would leave it,
+    also when a cycle of pair j exceeds ``MAX_CYCLE_DRAWS``: the error
+    names pair j's rates, and the draws of that cycle count as used.
 
     A cycle is one busy period and the arrival that closes it, so no sum is
     kept: each arrival time is the previous one plus its interarrival draw,
@@ -87,8 +91,6 @@ def _cycles(lam, mu, capacity, n_runs, rng):
     interarrival draw I: the event loop would add ``1 * (S - 0.0)`` and then
     ``0 * (I - S)`` to an area of 0.0, which is S.
     """
-    ia_scale = 1.0 / lam
-    sv_scale = 1.0 / mu
     inf = math.inf
     state = rng.bit_generator.state  # rewound to on exit
     draw = chain.from_iterable(
@@ -96,47 +98,50 @@ def _cycles(lam, mu, capacity, n_runs, rng):
     out = []
     used = ia_count = sv_count = 0  # draws of the finished cycles, of this one
     try:
-        for _ in range(n_runs):
-            used += ia_count + sv_count
-            # cycle opens with a customer arriving to the empty system at t = 0
-            last = sv_scale * draw()  # departure time of the last customer in system
-            arr_next = ia_scale * draw()
-            ia_count = sv_count = 1
-            if not arr_next < last:
-                out += (last, arr_next, 1, 1, arr_next, last)
-                continue
-            n_sys = 1
-            dep_next = last
-            pending = deque()  # departure times of the customers behind the one in service
-            t_prev = 0.0
-            area = 0.0
-            while True:
-                if arr_next < dep_next:
-                    area += n_sys * (arr_next - t_prev)
-                    t_prev = arr_next
-                    if n_sys == 0:
-                        # arrival to the empty system closes the cycle; its
-                        # service belongs to the next cycle
-                        break
-                    arr_next = t_prev + ia_scale * draw()
-                    ia_count += 1
-                    if n_sys < capacity:
-                        last += sv_scale * draw()
-                        sv_count += 1
-                        pending.append(last)
-                        n_sys += 1
-                    # else: blocked, no service draw
-                    if ia_count + sv_count > MAX_CYCLE_DRAWS:
-                        raise EstimationError(
-                            f"M/M/1 cycle at arrival rate {lam!r}, service rate {mu!r} "
-                            f"exceeded {MAX_CYCLE_DRAWS} draws"
-                        )
-                else:
-                    area += n_sys * (dep_next - t_prev)
-                    t_prev = dep_next
-                    n_sys -= 1
-                    dep_next = pending.popleft() if n_sys else inf
-            out += (area, t_prev, ia_count, sv_count, t_prev, last)
+        for lam, mu in rates:
+            ia_scale = 1.0 / lam
+            sv_scale = 1.0 / mu
+            for _ in range(n_runs):
+                used += ia_count + sv_count
+                # cycle opens with a customer arriving to the empty system at t = 0
+                last = sv_scale * draw()  # departure time of the last customer in system
+                arr_next = ia_scale * draw()
+                ia_count = sv_count = 1
+                if not arr_next < last:
+                    out += (last, arr_next, 1, 1, arr_next, last)
+                    continue
+                n_sys = 1
+                dep_next = last
+                pending = deque()  # departure times of the customers behind the one in service
+                t_prev = 0.0
+                area = 0.0
+                while True:
+                    if arr_next < dep_next:
+                        area += n_sys * (arr_next - t_prev)
+                        t_prev = arr_next
+                        if n_sys == 0:
+                            # arrival to the empty system closes the cycle; its
+                            # service belongs to the next cycle
+                            break
+                        arr_next = t_prev + ia_scale * draw()
+                        ia_count += 1
+                        if n_sys < capacity:
+                            last += sv_scale * draw()
+                            sv_count += 1
+                            pending.append(last)
+                            n_sys += 1
+                        # else: blocked, no service draw
+                        if ia_count + sv_count > MAX_CYCLE_DRAWS:
+                            raise EstimationError(
+                                f"M/M/1 cycle at arrival rate {lam!r}, service rate {mu!r} "
+                                f"exceeded {MAX_CYCLE_DRAWS} draws"
+                            )
+                    else:
+                        area += n_sys * (dep_next - t_prev)
+                        t_prev = dep_next
+                        n_sys -= 1
+                        dep_next = pending.popleft() if n_sys else inf
+                out += (area, t_prev, ia_count, sv_count, t_prev, last)
     finally:
         rng.bit_generator.state = state
         rng.standard_exponential(used + ia_count + sv_count)
@@ -155,7 +160,6 @@ class Mm1Testbed(Testbed):
         self.true_theta = np.array([0.5, 1.5])
 
     def _runs(self, theta, n_runs, rng):
-        lam, mu = theta.tolist()
-        out = _cycles(lam, mu, self.config.capacity, n_runs, rng)
-        out = np.array(out, dtype=float).reshape(n_runs, 6)
+        out = _cycles(theta.tolist(), self.config.capacity, n_runs, rng)
+        out = np.array(out, dtype=float).reshape(len(theta) * n_runs, 6)
         return out[:, 0].copy(), out[:, 1].copy(), out[:, 2:4], out[:, 4:6]

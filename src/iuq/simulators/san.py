@@ -154,7 +154,11 @@ class SanTestbed(Testbed):
         return v_time, t_time
 
     def _runs(self, theta, n_runs, rng):
-        durations = rng.exponential(1.0 / theta, size=(n_runs, self.config.dim))
+        # one C-order fill of (n, n_runs, d): row i's draws are those of a
+        # call at row i alone
+        n, d = theta.shape
+        durations = rng.exponential(1.0 / theta[:, None, :], size=(n, n_runs, d))
+        durations = durations.reshape(n * n_runs, d)
         v_time, t_time = self.path_times(durations)
         a = (t_time < self.config.threshold).astype(float)
         y = v_time * a

@@ -30,7 +30,7 @@ from iuq.input_models import (
     pack_stats,
 )
 from iuq.reference import reference_eta
-from iuq.simulators import Mm1Testbed
+from iuq.simulators import Mm1Testbed, make_testbed
 
 
 def exp_table(params, y, a, sums=None, n_draws=1):
@@ -412,6 +412,36 @@ class TestRunTable:
         fields.update(kwargs)
         with pytest.raises(ValueError, match=match):
             RunTable(**fields)
+
+    @pytest.mark.parametrize("name", ["san", "mm1", "erm"])
+    @pytest.mark.parametrize(
+        "n, r, rows_per_call",
+        [(7, 3, [3, 3, 1]), (3, 12, [1, 1, 1])],
+        ids=["runs-not-a-multiple-of-the-chunk", "r-above-the-chunk"],
+    )
+    def test_chunked_table_equals_the_per_row_loop(self, monkeypatch, name, n, r,
+                                                    rows_per_call):
+        from iuq import estimators
+
+        monkeypatch.setattr(estimators, "RUN_CHUNK", 10)
+        testbed = make_testbed(name)
+        simulate, calls = testbed.simulate, []
+
+        def recording(theta, n_runs, rng):
+            calls.append(len(theta))
+            return simulate(theta, n_runs, rng)
+
+        monkeypatch.setattr(testbed, "simulate", recording)
+        params = testbed.true_theta * np.linspace(0.8, 1.2, n)[:, None]
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        table = build_run_table(testbed, params, r, rng)
+        batches = [simulate(theta, r, ref_rng) for theta in params]
+        assert calls == rows_per_call
+        assert table.y.tobytes() == np.stack([b.y for b in batches]).tobytes()
+        assert table.a.tobytes() == np.stack([b.a for b in batches]).tobytes()
+        stats = np.stack([pack_stats(b.counts, b.sums) for b in batches])
+        assert table.stats.tobytes() == stats.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def reference_klr(params, y, a, model, counts, sums, lr_params, theta, k_y, k_a, lr_target):

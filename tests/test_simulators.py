@@ -145,6 +145,79 @@ def reference_batch(lam, mu, capacity, n_runs, rng):
     return out[:, 0], out[:, 1], out[:, [2, 4]], out[:, [3, 5]]
 
 
+# four parameters per testbed; the third mm1 row is above unit load
+PARAMETER_ROWS = {
+    "san": np.linspace(0.7, 1.3, 4 * 13).reshape(4, 13),
+    "mm1": np.array([[0.5, 1.5], [0.9, 1.1], [1.2, 1.0], [0.3, 2.0]]),
+    "erm": np.array([[0.05, 0.1], [-0.2, 0.3], [0.4, -0.1], [0.0, 0.0]]),
+}
+
+
+def per_row_batches(testbed, rows, n_runs, rng):
+    """(y, a, counts, sums) of one ``simulate`` call per row, concatenated."""
+    batches = [testbed.simulate(row, n_runs, rng) for row in rows]
+    return [np.concatenate([getattr(b, f) for b in batches])
+            for f in ("y", "a", "counts", "sums")]
+
+
+class TestParameterBatches:
+    """One call at n parameters is n calls at one parameter each."""
+
+    @pytest.mark.parametrize("n_runs", [1, 7, 99])
+    @pytest.mark.parametrize("name", sorted(PARAMETER_ROWS))
+    def test_rows_equal_per_row_calls(self, name, n_runs):
+        tb, rows = make_testbed(name), PARAMETER_ROWS[name]
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        batch = tb.simulate(rows, n_runs, rng)
+        want = per_row_batches(tb, rows, n_runs, ref_rng)
+        for field, ref in zip(("y", "a", "counts", "sums"), want):
+            got = getattr(batch, field)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field
+        assert batch.y.shape == (len(rows) * n_runs,)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_runaway_row_fails_where_the_per_row_calls_fail(self, monkeypatch):
+        # row 2 cannot empty its queue; rows 0 and 1 finish and row 3 never starts
+        import iuq.simulators.mm1 as mm1
+
+        monkeypatch.setattr(mm1, "MAX_CYCLE_DRAWS", 5000)
+        rows = np.array([[0.5, 1.5], [0.8, 1.0], [14.7, 1.0], [0.5, 1.5]])
+        message = r"arrival rate 14\.7, service rate 1\.0 exceeded 5000 draws"
+        tb, rng, ref_rng = Mm1Testbed(), np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(EstimationError, match=message):
+            tb.simulate(rows, 5, rng)
+        for row in rows[:2]:
+            tb.simulate(row, 5, ref_rng)
+        with pytest.raises(EstimationError, match=message):
+            tb.simulate(rows[2], 5, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "name, j, bad",
+        [("san", 2, 0.0), ("san", 0, -1.0), ("mm1", 1, np.nan), ("mm1", 3, np.inf),
+         ("erm", 3, np.inf), ("erm", 1, np.nan)],
+    )
+    def test_bad_row_is_named_before_any_draw(self, name, j, bad):
+        rows = PARAMETER_ROWS[name].copy()
+        rows[j, -1] = bad
+        message = f"parameter row {j} .* outside the support"
+        assert_rejected_without_draw(make_testbed(name), rows, message, n_runs=3)
+
+    @pytest.mark.parametrize("name", sorted(PARAMETER_ROWS))
+    def test_one_row_array_is_the_one_parameter(self, name):
+        tb, theta = make_testbed(name), PARAMETER_ROWS[name][1]
+        batch = tb.simulate(theta[None], 5, np.random.default_rng(2))
+        single = tb.simulate(theta, 5, np.random.default_rng(2))
+        assert batch.y.tobytes() == single.y.tobytes()
+        assert batch.sums.tobytes() == single.sums.tobytes()
+
+    def test_no_rows_make_an_empty_batch_without_a_draw(self):
+        rng = np.random.default_rng(0)
+        batch = Mm1Testbed().simulate(np.empty((0, 2)), 4, rng)
+        assert batch.y.shape == (0,) and batch.counts.shape == (0, 2)
+        assert rng.random() == np.random.default_rng(0).random()
+
+
 class TestSanTopology:
     def test_default_is_13_arcs_9_nodes(self):
         cfg = SanConfig.default()
@@ -279,7 +352,7 @@ class TestSanRuns:
 
     @pytest.mark.parametrize(
         "theta, message",
-        [(np.ones(12), SHAPE), (np.ones((1, 13)), SHAPE), (1.0, SHAPE),
+        [(np.ones(12), SHAPE), (np.ones((2, 12)), SHAPE), (1.0, SHAPE),
          ([0.0] + [1.0] * 12, SUPPORT), ([1.0] * 12 + [-0.0], SUPPORT),
          ([1.0] * 6 + [-0.5] + [1.0] * 6, SUPPORT), ([np.inf] + [1.0] * 12, SUPPORT),
          ([1.0] * 12 + [np.nan], SUPPORT)],
@@ -465,13 +538,13 @@ class TestMm1Cycle:
 
     @pytest.mark.parametrize(
         "theta, message",
-        [(0.5, SHAPE), ([0.5], SHAPE), ([0.5, 1.5, 1.0], SHAPE), ([[0.5, 1.5]], SHAPE),
-         ([0.0, 1.5], SUPPORT), ([0.5, -0.0], SUPPORT), ([-0.5, 1.5], SUPPORT),
-         ([0.5, -2.0], SUPPORT), ([np.inf, 1.5], SUPPORT), ([0.5, -np.inf], SUPPORT),
-         ([np.nan, 1.5], SUPPORT), ([0.5, np.nan], SUPPORT)],
-        ids=["scalar", "one-rate", "three-rates", "2d", "zero-arrival", "negative-zero-service",
-             "negative-arrival", "negative-service", "inf-arrival", "minus-inf-service",
-             "nan-arrival", "nan-service"],
+        [(0.5, SHAPE), ([0.5], SHAPE), ([0.5, 1.5, 1.0], SHAPE), ([[0.5, 1.5, 1.0]], SHAPE),
+         ([[[0.5, 1.5]]], SHAPE), ([0.0, 1.5], SUPPORT), ([0.5, -0.0], SUPPORT),
+         ([-0.5, 1.5], SUPPORT), ([0.5, -2.0], SUPPORT), ([np.inf, 1.5], SUPPORT),
+         ([0.5, -np.inf], SUPPORT), ([np.nan, 1.5], SUPPORT), ([0.5, np.nan], SUPPORT)],
+        ids=["scalar", "one-rate", "three-rates", "2d", "3d", "zero-arrival",
+             "negative-zero-service", "negative-arrival", "negative-service", "inf-arrival",
+             "minus-inf-service", "nan-arrival", "nan-service"],
     )
     def test_rates_outside_the_support_raise(self, theta, message):
         assert_rejected_without_draw(Mm1Testbed(), theta, message)
@@ -573,7 +646,7 @@ class TestErm:
 
     @pytest.mark.parametrize(
         "theta, message",
-        [(0.05, SHAPE), ([0.05, 0.1, 0.0], SHAPE), ([[0.05, 0.1]], SHAPE),
+        [(0.05, SHAPE), ([0.05, 0.1, 0.0], SHAPE), ([[0.05, 0.1, 0.0]], SHAPE),
          ([np.nan, 0.1], SUPPORT), ([0.05, np.inf], SUPPORT), ([-np.inf, 0.1], SUPPORT)],
         ids=["scalar", "three-drifts", "2d", "nan-drift", "inf-drift", "minus-inf-drift"],
     )
@@ -612,6 +685,15 @@ class TestOracle:
         se = np.sqrt(g2 / 50_000) / (sum_a / 50_000) / np.sqrt(50_000)
         assert res.eta == eta
         assert res.se == pytest.approx(se, rel=1e-9)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2)], ids=["two-rows", "one-row"])
+    def test_rejects_parameter_arrays(self, shape):
+        # runs at several parameters would pool into one ratio
+        rng = np.random.default_rng(0)
+        message = re.escape(f"parameter must have shape (2,), got {shape}")
+        with pytest.raises(ValueError, match=message):
+            true_eta_oracle(Mm1Testbed(), np.full(shape, 0.5), 10_000, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_all_zero_denominator_fails(self, rng):
         tb = ErmTestbed(ErmConfig.default(k_star=-1.0))  # impossible event
