@@ -37,10 +37,10 @@ KNN_BLOCK_BYTES = 4 * 2**20
 
 # cap on the runs one ``simulate`` call of ``build_run_table`` makes.  A call
 # amortises its fixed cost (the parameter check, the M/M/1 generator rewind,
-# the batch) over its rows; the cap keeps its scratch, the M/M/1 cycles'
-# Python floats above all, to one chunk however large the table.  At 2048
-# runs the mm1 m=800 peak resident set sits about 0.25 MB above that of one
-# call per row, and 8192 put it 0.7 MB above
+# the batch) over its rows; the cap keeps its scratch, the M/M/1 busy cycles'
+# Python numbers and drawn stream above all, to one chunk however large the
+# table.  At 2048 runs the mm1 m=800 peak resident set sat about 0.25 MB
+# above that of one call per row, and 8192 put it 0.7 MB above
 RUN_CHUNK = 2048
 
 
@@ -273,6 +273,7 @@ def build_run_table(testbed, params, r, rng):
         y[chunk] = batch.y.reshape(-1, r)
         a[chunk] = batch.a.reshape(-1, r)
         stats[chunk] = pack_stats(batch.counts, batch.sums).reshape(-1, r, 2 * d)
+        del batch  # so that the next call's scratch can reuse its memory
     return RunTable(
         params=params,
         y=y,

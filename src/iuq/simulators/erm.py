@@ -11,10 +11,13 @@ entire input trace), prices every option with the Black-Scholes formula at
 the remaining maturity, and reports Y = portfolio value on the event and
 A = the event indicator.
 
-The normal CDF comes from ``scipy.special``, which ``bs_price`` imports on
-its first call rather than at module import: the other testbeds and the
-estimators need numpy only, and loading ``scipy.special`` would otherwise
-take most of the time and much of the memory of ``import iuq``.
+The normal CDF comes from ``scipy.special``, which ``bs_price`` and
+``ErmTestbed.portfolio_value`` import when called rather than at module
+import: the other testbeds and the estimators need numpy only, and loading
+``scipy.special`` would otherwise take most of the time and much of the
+memory of ``import iuq``.  ``portfolio_value`` checks its spots once and
+prices every option through the unchecked ``_bs_price``; the config has
+checked the other terms when it was built.
 """
 
 import math
@@ -29,23 +32,37 @@ from . import Testbed
 def bs_price(kind, spot, strike, rate, vol, ttm):
     """Black-Scholes value of a European call or put.
 
-    Vectorized over ``spot``; ``ttm`` = 0 returns the intrinsic value.
+    Vectorized over ``spot``; ``ttm`` = 0 returns the intrinsic value.  An
+    unknown ``kind``, or an input that is not finite or is out of range
+    (spot or strike or vol <= 0, ttm < 0), raises ``ValueError``.
     """
     from scipy.special import ndtr
 
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
     spot = np.asarray(spot, dtype=float)
-    if np.any(spot <= 0) or strike <= 0 or vol <= 0 or ttm < 0:
-        raise ValueError("require spot > 0, strike > 0, vol > 0, ttm >= 0")
+    terms = (strike, rate, vol, ttm)
+    if not (_finite_positive(spot) and all(map(math.isfinite, terms))
+            and strike > 0 and vol > 0 and ttm >= 0):
+        raise ValueError("require finite inputs with spot > 0, strike > 0, vol > 0, ttm >= 0")
+    return _bs_price(ndtr, kind == "call", spot, strike, rate, vol, ttm)
+
+
+def _finite_positive(x):
+    """Whether every entry of array ``x`` lies in (0, inf); NaN does not."""
+    return bool(((x > 0) & (x < math.inf)).all())
+
+
+def _bs_price(ndtr, call, spot, strike, rate, vol, ttm):
+    """``bs_price`` without its checks, for inputs it would accept."""
     if ttm == 0:
-        intrinsic = spot - strike if kind == "call" else strike - spot
+        intrinsic = spot - strike if call else strike - spot
         return np.maximum(intrinsic, 0.0)
     s_sqrt = vol * math.sqrt(ttm)
     d1 = (np.log(spot / strike) + (rate + 0.5 * vol * vol) * ttm) / s_sqrt
     d2 = d1 - s_sqrt
     disc = strike * math.exp(-rate * ttm)
-    if kind == "call":
+    if call:
         return spot * ndtr(d1) - disc * ndtr(d2)
     return disc * ndtr(-d2) - spot * ndtr(-d1)
 
@@ -70,10 +87,15 @@ class ErmConfig:
         object.__setattr__(self, "n_stocks", len(self.s0))
         if len(self.vols) != self.n_stocks or len(self.true_theta) != self.n_stocks:
             raise ValueError("s0, vols, and true_theta must have equal lengths")
-        if not 0 < self.horizon < self.expiry:
-            raise ValueError("require 0 < horizon < expiry")
-        if any(v <= 0 for v in self.vols):
-            raise ValueError("volatilities must be positive")
+        # the option terms ``portfolio_value`` prices without bs_price's checks
+        if not 0 < self.horizon < self.expiry < math.inf:
+            raise ValueError("require 0 < horizon < expiry < inf")
+        if not all(0 < v < math.inf for v in self.vols):
+            raise ValueError("volatilities must be finite and positive")
+        if not all(0 < k < math.inf for k in (*self.call_strikes, *self.put_strikes)):
+            raise ValueError("strikes must be finite and positive")
+        if not math.isfinite(self.rate):
+            raise ValueError("rate must be finite")
         if not -1.0 < self.corr < 1.0:
             raise ValueError("correlation must lie in (-1, 1)")
 
@@ -138,18 +160,23 @@ class ErmTestbed(Testbed):
         return (theta - 0.5 * self._vols**2) * self.config.horizon
 
     def portfolio_value(self, spots):
-        """Total Black-Scholes value of all options at the horizon."""
+        """Total Black-Scholes value of all options at the horizon; spots
+        that are not finite and positive raise ``ValueError``."""
+        from scipy.special import ndtr
+
         cfg = self.config
         spots = np.atleast_2d(np.asarray(spots, dtype=float))
+        if not _finite_positive(spots):
+            raise ValueError("require finite spots > 0")
         ttm = cfg.expiry - cfg.horizon
         total = np.zeros(spots.shape[0])
         for ell in range(cfg.n_stocks):
             s = spots[:, ell]
             vol = cfg.vols[ell]
             for k in cfg.call_strikes:
-                total += bs_price("call", s, k, cfg.rate, vol, ttm)
+                total += _bs_price(ndtr, True, s, k, cfg.rate, vol, ttm)
             for k in cfg.put_strikes:
-                total += bs_price("put", s, k, cfg.rate, vol, ttm)
+                total += _bs_price(ndtr, False, s, k, cfg.rate, vol, ttm)
         return total
 
     def _runs(self, theta, n_runs, rng):

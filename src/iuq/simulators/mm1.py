@@ -18,6 +18,13 @@ one ``rng.exponential`` call per used draw would have left it, also when
 it raises: it rewinds to the state it found and draws the used count again,
 once per call whatever the number of parameters.  Callers may therefore
 interleave their own draws with simulations on one generator.
+
+At light load most cycles hold one customer: a service draw S, then an
+interarrival draw I no shorter than it, which make the run (Y, A) = (S, I).
+The event loop decides every cycle but stores only the others, the busy
+cycles, as Python numbers.  The rewind's draws are the stream the loop
+read, so ``Mm1Testbed._runs`` rebuilds the one-customer cycles from them
+in one vector pass and writes the busy cycles over them.
 """
 
 import math
@@ -67,49 +74,53 @@ def mm1_steady_state_mean(lam, mu, capacity=10):
 
 def _cycles(rates, capacity, n_runs, rng):
     """Simulate ``n_runs`` regenerative cycles at each (arrival rate,
-    service rate) pair of ``rates``, pair after pair; returns one flat list
-    of (Y, A, interarrival count, service count, interarrival sum, service
-    sum) per cycle, the cycles of the first pair first.
+    service rate) pair of ``rates``, pair after pair, numbering the cycles
+    0, 1, ... in that order.  Returns ``(busy, draws)``: ``busy`` is an
+    array with one row (cycle number, Y, interarrival count, service count,
+    interarrival sum, service sum) per cycle of two or more customers, and
+    ``draws`` the array of the standard exponentials the cycles used, in
+    stream order.  The busy rows are kept as Python numbers while the loop
+    runs; the cycles of one customer keep nothing.
 
     Each draw is a standard exponential times the mean of its kind, which
     is bit for bit ``rng.exponential(mean)``.  Standard exponentials are
-    read in blocks of ``EXP_BLOCK``, one stream for all pairs; on return,
+    read in blocks of ``EXP_BLOCK``, one stream for all pairs.  On return,
     also by an error, the generator is put back to its state on entry and
-    the draws the cycles used are drawn again, so it is left just after
-    the last draw used.  That is where one call per pair would leave it,
-    also when a cycle of pair j exceeds ``MAX_CYCLE_DRAWS``: the error
-    names pair j's rates, and the draws of that cycle count as used.
+    the draws the cycles used are drawn again, into ``draws``: two per
+    cycle started, plus the draws beyond two of each busy cycle and, when
+    a cycle of pair j exceeds ``MAX_CYCLE_DRAWS``, of that partial cycle.
+    This leaves the generator just after the last draw used, where one
+    call per pair would leave it; the error names pair j's rates.
 
     A cycle is one busy period and the arrival that closes it, so no sum is
     kept: each arrival time is the previous one plus its interarrival draw,
     which makes the closing arrival time (A) the interarrival sum, and each
     departure time is the previous departure plus its service draw, which
     makes the last departure the service sum, both added in draw order.  A
-    customer's departure time is computed as it arrives and queued.  When
-    the second arrival comes no earlier than the first departure, the cycle
-    holds one customer and is (S, I, 1, 1, I, S) for its service draw S and
-    interarrival draw I: the event loop would add ``1 * (S - 0.0)`` and then
-    ``0 * (I - S)`` to an area of 0.0, which is S.
+    customer's departure time is computed as it arrives and queued.  A
+    cycle opens with its service draw and its interarrival draw; when the
+    second arrival comes no earlier than the first departure, the cycle
+    holds one customer and is fixed by those two draws.
     """
     inf = math.inf
     state = rng.bit_generator.state  # rewound to on exit
     draw = chain.from_iterable(
         iter(lambda: rng.standard_exponential(EXP_BLOCK).tolist(), None)).__next__
-    out = []
-    used = ia_count = sv_count = 0  # draws of the finished cycles, of this one
+    busy = []
+    i = -1  # number of the last cycle started
+    partial = 0  # draws beyond two of a cycle cut off by the draw cap
+    first = 0  # number of the pair's first cycle
     try:
         for lam, mu in rates:
             ia_scale = 1.0 / lam
             sv_scale = 1.0 / mu
-            for _ in range(n_runs):
-                used += ia_count + sv_count
+            for i in range(first, first + n_runs):
                 # cycle opens with a customer arriving to the empty system at t = 0
                 last = sv_scale * draw()  # departure time of the last customer in system
                 arr_next = ia_scale * draw()
-                ia_count = sv_count = 1
                 if not arr_next < last:
-                    out += (last, arr_next, 1, 1, arr_next, last)
                     continue
+                ia_count = sv_count = 1
                 n_sys = 1
                 dep_next = last
                 pending = deque()  # departure times of the customers behind the one in service
@@ -132,6 +143,7 @@ def _cycles(rates, capacity, n_runs, rng):
                             n_sys += 1
                         # else: blocked, no service draw
                         if ia_count + sv_count > MAX_CYCLE_DRAWS:
+                            partial = ia_count + sv_count - 2
                             raise EstimationError(
                                 f"M/M/1 cycle at arrival rate {lam!r}, service rate {mu!r} "
                                 f"exceeded {MAX_CYCLE_DRAWS} draws"
@@ -141,11 +153,15 @@ def _cycles(rates, capacity, n_runs, rng):
                         t_prev = dep_next
                         n_sys -= 1
                         dep_next = pending.popleft() if n_sys else inf
-                out += (area, t_prev, ia_count, sv_count, t_prev, last)
+                busy += (i, area, ia_count, sv_count, t_prev, last)
+            first += n_runs
     finally:
+        busy = np.array(busy).reshape(-1, 6)  # before the redraw, for a lower peak
+        # two draws per one-customer cycle, the counts of each busy one
+        used = 2 * (i + 1 - len(busy)) + int(busy[:, 2:4].sum()) + partial
         rng.bit_generator.state = state
-        rng.standard_exponential(used + ia_count + sv_count)
-    return out
+        draws = rng.standard_exponential(used)
+    return busy, draws
 
 
 class Mm1Testbed(Testbed):
@@ -160,6 +176,37 @@ class Mm1Testbed(Testbed):
         self.true_theta = np.array([0.5, 1.5])
 
     def _runs(self, theta, n_runs, rng):
-        out = _cycles(theta.tolist(), self.config.capacity, n_runs, rng)
-        out = np.array(out, dtype=float).reshape(len(theta) * n_runs, 6)
-        return out[:, 0].copy(), out[:, 1].copy(), out[:, 2:4], out[:, 4:6]
+        """Run ``_cycles`` and decode its output into the batch in one
+        vector pass.
+
+        Every cycle is first decoded as a cycle of one customer: (Y, A,
+        counts, sums) = (S, I, (1, 1), (I, S)) for S = E[o] * (1 / mu) and
+        I = E[o + 1] * (1 / lam), where E is ``draws`` and o the cycle's
+        offset into it, the draws of the cycles before it (two per
+        one-customer cycle, the two counts of a busy one).  Each busy
+        cycle's row is then overwritten with its record.  S and I are the
+        products the event loop forms, and its area would be ``1 * (S -
+        0.0)`` plus ``0 * (I - S)`` on 0.0, which is S, so the batch is bit
+        for bit the loop's.
+        """
+        busy, draws = _cycles(theta.tolist(), self.config.capacity, n_runs, rng)
+        busy_at = busy[:, 0].astype(np.intp)
+        n = len(theta) * n_runs
+        # offset just past each cycle's draws; less 2, a one-customer cycle's o
+        end = np.full(n, 2, dtype=np.intp)
+        end[busy_at] = busy[:, 2] + busy[:, 3]
+        np.add.accumulate(end, out=end)
+        sums = np.empty((n, 2))
+        end -= 1
+        draws.take(end, out=sums[:, 0])
+        end -= 1
+        draws.take(end, out=sums[:, 1])
+        del draws, end  # freed before the other outputs are made
+        per_row = sums.reshape(len(theta), n_runs, 2)
+        per_row *= 1.0 / theta[:, None, :]  # each row's means (1 / lam, 1 / mu)
+        sums[busy_at] = busy[:, 4:6]
+        counts = np.ones((n, 2))
+        counts[busy_at] = busy[:, 2:4]
+        y = sums[:, 1].copy()
+        y[busy_at] = busy[:, 1]
+        return y, sums[:, 0].copy(), counts, sums

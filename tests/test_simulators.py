@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from collections import deque
@@ -393,6 +394,61 @@ def replay_cycle(interarrivals, services, capacity):
     return area, cycle_end
 
 
+def reference_rows(rows, capacity, n_runs, rng):
+    """``reference_batch`` at each (arrival rate, service rate) row in turn,
+    on one generator, concatenated."""
+    batches = [reference_batch(lam, mu, capacity, n_runs, rng) for lam, mu in rows]
+    return [np.concatenate(field) for field in zip(*batches)]
+
+
+class TestOneCustomerCycles:
+    """Cycles of one customer are rebuilt from the draws, the others kept
+    from the event loop; every mix of the two equals the per-draw
+    reference, row by row, generator end state included."""
+
+    @staticmethod
+    def simulate_against_reference(rows, capacity, n_runs, seed):
+        rows = np.asarray(rows, dtype=float)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = Mm1Testbed(QueueConfig(capacity)).simulate(rows, n_runs, rng)
+        want = reference_rows(rows, capacity, n_runs, ref_rng)
+        for field, ref in zip(("y", "a", "counts", "sums"), want):
+            got = getattr(batch, field)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return batch
+
+    def test_no_one_customer_cycle(self):
+        # capacity 1 at load >= 20: the second arrival nearly always comes
+        # first, is blocked, and the cycle reads three draws or more
+        rows = [[20.0, 1.0], [45.0, 1.5], [12.5, 0.5]]
+        batch = self.simulate_against_reference(rows, 1, 10, seed=1)
+        assert (batch.counts.sum(axis=1) > 2).all()
+
+    def test_no_busy_cycle(self):
+        rows = [[1e-3, 1.0], [2e-3, 2.0], [5e-4, 0.5]]
+        batch = self.simulate_against_reference(rows, 10, 50, seed=4)
+        assert (batch.counts == 1).all()
+
+    def test_one_customer_cycle_across_a_block_boundary(self):
+        # a cycle whose service draw ends one block and whose interarrival
+        # draw opens the next; only a blocked arrival makes a cycle's draw
+        # count odd, so the capacity is small
+        batch = self.simulate_against_reference([[0.5, 1.0]], 2, 300, seed=3)
+        draws = batch.counts.sum(axis=1)
+        offsets = np.cumsum(draws) - draws
+        straddles = (draws == 2) & (offsets % EXP_BLOCK == EXP_BLOCK - 1)
+        assert straddles.any()
+
+    @pytest.mark.parametrize("n, n_runs", [(14, 146), (292, 7)], ids=["std", "klr"])
+    def test_benchmark_chunk_shapes(self, n, n_runs):
+        # the chunks build_run_table simulates for the m=800 workloads, at
+        # parameters around the true load 1/3
+        noise = np.exp(0.1 * np.random.default_rng(n).standard_normal((n, 2)))
+        batch = self.simulate_against_reference([0.5, 1.5] * noise, 10, n_runs, seed=n)
+        assert 0 < (batch.counts.sum(axis=1) == 2).mean() < 1
+
+
 class TestMm1Cycle:
     def test_single_customer_cycle(self):
         tb = Mm1Testbed()
@@ -604,6 +660,14 @@ class TestBlackScholes:
             bs_price("call", -1.0, 100.0, 0.02, 0.2, 1.0)
         with pytest.raises(ValueError):
             bs_price("straddle", 100.0, 100.0, 0.02, 0.2, 1.0)
+        nan = math.nan
+        # spot, strike, rate, vol, ttm; each has one input that is not finite
+        bad = [([100.0, nan], 100.0, 0.02, 0.2, 1.0), (100.0, nan, 0.02, 0.2, 1.0),
+               (100.0, 100.0, nan, 0.2, 1.0), (100.0, 100.0, 0.02, nan, 1.0),
+               (100.0, 100.0, 0.02, 0.2, nan), (math.inf, 100.0, 0.02, 0.2, 1.0)]
+        for args in bad:
+            with pytest.raises(ValueError, match="require finite inputs"):
+                bs_price("call", *args)
 
 
 class TestErm:
@@ -652,6 +716,22 @@ class TestErm:
     )
     def test_drifts_outside_the_support_raise(self, theta, message):
         assert_rejected_without_draw(ErmTestbed(), theta, message)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"expiry": math.inf}, "expiry < inf"), ({"vols": (0.15, math.nan)}, "volatilities"),
+         ({"call_strikes": (80.0, -1.0)}, "strikes"), ({"put_strikes": (math.nan,)}, "strikes"),
+         ({"rate": math.nan}, "rate")],
+        ids=["inf-expiry", "nan-vol", "negative-strike", "nan-strike", "nan-rate"],
+    )
+    def test_config_rejects_option_terms_bs_price_would(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ErmConfig.default(), **change)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+    def test_portfolio_rejects_spots_bs_price_would(self, bad):
+        with pytest.raises(ValueError, match="require finite spots > 0"):
+            ErmTestbed().portfolio_value(np.array([[100.0, 100.0], [100.0, bad]]))
 
     def test_lr_param_shifts_mean(self):
         tb = ErmTestbed()
