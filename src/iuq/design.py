@@ -293,42 +293,42 @@ def anova_select_r(sample_param, simulate, b=50, s0=10, ds=10, c_zeta=0.1,
                    max_s=500, rng=None):
     """Pick the replication count r from a pilot experiment.
 
-    ``sample_param(count, rng)`` draws pilot parameters from the bootstrap
-    sampling distribution; ``simulate(theta, runs, rng)`` returns the (Y, A)
-    arrays of that many runs.  Runs are added in increments of ``ds`` until
-    both variance-ratio estimates are positive; the returned r is the
-    smallest integer at which both reach ``c_zeta``, capped at ``PILOT_MAX_R``.
+    ``sample_param(count, rng)`` draws the (count, d) pilot parameters from
+    the bootstrap sampling distribution; ``simulate(params, runs, rng)``
+    returns ``Testbed.simulate``'s batch, whose ``y`` and ``a`` hold that
+    many runs at each row in parameter-major order.  One call simulates
+    each sweep.  Runs are added in increments of ``ds`` until both
+    variance-ratio estimates are positive, a sweep in which Y or A has no
+    within-parameter variance counting as not yet positive; the returned r
+    is the smallest integer at which both reach ``c_zeta``, capped at
+    ``PILOT_MAX_R``.  Settings, b(s0 - 1) > 2 included, are checked before
+    any draw.
     """
     b, s0, ds = require_int("b", b, 2), require_int("s0", s0, 2), require_int("ds", ds, 1)
     max_s = require_int("max_s", max_s, s0)
+    if b * (s0 - 1) <= 2:
+        raise ValueError(f"pilot needs b(s0-1) > 2, got b={b}, s0={s0}")
     if not (is_finite_real(c_zeta) and c_zeta > 0):
         raise ValueError(f"c_zeta must be finite and positive, got {c_zeta!r}")
     params = sample_param(b, rng)
-    ys = np.empty((b, 0))
-    as_ = np.empty((b, 0))
+    ys = as_ = np.empty((b, 0))
     s = 0
     add = s0
     while True:
-        new_y = np.empty((b, add))
-        new_a = np.empty((b, add))
-        for i in range(b):
-            yi, ai = simulate(params[i], add, rng)
-            new_y[i] = yi
-            new_a[i] = ai
-        ys = np.hstack([ys, new_y])
-        as_ = np.hstack([as_, new_a])
+        batch = simulate(params, add, rng)
+        ys = np.hstack([ys, batch.y.reshape(b, add)])
+        as_ = np.hstack([as_, batch.a.reshape(b, add)])
         s += add
-        mst_y, mse_y = _mean_squares(ys)
-        mst_a, mse_a = _mean_squares(as_)
-        zeta1_y = zeta_estimate(1, s, b, mst_y, mse_y)
-        zeta1_a = zeta_estimate(1, s, b, mst_a, mse_a)
-        if zeta1_y > 0 and zeta1_a > 0:
-            break
+        squares = {"Y": _mean_squares(ys), "A": _mean_squares(as_)}
+        flat = [out for out, (_, mse) in squares.items() if mse <= 0]
+        if not flat:
+            zeta1_y, zeta1_a = (zeta_estimate(1, s, b, *ms) for ms in squares.values())
+            if zeta1_y > 0 and zeta1_a > 0:
+                break
         if s + ds > max_s:
-            raise EstimationError(
-                f"pilot did not find positive variance ratios by s={s} "
-                f"(zeta_y(s)={s * zeta1_y:.4g}, zeta_a(s)={s * zeta1_a:.4g})"
-            )
+            why = (f"no within-parameter variance in {' or '.join(flat)}" if flat
+                   else f"zeta_y(s)={s * zeta1_y:.4g}, zeta_a(s)={s * zeta1_a:.4g}")
+            raise EstimationError(f"pilot did not find positive variance ratios by s={s} ({why})")
         add = ds
     binding = min(zeta1_y, zeta1_a)
     r = max(1, math.ceil(c_zeta / binding))

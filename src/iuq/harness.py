@@ -386,9 +386,10 @@ def run_pilot(model_name, m, seed=0, san_topology=None, **pilot):
     """Run the variance-ratio pilot on a fresh dataset from the true model.
 
     Keyword arguments (``b``, ``s0``, ``ds``, ``c_zeta``, ``max_s``) go to
-    ``anova_select_r``, which holds their defaults.  ``m`` and ``seed``
-    follow the config's rules, integers >= 2 and >= 0, checked before any
-    draw.
+    ``anova_select_r``, which holds their defaults; its ``simulate`` is the
+    testbed's own ``simulate(params, runs, rng)``, one batch per sweep.
+    ``m`` and ``seed`` follow the config's rules, integers >= 2 and >= 0,
+    checked before any draw.
     """
     m, seed = require_int("m", m, 2), require_int("seed", seed, 0)
     testbed = make_testbed(model_name, san_topology=san_topology)
@@ -399,8 +400,4 @@ def run_pilot(model_name, m, seed=0, san_topology=None, **pilot):
     def sample_param(count, rng_):
         return bootstrap_params(testbed.input_model, theta_hat, m, count, rng_)
 
-    def simulate(theta, runs, rng_):
-        batch = testbed.simulate(theta, runs, rng_)
-        return batch.y, batch.a
-
-    return anova_select_r(sample_param, simulate, rng=rng, **pilot)
+    return anova_select_r(sample_param, testbed.simulate, rng=rng, **pilot)

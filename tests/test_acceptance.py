@@ -9,6 +9,7 @@ import dataclasses
 import math
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -176,10 +177,13 @@ def test_criterion_10_anova_pilot_synthetic():
     def sample_param(count, rng_):
         return rng_.normal(0.0, math.sqrt(nu2), size=(count, 1))
 
-    def simulate(theta, runs, rng_):
-        y = float(theta[0]) + rng_.normal(0.0, math.sqrt(sigma2), size=runs)
-        a = float(theta[0]) + rng_.normal(0.0, 1.0, size=runs)
-        return y, a
+    def simulate(params, runs, rng_):
+        # row by row, Y's draws before A's, in parameter-major order
+        ys, as_ = [], []
+        for theta in params:
+            ys.append(float(theta[0]) + rng_.normal(0.0, math.sqrt(sigma2), size=runs))
+            as_.append(float(theta[0]) + rng_.normal(0.0, 1.0, size=runs))
+        return SimpleNamespace(y=np.concatenate(ys), a=np.concatenate(as_))
 
     res = anova_select_r(sample_param, simulate, b=1000, s0=50, c_zeta=c_zeta, rng=rng)
     rel_err = abs(res.r * nu2 / sigma2 - c_zeta) / c_zeta

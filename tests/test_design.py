@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -393,6 +394,19 @@ class TestZetaEstimate:
         assert abs(np.mean(vals) - 0.01) < 3 * se
 
 
+def by_rows(simulate_row):
+    """A pilot ``simulate(params, runs, rng)`` built from a one-parameter
+    ``simulate_row(theta, runs, rng)`` returning (y, a): it simulates the
+    rows one after another and returns their runs in parameter-major
+    order, as a ``Testbed.simulate`` batch holds them."""
+
+    def simulate(params, runs, rng):
+        ys, as_ = zip(*(simulate_row(theta, runs, rng) for theta in params))
+        return SimpleNamespace(y=np.concatenate(ys), a=np.concatenate(as_))
+
+    return simulate
+
+
 class _ScriptedPilot:
     """Pilot testbed whose first batch hides the parameter effect."""
 
@@ -402,13 +416,32 @@ class _ScriptedPilot:
     def sample_param(self, count, rng):
         return np.linspace(-1.0, 1.0, count)[:, None]
 
-    def simulate(self, theta, runs, rng):
+    def simulate(self, params, runs, rng):
         self.calls += 1
-        if self.calls <= 4:  # first sweep: pure alternating noise, MST < MSE
-            y = np.resize([1.0, -1.0], runs)
+        if self.calls == 1:  # first sweep: pure alternating noise, MST < MSE
+            y = np.tile(np.resize([1.0, -1.0], runs), len(params))
         else:  # later sweeps: strong parameter effect
-            y = np.full(runs, 50.0 * float(theta[0])) + np.resize([0.1, -0.1], runs)
-        return y, y.copy()
+            y = np.repeat(50.0 * params[:, 0], runs) + np.tile(np.resize([0.1, -0.1], runs),
+                                                               len(params))
+        return SimpleNamespace(y=y, a=y.copy())
+
+
+def flat_then_noisy(flat_sweeps, flat_outputs="YA"):
+    """A pilot ``simulate`` under which parameter i has mean i.  Its first
+    ``flat_sweeps`` sweeps give the outputs named in ``flat_outputs``
+    exactly that mean, so no within-parameter variance; every other output
+    adds unit normal noise.  Its ``sweeps`` list records each call's sizes."""
+
+    def simulate(params, runs, rng):
+        simulate.sweeps.append((len(params), runs))
+        flat = len(simulate.sweeps) <= flat_sweeps
+        means = np.repeat(np.arange(len(params), dtype=float), runs)
+        out = {k: means if flat and k in flat_outputs else means + rng.normal(size=means.size)
+               for k in "YA"}
+        return SimpleNamespace(y=out["Y"], a=out["A"])
+
+    simulate.sweeps = []
+    return simulate
 
 
 class TestAnovaSelectR:
@@ -421,7 +454,7 @@ class TestAnovaSelectR:
         assert min(res.zeta_y, res.zeta_a) >= 0.1
 
     def test_nonconvergence_errors(self):
-        def simulate(theta, runs, rng_):
+        def simulate_row(theta, runs, rng_):
             # alternating outputs keep every group mean at zero, so the
             # between-parameter mean square stays zero and zeta stays negative
             y = np.resize([1.0, -1.0], runs)
@@ -430,7 +463,7 @@ class TestAnovaSelectR:
         with pytest.raises(EstimationError, match="pilot"):
             anova_select_r(
                 lambda count, rng_: np.zeros((count, 1)),
-                simulate,
+                by_rows(simulate_row),
                 b=5,
                 s0=2,
                 ds=2,
@@ -438,6 +471,25 @@ class TestAnovaSelectR:
                 max_s=8,
                 rng=None,
             )
+
+    def test_zero_within_variance_adds_runs(self, rng):
+        # a first sweep with constant outputs per parameter has MSE = 0: the
+        # pilot adds ds runs, as for a non-positive ratio, and goes on
+        simulate = flat_then_noisy(flat_sweeps=1)
+        res = anova_select_r(lambda count, rng_: np.zeros((count, 1)), simulate,
+                             b=20, s0=3, ds=4, rng=rng)
+        assert res.final_s == 7
+        assert simulate.sweeps == [(20, 3), (20, 4)]
+        assert min(res.zeta_y, res.zeta_a) >= 0.1 - 1e-12
+
+    @pytest.mark.parametrize("flat_outputs, named", [("A", "in A)"), ("YA", "in Y or A)")])
+    def test_zero_within_variance_to_max_s_errors(self, rng, flat_outputs, named):
+        simulate = flat_then_noisy(flat_sweeps=10, flat_outputs=flat_outputs)
+        with pytest.raises(EstimationError, match=r"by s=8 \(no within-parameter variance") as exc:
+            anova_select_r(lambda count, rng_: np.zeros((count, 1)), simulate,
+                           b=20, s0=2, ds=3, max_s=10, rng=rng)
+        assert str(exc.value).endswith(named)
+        assert simulate.sweeps == [(20, 2), (20, 3), (20, 3)]
 
     def test_zero_increment_rejected(self):
         # ds=0 would re-test the same s forever when zeta is not yet positive
@@ -450,11 +502,12 @@ class TestAnovaSelectR:
          ({"c_zeta": float("nan")}, "c_zeta"), ({"c_zeta": float("inf")}, "c_zeta"),
          ({"s0": 10, "max_s": 9}, "max_s"), ({"b": 4.5}, "b must be an integer"),
          ({"s0": True}, "s0 must be an integer"), ({"ds": 2.5}, "ds must be an integer"),
-         ({"c_zeta": True}, "c_zeta")],
+         ({"c_zeta": True}, "c_zeta"), ({"b": 2, "s0": 2}, r"b\(s0-1\) > 2, got b=2, s0=2")],
         ids=["c_zeta-zero", "c_zeta-negative", "c_zeta-nan", "c_zeta-inf", "max_s-below-s0",
-             "b-fraction", "s0-bool", "ds-fraction", "c_zeta-bool"],
+             "b-fraction", "s0-bool", "ds-fraction", "c_zeta-bool", "b-s0-too-few-dof"],
     )
     def test_bad_settings_rejected(self, kwargs, match):
+        # simulate=None: every setting is checked before the first sweep
         with pytest.raises(ValueError, match=match):
             anova_select_r(lambda count, rng_: np.zeros((count, 1)), None, **kwargs)
 
@@ -462,12 +515,12 @@ class TestAnovaSelectR:
         def sample_param(count, rng_):
             return rng_.normal(0.0, 1.0, size=(count, 1))
 
-        def simulate(theta, runs, rng_):
+        def simulate_row(theta, runs, rng_):
             y = float(theta[0]) + rng_.normal(0.0, 10.0, size=runs)
             a = float(theta[0]) + rng_.normal(0.0, 1.0, size=runs)
             return y, a
 
-        res = anova_select_r(sample_param, simulate, b=200, s0=20, rng=rng)
+        res = anova_select_r(sample_param, by_rows(simulate_row), b=200, s0=20, rng=rng)
         assert res.r >= 1
         assert min(res.zeta_y, res.zeta_a) >= 0.1 - 1e-12
 

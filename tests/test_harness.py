@@ -4,14 +4,15 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import src_env
-from iuq import cli
+from iuq import cli, harness
 from iuq.ci import percentile_ci
-from iuq.design import CV_FOLDS, sample_size_rule
+from iuq.design import CV_FOLDS, PilotResult, anova_select_r, sample_size_rule
 from iuq.estimators import RunTable, klr_fallback_k1, klr_ratio
 from iuq.harness import (
     DEFAULT_R,
@@ -28,7 +29,7 @@ from iuq.harness import (
 )
 from iuq.input_models import EstimationError, IndependentExponentials
 from iuq.reference import REFERENCE_ETA, reference_eta
-from iuq.simulators import Mm1Testbed, make_testbed
+from iuq.simulators import Mm1Testbed, Testbed, make_testbed
 from iuq.simulators.mm1 import MAX_CYCLE_DRAWS
 
 
@@ -536,11 +537,70 @@ class TestReference:
             reference_eta("atm")
 
 
+def pilot_through(monkeypatch, model, seed, per_row, **sizes):
+    """``run_pilot(model, 50, seed, **sizes)``, or the message of its
+    ``EstimationError``, with the generator's end state and the (rows,
+    runs) of each ``simulate`` call.  The pilot gets the testbed's own
+    ``simulate``, or with ``per_row`` the per-row reference: one
+    ``testbed.simulate(params[i], runs, rng)`` call per row, their runs
+    stacked in row order."""
+    seen = {"calls": []}
+
+    def spy(sample_param, simulate, rng, **pilot):
+        assert simulate.__func__ is Testbed.simulate  # the testbed's, unwrapped
+
+        def recorded(params, runs, rng_):
+            seen["calls"].append((len(params), runs))
+            if not per_row:
+                return simulate(params, runs, rng_)
+            rows = [simulate(params[i], runs, rng_) for i in range(len(params))]
+            return SimpleNamespace(y=np.concatenate([row.y for row in rows]),
+                                   a=np.concatenate([row.a for row in rows]))
+
+        try:
+            return anova_select_r(sample_param, recorded, rng=rng, **pilot)
+        finally:
+            seen["state"] = rng.bit_generator.state
+
+    monkeypatch.setattr(harness, "anova_select_r", spy)
+    try:
+        return run_pilot(model, 50, seed=seed, **sizes), seen
+    except EstimationError as exc:
+        return str(exc), seen
+
+
 class TestPilotEntry:
     def test_mm1_pilot_runs(self):
         res = run_pilot("mm1", 50, seed=3, b=20, s0=10)
         assert res.r >= 1
         assert min(res.zeta_y, res.zeta_a) >= 0.1 - 1e-12
+
+    @pytest.mark.parametrize("model", ["mm1", "san", "erm"])
+    def test_batched_pilot_equals_per_row_pilot(self, monkeypatch, model):
+        # one simulate call per sweep gives the result, or the failure, and
+        # the generator end state of one call per parameter, over single-
+        # and multi-sweep pilots (erm seed 1 at b=20 fails at max_s)
+        added_runs = False
+        for sizes in ({}, {"b": 20, "s0": 10, "ds": 10}, {"b": 7, "s0": 2, "ds": 3}):
+            b, s0, ds = sizes.get("b", 50), sizes.get("s0", 10), sizes.get("ds", 10)
+            for seed in range(3):
+                res, seen = pilot_through(monkeypatch, model, seed, False, **sizes)
+                ref, ref_seen = pilot_through(monkeypatch, model, seed, True, **sizes)
+                assert res == ref
+                assert seen == ref_seen
+                sweeps = len(seen["calls"])
+                assert seen["calls"] == [(b, s0)] + [(b, ds)] * (sweeps - 1)
+                if isinstance(res, PilotResult):
+                    assert res.final_s == s0 + ds * (sweeps - 1)
+                    added_runs |= sweeps > 1
+        assert added_runs
+
+    def test_erm_zero_within_variance_adds_runs(self):
+        # every A of the first sweep is 0, so its within-parameter mean
+        # square is too: the pilot adds runs until both outputs vary
+        assert run_pilot("erm", 50, seed=0, b=7, s0=2, ds=3) == PilotResult(
+            r=10, final_s=35, zeta_y=0.10532032813039496, zeta_a=0.10517598343685311
+        )
 
 
 class TestConfigFile:
@@ -687,6 +747,14 @@ class TestCli:
         proc = run_cli(*args, "--san-topology", "missing.txt")
         assert proc.returncode == 2
         assert "san_topology 'missing.txt'" in proc.stderr
+
+    def test_pilot_without_within_variance_at_max_s_exits_one(self):
+        # an estimation failure (exit 1), not bad input (exit 2)
+        proc = run_cli("pilot", "--model", "erm", "--m", "50", "--b", "7", "--s0", "2",
+                       "--ds", "3", "--max-s", "5")
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: pilot did not find positive variance ratios by s=5 "
+                               "(no within-parameter variance in Y or A)\n")
 
     def test_pilot_rejects_repeats_below_one(self):
         proc = run_cli("pilot", "--model", "mm1", "--m", "20", "--repeats", "0")
