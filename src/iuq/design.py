@@ -280,11 +280,15 @@ def zeta_estimate(r, s, b, mst, mse):
 
 
 def _mean_squares(outputs):
-    """(MST, MSE) of a (b, s) pilot output table."""
+    """(MST, MSE) of a (b, s) pilot output table.  A row whose entries all
+    equal its first adds exactly 0 to MSE: the mean of equal floats can be
+    an ulp off them."""
     b, s = outputs.shape
     group_means = outputs.mean(axis=1)
     grand = group_means.mean()
-    mse = float(np.sum((outputs - group_means[:, None]) ** 2) / (b * (s - 1)))
+    deviations = outputs - group_means[:, None]
+    deviations[(outputs == outputs[:, :1]).all(axis=1)] = 0.0
+    mse = float(np.sum(deviations ** 2) / (b * (s - 1)))
     mst = float(s * np.sum((group_means - grand) ** 2) / (b - 1))
     return mst, mse
 

@@ -22,13 +22,13 @@ interleave their own draws with simulations on one generator.
 At light load most cycles hold one customer: a service draw S, then an
 interarrival draw I no shorter than it, which make the run (Y, A) = (S, I).
 The event loop decides every cycle but stores only the others, the busy
-cycles, as Python numbers.  The rewind's draws are the stream the loop
-read, so ``Mm1Testbed._runs`` rebuilds the one-customer cycles from them
-in one vector pass and writes the busy cycles over them.
+cycles, as Python numbers.  A busy cycle takes its second arrival before
+its loop, queues departure times in a list read in FIFO order, and ends at
+the departure that empties the system.  The rewind's draws are the stream
+the loop read, so ``Mm1Testbed._runs`` rebuilds the one-customer cycles
+from them in one vector pass and writes the busy cycles over them.
 """
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -72,6 +72,11 @@ def mm1_steady_state_mean(lam, mu, capacity=10):
     return float((n * w).sum() / w.sum())
 
 
+def _runaway(lam, mu):
+    return EstimationError(f"M/M/1 cycle at arrival rate {lam!r}, service rate {mu!r} "
+                           f"exceeded {MAX_CYCLE_DRAWS} draws")
+
+
 def _cycles(rates, capacity, n_runs, rng):
     """Simulate ``n_runs`` regenerative cycles at each (arrival rate,
     service rate) pair of ``rates``, pair after pair, numbering the cycles
@@ -97,12 +102,12 @@ def _cycles(rates, capacity, n_runs, rng):
     which makes the closing arrival time (A) the interarrival sum, and each
     departure time is the previous departure plus its service draw, which
     makes the last departure the service sum, both added in draw order.  A
-    customer's departure time is computed as it arrives and queued.  A
-    cycle opens with its service draw and its interarrival draw; when the
-    second arrival comes no earlier than the first departure, the cycle
-    holds one customer and is fixed by those two draws.
+    cycle opens with its service and interarrival draws; when the second
+    arrival comes no earlier than the first departure, the cycle holds one
+    customer.  Otherwise the second arrival is taken before the event loop,
+    departure times go to a list read in FIFO order by an index, and the
+    departure that empties the system closes the cycle.
     """
-    inf = math.inf
     state = rng.bit_generator.state  # rewound to on exit
     draw = chain.from_iterable(
         iter(lambda: rng.standard_exponential(EXP_BLOCK).tolist(), None)).__next__
@@ -120,20 +125,24 @@ def _cycles(rates, capacity, n_runs, rng):
                 arr_next = ia_scale * draw()
                 if not arr_next < last:
                     continue
-                ia_count = sv_count = 1
-                n_sys = 1
                 dep_next = last
-                pending = deque()  # departure times of the customers behind the one in service
-                t_prev = 0.0
-                area = 0.0
+                t_prev = area = arr_next  # second arrival, in the first service: 1 * (t - 0.0)
+                arr_next = t_prev + ia_scale * draw()
+                ia_count = n_sys = sv_count = 2
+                if capacity > 1:
+                    last += sv_scale * draw()
+                    pending = [last]  # departure times behind the one in service, FIFO
+                else:  # blocked, no service draw
+                    pending = []
+                    n_sys = sv_count = 1
+                if ia_count + sv_count > MAX_CYCLE_DRAWS:
+                    partial = ia_count + sv_count - 2
+                    raise _runaway(lam, mu)
+                nd = 0  # index of the next departure time in pending
                 while True:
                     if arr_next < dep_next:
                         area += n_sys * (arr_next - t_prev)
                         t_prev = arr_next
-                        if n_sys == 0:
-                            # arrival to the empty system closes the cycle; its
-                            # service belongs to the next cycle
-                            break
                         arr_next = t_prev + ia_scale * draw()
                         ia_count += 1
                         if n_sys < capacity:
@@ -144,15 +153,16 @@ def _cycles(rates, capacity, n_runs, rng):
                         # else: blocked, no service draw
                         if ia_count + sv_count > MAX_CYCLE_DRAWS:
                             partial = ia_count + sv_count - 2
-                            raise EstimationError(
-                                f"M/M/1 cycle at arrival rate {lam!r}, service rate {mu!r} "
-                                f"exceeded {MAX_CYCLE_DRAWS} draws"
-                            )
+                            raise _runaway(lam, mu)
                     else:
                         area += n_sys * (dep_next - t_prev)
                         t_prev = dep_next
                         n_sys -= 1
-                        dep_next = pending.popleft() if n_sys else inf
+                        if not n_sys:  # the next arrival, to the empty system, closes it
+                            t_prev = arr_next
+                            break
+                        dep_next = pending[nd]
+                        nd += 1
                 busy += (i, area, ia_count, sv_count, t_prev, last)
             first += n_runs
     finally:

@@ -491,6 +491,19 @@ class TestAnovaSelectR:
         assert str(exc.value).endswith(named)
         assert simulate.sweeps == [(20, 2), (20, 3), (20, 3)]
 
+    def test_constant_non_integer_outputs_have_no_within_variance(self, rng):
+        # parameter i's Y is one N(0, 1) value in every run; the mean of
+        # equal floats can be an ulp off them, which is not variance
+        levels = rng.normal(size=20)
+
+        def simulate(params, runs, rng_):
+            return SimpleNamespace(y=np.repeat(levels, runs), a=rng_.normal(size=20 * runs))
+
+        with pytest.raises(EstimationError,
+                           match=r"by s=9 \(no within-parameter variance in Y\)$"):
+            anova_select_r(lambda count, rng_: np.zeros((count, 1)), simulate,
+                           b=20, s0=3, ds=3, max_s=9, rng=rng)
+
     def test_zero_increment_rejected(self):
         # ds=0 would re-test the same s forever when zeta is not yet positive
         with pytest.raises(ValueError, match="ds"):

@@ -510,7 +510,7 @@ class TestMm1Cycle:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        capacity=st.sampled_from([1, 3, 10]),
+        capacity=st.sampled_from([1, 2, 3, 10]),
         mu=st.floats(0.2, 5.0),
         load=st.floats(0.05, 1.5),
         n_runs=st.integers(0, 40),
@@ -542,6 +542,24 @@ class TestMm1Cycle:
         assert batch.counts.tobytes() == counts.tobytes()
         assert batch.sums.tobytes() == sums.tobytes()
         assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("capacity", [1, 2, 10])
+    @pytest.mark.parametrize("cap", [3, 4, 5, 7])
+    def test_small_draw_caps_fail_where_the_reference_fails(self, monkeypatch, cap, capacity):
+        # below 4 draws the cap fires at a busy cycle's second arrival
+        import iuq.simulators.mm1 as mm1
+
+        monkeypatch.setattr(mm1, "MAX_CYCLE_DRAWS", cap)
+        monkeypatch.setitem(globals(), "MAX_CYCLE_DRAWS", cap)  # read by reference_cycle
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        tb = Mm1Testbed(QueueConfig(capacity=capacity))
+        with pytest.raises(EstimationError) as got:
+            tb.simulate([2.0, 1.0], 50, rng)
+        with pytest.raises(EstimationError) as want:
+            reference_batch(2.0, 1.0, capacity, 50, ref_rng)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"exceeded {cap} draws")
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_pilot_result_unchanged(self):
         # the values the per-draw simulation gave: the pilot interleaves
