@@ -182,10 +182,9 @@ class RunTable:
     ``stats`` packs each run's draw sums and counts under ``trace_model``
     (see ``input_models.pack_stats``) and must be finite; every table
     carries them, although the k-nearest-neighbor estimator reads none.
-    ``lr_params`` are the trace-model parameters of each simulation
-    parameter, as the testbed's ``lr_param`` maps them (on ``erm`` they are
-    not ``params``), and must lie in the trace model's support; ``lr_coefs``
-    are their likelihood-ratio coefficients.
+    The trace model takes the simulation parameters themselves, so
+    ``params`` must lie in its support; ``lr_coefs`` are their
+    likelihood-ratio coefficients.
     ``pool`` lists the eligible rows, those whose average denominator
     output is nonzero, and ``index`` searches exactly those rows, so no
     estimator can pool an ineligible one.
@@ -195,21 +194,20 @@ class RunTable:
     y: np.ndarray  # (n, r)
     a: np.ndarray  # (n, r)
     trace_model: object
-    stats: np.ndarray  # (n, r, 2 d_trace)
-    lr_params: np.ndarray  # (n, d_trace)
+    stats: np.ndarray  # (n, r, 2 d)
     y_mean: np.ndarray = field(init=False)
     a_mean: np.ndarray = field(init=False)
     pool: np.ndarray = field(init=False)  # eligible row indices, ascending
     index: NeighborIndex = field(init=False)  # over params[pool]
-    lr_coefs: np.ndarray = field(init=False)  # (n, 2 d_trace)
+    lr_coefs: np.ndarray = field(init=False)  # (n, 2 d)
 
     def __post_init__(self):
         if self.y.shape != self.a.shape or self.y.ndim != 2:
             raise ValueError("y and a must both have shape (n, r)")
-        if self.params.shape[0] != self.y.shape[0]:
-            raise ValueError("one parameter row per run row required")
         n, r = self.y.shape
         d = self.trace_model.dim
+        if self.params.shape != (n, d):
+            raise ValueError(f"params must have shape {(n, d)}, got {self.params.shape}")
         if self.stats.shape != (n, r, 2 * d):
             raise ValueError(
                 f"trace statistics must pack (n, r, {d}) counts and sums into shape "
@@ -218,19 +216,15 @@ class RunTable:
         bad = np.flatnonzero(~np.isfinite(self.stats).all(axis=(1, 2)))
         if bad.size:
             raise ValueError(f"trace statistics rows {bad[:5].tolist()} are not finite")
-        if self.lr_params.shape != (n, d):
-            raise ValueError(f"lr_params must have shape {(n, d)}, got {self.lr_params.shape}")
-        outside = np.flatnonzero(~self.trace_model.support_mask(self.lr_params))
+        outside = np.flatnonzero(~self.trace_model.support_mask(self.params))
         if outside.size:
-            raise ValueError(
-                f"lr_params rows {outside[:5].tolist()} lie outside the support of "
-                f"{self.trace_model!r}"
-            )
+            raise ValueError(f"params rows {outside[:5].tolist()} lie outside the support "
+                             f"of {self.trace_model!r}")
         a_mean = self.a.mean(axis=1)
         pool = np.flatnonzero(a_mean != 0)
         object.__setattr__(self, "y_mean", self.y.mean(axis=1))
         object.__setattr__(self, "a_mean", a_mean)
-        object.__setattr__(self, "lr_coefs", self.trace_model.coefficients(self.lr_params))
+        object.__setattr__(self, "lr_coefs", self.trace_model.coefficients(self.params))
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "index", NeighborIndex(self.params[pool]))
 
@@ -274,14 +268,7 @@ def build_run_table(testbed, params, r, rng):
         a[chunk] = batch.a.reshape(-1, r)
         stats[chunk] = pack_stats(batch.counts, batch.sums).reshape(-1, r, 2 * d)
         del batch  # so that the next call's scratch can reuse its memory
-    return RunTable(
-        params=params,
-        y=y,
-        a=a,
-        trace_model=testbed.trace_model,
-        stats=stats,
-        lr_params=testbed.lr_param(params),
-    )
+    return RunTable(params=params, y=y, a=a, trace_model=testbed.trace_model, stats=stats)
 
 
 def std_ratio(table):
@@ -311,7 +298,7 @@ def knn_ratio(table, thetas, k_y, k_a):
     return ratios
 
 
-def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
+def _lr_run_means(table, nbrs, theta_tilde, k_y, k_a):
     """Likelihood-ratio reweighted run means of the neighbor rows.
 
     Returns the averages of Y*W over the first ``k_y`` neighbor rows and of
@@ -324,7 +311,7 @@ def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
     products with W are written into them; the table itself is only read.
     """
     log_w = table.trace_model.log_weights(
-        table.stats.take(nbrs, axis=0), table.lr_coefs.take(nbrs, axis=0), lr_target
+        table.stats.take(nbrs, axis=0), table.lr_coefs.take(nbrs, axis=0), theta_tilde
     )
     clamped = int(np.count_nonzero(log_w > LOG_WEIGHT_CLAMP))
     w = np.exp(np.minimum(log_w, LOG_WEIGHT_CLAMP, out=log_w), out=log_w)
@@ -340,16 +327,15 @@ def _lr_run_means(table, nbrs, lr_target, k_y, k_a):
     return y_lr, a_lr, clamped
 
 
-def klr_ratio(table, theta_tilde, k_y, k_a, lr_target):
+def klr_ratio(table, theta_tilde, k_y, k_a):
     """Ratio of likelihood-ratio reweighted pooled means.
 
     Each pooled run is reweighted by the trace likelihood ratio from its own
-    simulation parameter to the target, which removes the pooling bias of
-    the plain k-nearest-neighbor estimator.  ``lr_target`` is the target's
-    trace-model parameter, ``testbed.lr_param(theta_tilde)``.
+    simulation parameter to the target ``theta_tilde``, which removes the
+    pooling bias of the plain k-nearest-neighbor estimator.
     """
     nbrs = table.neighbors(theta_tilde, k_y, k_a)
-    y_lr, a_lr, clamped = _lr_run_means(table, nbrs, lr_target, k_y, k_a)
+    y_lr, a_lr, clamped = _lr_run_means(table, nbrs, theta_tilde, k_y, k_a)
     # divide by the row counts, ints even for numpy-integer k_y and k_a
     num = float(np.add.reduce(y_lr)) / len(y_lr)
     den = float(np.add.reduce(a_lr)) / len(a_lr)
@@ -358,10 +344,10 @@ def klr_ratio(table, theta_tilde, k_y, k_a, lr_target):
     return RatioEstimate(value=num / den, clamped_weights=clamped)
 
 
-def klr_fallback_k1(table, theta_tilde, lr_target):
+def klr_fallback_k1(table, theta_tilde):
     """Reweighted ratio pooling only the nearest eligible parameter.
 
     Used in place of the standard estimator when that estimator's own
     denominator is zero.
     """
-    return klr_ratio(table, theta_tilde, 1, 1, lr_target)
+    return klr_ratio(table, theta_tilde, 1, 1)

@@ -186,9 +186,8 @@ def run_iuq_knn_klr(testbed, theta_hat, cfg, rngs):
     if cfg.estimator == "knn":
         return knn_ratio(table, boots, k_y, k_a), (n, n_tilde, r, k_y, k_a)
     estimates = np.empty(n_tilde)
-    lr_targets = testbed.lr_param(boots)
     for i in range(n_tilde):
-        estimates[i] = klr_ratio(table, boots[i], k_y, k_a, lr_targets[i]).value
+        estimates[i] = klr_ratio(table, boots[i], k_y, k_a).value
     return estimates, (n, n_tilde, r, k_y, k_a)
 
 
@@ -227,7 +226,7 @@ def run_iuq_std(testbed, theta_hat, cfg, rngs):
     estimates = np.empty(n_s)
     estimates[table.pool] = std_ratio(table)
     for i in np.delete(np.arange(n_s), table.pool):
-        estimates[i] = klr_fallback_k1(table, boots[i], table.lr_params[i]).value
+        estimates[i] = klr_fallback_k1(table, boots[i]).value
     return estimates, (n_s, n_s, r_s, 0, 0)
 
 

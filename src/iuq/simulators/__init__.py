@@ -33,12 +33,12 @@ class SimBatch:
 class Testbed:
     """Base of the testbeds, which set ``name`` (for ``make_testbed``),
     ``input_model`` (family of the observable input data, the MLE target),
-    ``trace_model`` (family of the raw draws a run consumes, for the LR
-    weights) and ``true_theta`` (the data-generating parameter), and
-    implement ``_runs(theta, n_runs, rng)``, which returns the runs'
-    ``(y, a, counts, sums)`` for an (n, d) ``theta``, ``n_runs`` runs per
-    row in parameter-major order.  ``lr_param`` maps raw parameters (...,
-    d) to trace-model parameters; it is the identity unless overridden.
+    ``trace_model`` (family of each run's input trace, for the LR weights;
+    it takes the testbed's own parameter, so a run's LR goes from its
+    simulation parameter to the target itself) and ``true_theta`` (the
+    data-generating parameter), and implement ``_runs(theta, n_runs,
+    rng)``, which returns the runs' ``(y, a, counts, sums)`` for an (n, d)
+    ``theta``, ``n_runs`` runs per row in parameter-major order.
 
     ``simulate(theta, n_runs, rng)`` takes one (d,) parameter or n of them
     as an (n, d) array and returns one ``SimBatch`` of n * ``n_runs`` runs.
@@ -57,9 +57,6 @@ class Testbed:
     callers can interleave their own draws with simulations on one
     generator and get the same streams.
     """
-
-    def lr_param(self, theta):
-        return np.asarray(theta, dtype=float)
 
     def simulate(self, theta, n_runs, rng):
         theta = self.input_model.check_thetas(theta)

@@ -6,10 +6,12 @@ value conditional on the total stock value falling below a threshold.  The
 stock drifts are the uncertain input parameters; per-stock volatilities,
 the correlation, and the risk-free rate are fixed.
 
-One run draws the vector of log-price increments over [0, tau] (the run's
-entire input trace), prices every option with the Black-Scholes formula at
-the remaining maturity, and reports Y = portfolio value on the event and
-A = the event indicator.
+One run draws the log-price increments z over [0, tau], prices every
+option with the Black-Scholes formula at the remaining maturity, and
+reports Y = portfolio value on the event and A = the event indicator.  Its
+input trace is the drift vector z / tau + vol**2 / 2 that z implies, drawn
+from N(theta, cov / tau): a bijection of z, so the trace model takes the
+drifts themselves and its likelihood ratios are those of the increments.
 
 The normal CDF comes from ``scipy.special``, which ``bs_price`` and
 ``ErmTestbed.portfolio_value`` import when called rather than at module
@@ -87,6 +89,13 @@ class ErmConfig:
         object.__setattr__(self, "n_stocks", len(self.s0))
         if len(self.vols) != self.n_stocks or len(self.true_theta) != self.n_stocks:
             raise ValueError("s0, vols, and true_theta must have equal lengths")
+        # what every run would otherwise fail on: spots, event and drifts
+        if not all(0 < s < math.inf for s in self.s0):
+            raise ValueError("s0 must hold finite positive spots")
+        if math.isnan(self.k_star):
+            raise ValueError("k_star must not be NaN")
+        if not all(map(math.isfinite, self.true_theta)):
+            raise ValueError("true_theta must be finite")
         # the option terms ``portfolio_value`` prices without bs_price's checks
         if not 0 < self.horizon < self.expiry < math.inf:
             raise ValueError("require 0 < horizon < expiry < inf")
@@ -148,16 +157,12 @@ class ErmTestbed(Testbed):
         cfg = self.config
         # observable data: historical drift observations with known covariance
         self.input_model = MultivariateNormalKnownCov(cfg.cov)
-        # run trace: one log-increment vector over the horizon
-        self.trace_model = MultivariateNormalKnownCov(cfg.horizon * cfg.cov)
+        # run trace: the drift vector that the run's log-increments imply
+        self.trace_model = MultivariateNormalKnownCov(cfg.cov / cfg.horizon)
         self.true_theta = np.asarray(cfg.true_theta)
-        self._vols = np.asarray(cfg.vols)
+        self._half_var = 0.5 * np.asarray(cfg.vols) ** 2
         self._s0 = np.asarray(cfg.s0)
-
-    def lr_param(self, theta):
-        """Trace-model means implied by drift vectors theta, shape (..., d)."""
-        theta = np.asarray(theta, dtype=float)
-        return (theta - 0.5 * self._vols**2) * self.config.horizon
+        self._chol = np.linalg.cholesky(cfg.horizon * cfg.cov)  # of the log-increments
 
     def portfolio_value(self, spots):
         """Total Black-Scholes value of all options at the horizon; spots
@@ -180,17 +185,18 @@ class ErmTestbed(Testbed):
         return total
 
     def _runs(self, theta, n_runs, rng):
-        # ``trace_model.sample`` at each row in turn, in one draw: the normals
-        # fill (n, n_runs, d) in C order, and the stacked product multiplies
-        # each row's (n_runs, d) block as a call at that row alone would
-        # (numpy picks its BLAS routine by the block's shape)
+        # each row's log-increments in one draw: the normals fill (n, n_runs,
+        # d) in C order, and the stacked product multiplies each row's
+        # (n_runs, d) block as a call at that row alone would (numpy picks
+        # its BLAS routine by the block's shape)
         n, d = theta.shape
+        h = self.config.horizon
         z = rng.standard_normal((n, n_runs, d))
-        z = self.lr_param(theta)[:, None, :] + z @ self.trace_model.chol.T
+        z = ((theta - self._half_var) * h)[:, None, :] + z @ self._chol.T
         z = z.reshape(n * n_runs, d)
         spots = self._s0 * np.exp(z)
         value = self.portfolio_value(spots)
         a = (spots.sum(axis=1) < self.config.k_star).astype(float)
         y = value * a
         # one vector draw per run: the counts are a read-only view of a single 1.0
-        return y, a, np.broadcast_to(1.0, z.shape), z
+        return y, a, np.broadcast_to(1.0, z.shape), z / h + self._half_var

@@ -13,6 +13,7 @@ runs gives 0.090); substitute an exact topology with an edge-list file if
 one is available.
 """
 
+import math
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
@@ -59,6 +60,8 @@ class SanConfig:
     arc_order: tuple = field(init=False)
 
     def __post_init__(self):
+        if math.isnan(self.threshold):  # every A would be 0
+            raise ValueError("threshold must not be NaN")
         arcs = tuple((str(u), str(v)) for u, v in self.arcs)
         sorter = TopologicalSorter()
         for u, v in arcs:

@@ -83,9 +83,8 @@ def test_criterion_02_klr_mse_scaling():
         a = (draws[:, :, 0] < 1.0).astype(float)
         table = RunTable(params=params, y=v * a, a=a, trace_model=model,
                          stats=pack_stats(np.full((n, r, 1), float(s_draws)),
-                                          draws.sum(axis=2)[..., None]),
-                         lr_params=params)
-        vals[i] = [klr_ratio(table, target, k, k, target).value for k in ks]
+                                          draws.sum(axis=2)[..., None]))
+        vals[i] = [klr_ratio(table, target, k, k).value for k in ks]
     mse = ((vals - eta_true) ** 2).mean(axis=0)
     slope = np.polyfit(np.log([r * k for k in ks]), np.log(mse), 1)[0]
     elapsed = time.time() - t0

@@ -61,6 +61,11 @@ class TestPercentileCI:
         assert shifted.lower == pytest.approx(base.lower + 2.5)
         assert shifted.upper == pytest.approx(base.upper + 2.5)
 
+    @pytest.mark.parametrize("estimates", [[], [1.0]], ids=["none", "one"])
+    def test_fewer_than_two_estimates_rejected(self, estimates):
+        with pytest.raises(ValueError, match="need at least two estimates"):
+            percentile_ci(np.array(estimates), 0.05)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan"), True, "0.05"])
     def test_bad_alpha_errors(self, alpha):
         with pytest.raises(ValueError, match="alpha must lie in"):

@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "script", ["reweighting_basics.py", "design_toolkit.py", "network_completion_time.py"]
+    "script", ["reweighting_basics.py", "design_toolkit.py", "network_completion_time.py",
+               "portfolio_risk.py"]
 )
 def test_demo_exits_cleanly(script):
     done = subprocess.run(

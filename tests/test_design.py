@@ -367,6 +367,13 @@ class TestSampleSimParams:
         with pytest.raises(ValueError):
             sample_sim_params("grid", None, model, np.array([1.0]), 50, 10, rng)
 
+    @pytest.mark.parametrize("boots", [None, np.empty((0, 2))], ids=["none", "no-rows"])
+    def test_ellipsoid_without_bootstrap_points_rejected(self, boots):
+        model, rng = IndependentExponentials(2), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="ellipsoid sampling needs a non-empty bootstrap"):
+            sample_sim_params("ellipsoid", boots, model, np.array([1.0, 1.0]), 50, 10, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # before any draw
+
 
 class TestZetaEstimate:
     def test_hand_arithmetic(self):
@@ -592,6 +599,11 @@ class TestCrossValidation:
         folds = [np.array([0, 1]), np.array([2, 3])]
         assert cv_losses(params, means, [1], folds) == [[12.5, 36.5]]
 
+    def test_means_of_another_length_rejected(self):
+        folds = [np.array([0, 1]), np.array([2, 3])]
+        with pytest.raises(ValueError, match="params and means must align"):
+            cv_losses(np.zeros((4, 1)), np.zeros(3), [1], folds)
+
     @pytest.mark.parametrize(
         "n, d, integral", [(37, 1, True), (120, 3, False), (300, 2, True), (150, 13, False)]
     )
@@ -613,7 +625,7 @@ class TestCrossValidation:
         # the knn estimator takes its targets through the same blocks
         table = RunTable(params=params, y=means[:, None], a=rng.uniform(0.5, 1.5, (n, 1)),
                          trace_model=MultivariateNormalKnownCov(np.eye(d)),
-                         stats=np.zeros((n, 1, 2 * d)), lr_params=params)
+                         stats=np.zeros((n, 1, 2 * d)))
         targets = params[::3] + 0.5
         want = [mean_knn(table, theta, 3, ks[-1]) for theta in targets]
         for budget in (estimators.KNN_BLOCK_BYTES, 2**16, 1):

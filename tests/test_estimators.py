@@ -14,6 +14,7 @@ from iuq.estimators import (
     KNN_BLOCK_BYTES,
     LOG_WEIGHT_CLAMP,
     NeighborIndex,
+    RatioEstimate,
     RunTable,
     build_run_table,
     klr_fallback_k1,
@@ -34,8 +35,7 @@ from iuq.simulators import Mm1Testbed, make_testbed
 
 
 def exp_table(params, y, a, sums=None, n_draws=1):
-    """Assemble a RunTable over a 1D exponential trace model whose
-    trace-model parameters are the simulation parameters."""
+    """Assemble a RunTable over a 1D exponential trace model."""
     params = np.atleast_2d(np.asarray(params, dtype=float)).reshape(-1, 1)
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -49,7 +49,6 @@ def exp_table(params, y, a, sums=None, n_draws=1):
         a=a,
         trace_model=model,
         stats=pack_stats(counts, np.asarray(sums, dtype=float)[..., None]),
-        lr_params=params,
     )
 
 
@@ -67,7 +66,6 @@ def knn_table(params, y, a):
         a=np.asarray(a, dtype=float),
         trace_model=MultivariateNormalKnownCov(np.eye(d)),
         stats=np.zeros(y.shape + (2 * d,)),
-        lr_params=params,
     )
 
 
@@ -302,7 +300,7 @@ class TestKlrRatio:
         table = exp_table(params, y, a, sums=sums)
         target = np.array([1.3])
         knn = knn_ratio(table, target, 4, 2)
-        klr = klr_ratio(table, target, 4, 2, target)
+        klr = klr_ratio(table, target, 4, 2)
         assert klr.value == knn[0]
 
     def test_normal_neighbors_at_target_match_knn_exactly(self, rng):
@@ -314,9 +312,8 @@ class TestKlrRatio:
         y = rng.uniform(1.0, 2.0, size=(6, 4))
         a = rng.uniform(0.5, 1.5, size=(6, 4))
         stats = pack_stats(np.full((6, 4, 3), 2.0), rng.normal(size=(6, 4, 3)))
-        table = RunTable(params=params, y=y, a=a, trace_model=model, stats=stats,
-                         lr_params=params)
-        assert (klr_ratio(table, target, 4, 2, target).value
+        table = RunTable(params=params, y=y, a=a, trace_model=model, stats=stats)
+        assert (klr_ratio(table, target, 4, 2).value
                 == knn_ratio(table, target, 4, 2)[0])
 
     def test_numerator_unbiased_under_reweighting(self, rng):
@@ -336,9 +333,8 @@ class TestKlrRatio:
                 trace_model=model,
                 stats=pack_stats(np.full((1, r, 1), float(s_draws)),
                                  draws.sum(axis=2)[..., None]),
-                lr_params=np.array([[theta]]),
             )
-            est = klr_ratio(table, target, 1, 1, target)
+            est = klr_ratio(table, target, 1, 1)
             # denominator is the mean weight; recover the reweighted numerator
             weights = np.exp(model.log_weights(table.stats[0], table.lr_coefs[0], target))
             vals[i] = est.value * weights.mean()
@@ -360,23 +356,35 @@ class TestKlrRatio:
                 a=np.ones((1, r)),
                 trace_model=model,
                 stats=pack_stats(np.ones((1, r, 1)), draws[:, :, 0][..., None]),
-                lr_params=np.array([[1.0]]),
             )
             # with A = 1 the pooled denominator is the mean weight
             weights = np.exp(model.log_weights(table.stats[0], table.lr_coefs[0], target))
             means[i] = weights.mean()
-            values[i] = klr_ratio(table, target, 1, 1, target).value
+            values[i] = klr_ratio(table, target, 1, 1).value
             want[i] = (table.y[0] * weights).mean() / means[i]
         np.testing.assert_allclose(values, want, rtol=1e-12)
         se = means.std(ddof=1) / math.sqrt(reps)
         assert abs(means.mean() - 1.0) < 3 * se
+
+    def test_underflowing_weights_vanish_the_denominator(self):
+        # rate 1 to 2 with a draw sum of 2000: log-weight log 2 - 2000, whose
+        # exponential underflows to 0, so every pooled A weight is 0
+        table = exp_table([1.0, 1.1], y=[[1.0], [1.0]], a=[[1.0], [1.0]],
+                          sums=[[2000.0], [2000.0]])
+        with pytest.raises(EstimationError, match="pooled denominator vanished"):
+            klr_ratio(table, np.array([2.0]), 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimate_rejected(self, bad):
+        with pytest.raises(EstimationError, match="non-finite ratio estimate"):
+            RatioEstimate(value=bad)
 
     def test_mm1_traces_flow_through(self, rng):
         testbed = Mm1Testbed()
         params = np.array([[0.5, 1.5], [0.6, 1.4], [0.45, 1.6]])
         table = build_run_table(testbed, params, 4, rng)
         target = np.array([0.55, 1.45])
-        est = klr_ratio(table, target, 2, 2, testbed.lr_param(target))
+        est = klr_ratio(table, target, 2, 2)
         assert np.isfinite(est.value)
 
 
@@ -395,23 +403,30 @@ class TestRunTable:
             ({"stats": np.ones((3, 2, 3))}, "shape"),  # one count column missing
             ({"stats": np.ones((3, 1, 4))}, "shape"),  # wrong run count
             ({"stats": np.ones((2, 2, 4))}, "shape"),  # wrong row count
-            ({"stats": np.ones((3, 2, 4)), "lr_params": np.ones((3, 1))}, "lr_params"),
-            ({"lr_params": np.array([[1.0, 2.0], [0.0, 1.0], [1.0, np.inf]])},
-             r"rows \[1, 2\] lie outside the support"),  # a zero and an infinite rate
+            ({"params": np.ones((3, 1))}, r"params must have shape \(3, 2\)"),
+            ({"params": np.ones((2, 2))}, r"params must have shape \(3, 2\)"),
+            ({"params": np.array([[1.0, 2.0], [0.0, 1.0], [1.0, np.inf]])},
+             r"params rows \[1, 2\] lie outside the support"),  # a zero and an infinite rate
             ({"a": np.ones((3, 1))}, "y and a"),  # one run per row fewer than y
             ({"stats": np.array([1.0, np.nan, np.inf]).repeat(8).reshape(3, 2, 4)},
              r"trace statistics rows \[1, 2\] are not finite"),  # NaN and infinite sums
         ],
-        ids=["stat-columns", "runs", "rows", "lr-params", "lr-params-support", "y-a-shapes",
-             "non-finite"],
+        ids=["stat-columns", "runs", "rows", "params-width", "params-rows", "params-support",
+             "y-a-shapes", "non-finite"],
     )
     def test_bad_trace_statistics_rejected_at_build(self, kwargs, match):
         fields = dict(params=np.ones((3, 2)), y=np.ones((3, 2)), a=np.ones((3, 2)),
-                      trace_model=IndependentExponentials(2), stats=np.ones((3, 2, 4)),
-                      lr_params=np.ones((3, 2)))
+                      trace_model=IndependentExponentials(2), stats=np.ones((3, 2, 4)))
         fields.update(kwargs)
         with pytest.raises(ValueError, match=match):
             RunTable(**fields)
+
+    @pytest.mark.parametrize("k_y, k_a", [(3, 1), (1, 3)])
+    def test_pool_sizes_beyond_the_eligible_rows_rejected(self, k_y, k_a):
+        # two of the three rows are eligible
+        table = exp_table([2.0, 1.0, 4.0], y=[[1.0]] * 3, a=[[1.0], [0.0], [3.0]])
+        with pytest.raises(ValueError, match=r"pool sizes must lie in \[1, 2\]"):
+            table.check_pool_sizes(k_y, k_a)
 
     @pytest.mark.parametrize("name", ["san", "mm1", "erm"])
     @pytest.mark.parametrize(
@@ -444,17 +459,18 @@ class TestRunTable:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def reference_klr(params, y, a, model, counts, sums, lr_params, theta, k_y, k_a, lr_target):
+def reference_klr(params, y, a, model, counts, sums, theta, k_y, k_a):
     """klr estimate by the per-target formula: eligible mask rebuilt on
-    every call, a stable full sort, and the Delta-eta / Delta-psi log-LR of
-    each neighbor's own parameter.  Returns (value, clamped count)."""
+    every call, a stable full sort, and the Delta-eta / Delta-psi log-LR
+    from each neighbor's own parameter to theta.  Returns (value, clamped
+    count)."""
     eligible = np.flatnonzero(a.mean(axis=1) != 0)
     diff = params[eligible] - theta
     order = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")
     nbrs = eligible[order[: max(k_y, k_a)]]
-    frm = lr_params[nbrs][:, None, :]
-    d_eta = model.natural(lr_target) - model.natural(frm)
-    d_psi = model.log_partition(lr_target) - model.log_partition(frm)
+    frm = params[nbrs][:, None, :]
+    d_eta = model.natural(theta) - model.natural(frm)
+    d_psi = model.log_partition(theta) - model.log_partition(frm)
     log_w = np.sum(sums[nbrs] * d_eta - counts[nbrs] * d_psi, axis=-1)
     clamped = int(np.count_nonzero(log_w > LOG_WEIGHT_CLAMP))
     w = np.exp(np.minimum(log_w, LOG_WEIGHT_CLAMP))
@@ -480,14 +496,13 @@ class TestKlrReference:
         rng = np.random.default_rng(seed)
         if family == "exp":
             model = IndependentExponentials(d)
-            lr_params = rng.uniform(0.5, 2.0, size=(n, d))
+            params = rng.uniform(0.5, 2.0, size=(n, d))
             counts = rng.integers(1, 6, size=(n, r, d)).astype(float)
         else:
             root = rng.normal(size=(d, d))
             model = MultivariateNormalKnownCov(root @ root.T + np.eye(d))
-            lr_params = rng.normal(size=(n, d))
+            params = rng.normal(size=(n, d))
             counts = np.repeat(rng.integers(1, 6, size=(n, r, 1)), d, axis=2).astype(float)
-        params = lr_params.copy()
         sums = counts * rng.uniform(0.3, 2.0, size=(n, r, d))
         y = rng.uniform(0.5, 2.0, size=(n, r))
         a = rng.uniform(0.5, 1.5, size=(n, r))
@@ -495,14 +510,16 @@ class TestKlrReference:
         target = params[rng.integers(n)] + rng.normal(scale=0.2, size=d)
         if family == "exp":
             target = np.abs(target) + 0.1
-        lr_target = target if family == "exp" else 0.9 * target
         if clamp:
-            # the nearest eligible row gets draw sums that push each of its
-            # runs' log-weights to lr_target to 800-850, above the clamp
+            # the first eligible row moves nearest to the target, off it by
+            # a quarter of the other rows' least distance at most, and gets
+            # draw sums that push each of its runs' log-weights to the
+            # target to 800-850, above the clamp
             row = np.flatnonzero(a.mean(axis=1) != 0)[0]
-            params[row] = target
-            d_eta = model.natural(lr_target) - model.natural(lr_params[row])
-            d_psi = model.log_partition(lr_target) - model.log_partition(lr_params[row])
+            gap = np.sqrt(((np.delete(params, row, axis=0) - target) ** 2).sum(axis=1)).min()
+            params[row] = target + min(0.05, gap / 4) / math.sqrt(d)
+            d_eta = model.natural(target) - model.natural(params[row])
+            d_psi = model.log_partition(target) - model.log_partition(params[row])
             base = np.sum(sums[row] * d_eta - counts[row] * d_psi, axis=-1)
             sums[row] += ((800.0 + rng.uniform(0, 50, size=r) - base)
                           / (d_eta @ d_eta))[:, None] * d_eta
@@ -510,10 +527,9 @@ class TestKlrReference:
         k_y = data.draw(st.integers(1, n_eligible), label="k_y")
         k_a = data.draw(st.integers(1, n_eligible), label="k_a")
         table = RunTable(params=params, y=y, a=a, trace_model=model,
-                         stats=pack_stats(counts, sums), lr_params=lr_params)
-        want, want_clamped = reference_klr(params, y, a, model, counts, sums, lr_params,
-                                           target, k_y, k_a, lr_target)
-        est = klr_ratio(table, target, k_y, k_a, lr_target)
+                         stats=pack_stats(counts, sums))
+        want, want_clamped = reference_klr(params, y, a, model, counts, sums, target, k_y, k_a)
+        est = klr_ratio(table, target, k_y, k_a)
         assert est.value == pytest.approx(want, rel=1e-12)
         assert est.clamped_weights == want_clamped
         if clamp:
@@ -534,11 +550,11 @@ def mean_knn(table, theta, k_y, k_a):
             / float(np.take(table.a_mean, nbrs[:k_a]).mean()))
 
 
-def mean_klr(table, theta, k_y, k_a, lr_target):
+def mean_klr(table, theta, k_y, k_a):
     """klr estimate and clamp count by the same per-target formula."""
     nbrs = sorted_neighbors(table, theta, max(k_y, k_a))
     log_w = table.trace_model.log_weights(np.take(table.stats, nbrs, axis=0),
-                                          np.take(table.lr_coefs, nbrs, axis=0), lr_target)
+                                          np.take(table.lr_coefs, nbrs, axis=0), theta)
     clamped = int(np.count_nonzero(log_w > LOG_WEIGHT_CLAMP))
     w = np.exp(np.minimum(log_w, LOG_WEIGHT_CLAMP))
     y_lr = (np.take(table.y, nbrs[:k_y], axis=0) * w[:k_y]).mean(axis=1)
@@ -568,25 +584,25 @@ def macro_table(request):
     assert err is None
     estimates, _ = seen["run_iuq_knn_klr"]
     boots = seen["bootstrap_params"]
-    return (seen["build_run_table"], boots, cfg.testbed.lr_param(boots), row.k_y, row.k_a,
-            estimates)
+    return seen["build_run_table"], boots, row.k_y, row.k_a, estimates
 
 
 def only_read_table(case):
     """A 12-row exponential table whose row 0 is nearest to the returned
     target; ``case`` 'clamp' pushes row 0's log-weights above the clamp.
-    Returns (table, target, lr_target)."""
+    Returns (table, target)."""
     rng = np.random.default_rng(11)
     n, r = 12, 5
     params = rng.uniform(0.5, 2.0, n)
     y = rng.uniform(0.5, 2.0, (n, r))
     a = rng.uniform(0.5, 1.5, (n, r))
     sums = rng.uniform(0.3, 2.0, (n, r))
-    target = np.array([params[0]])  # row 0 is the nearest
-    lr_target = 0.5 * target
+    # row 0 is the nearest, a quarter of the least gap to the others below it
+    step = np.abs(params[1:] - params[0]).min() / 4
+    target = np.array([params[0] - step])
     if case == "clamp":
-        sums[0] = 3000.0 / params[0]  # log-weights of about 1500 - log 2
-    return exp_table(params, y, a, sums=sums), target, lr_target
+        sums[0] = 1500.0 / step  # log-weights of about 1500 + log(target / params[0])
+    return exp_table(params, y, a, sums=sums), target
 
 
 class TestPerTargetBits:
@@ -594,14 +610,14 @@ class TestPerTargetBits:
     # the bits of the .mean() formulas above, not merely agree to rel 1e-12
 
     def test_macro_estimates_equal_the_mean_formulas(self, macro_table):
-        table, boots, lr_targets, k_y, k_a, estimates = macro_table
+        table, boots, k_y, k_a, estimates = macro_table
         assert table.y.shape[1] > 1 and k_y > 1 and k_a > 1
         want_knn, want_klr, got_knn, got_klr = [], [], [], []
-        for theta, lr_target in zip(boots, lr_targets):
+        for theta in boots:
             want_knn.append(mean_knn(table, theta, k_y, k_a))
             got_knn.append(knn_ratio(table, theta, k_y, k_a)[0])
-            want_klr.append(mean_klr(table, theta, k_y, k_a, lr_target))
-            est = klr_ratio(table, theta, k_y, k_a, lr_target)
+            want_klr.append(mean_klr(table, theta, k_y, k_a))
+            est = klr_ratio(table, theta, k_y, k_a)
             got_klr.append((est.value, est.clamped_weights))
         assert got_knn == want_knn
         assert knn_ratio(table, boots, k_y, k_a).tolist() == want_knn  # all targets at once
@@ -612,23 +628,21 @@ class TestPerTargetBits:
     def test_macro_tables_at_pool_sizes_off_the_grid(self, macro_table, k_y, k_a):
         # the CV grid holds powers of two, whose reciprocals are exact; these
         # sizes make a mean taken as a product with 1/k differ from .mean()
-        table, boots, lr_targets, *_ = macro_table
+        table, boots, *_ = macro_table
         assert (knn_ratio(table, boots, k_y, k_a).tolist()
                 == [mean_knn(table, theta, k_y, k_a) for theta in boots])
-        for theta, lr_target in zip(boots[::5], lr_targets[::5]):
+        for theta in boots[::5]:
             assert knn_ratio(table, theta, k_y, k_a)[0] == mean_knn(table, theta, k_y, k_a)
-            est = klr_ratio(table, theta, k_y, k_a, lr_target)
-            assert (est.value, est.clamped_weights) == mean_klr(table, theta, k_y, k_a,
-                                                                   lr_target)
+            est = klr_ratio(table, theta, k_y, k_a)
+            assert (est.value, est.clamped_weights) == mean_klr(table, theta, k_y, k_a)
 
     @pytest.mark.parametrize("case", ["finite", "clamp"])
     @pytest.mark.parametrize("k_y, k_a", [(4, 6), (7, 3), (12, 12), (1, 1)])
     def test_edge_tables_equal_the_mean_formulas(self, case, k_y, k_a):
-        table, target, lr_target = only_read_table(case)
+        table, target = only_read_table(case)
         assert knn_ratio(table, target, k_y, k_a)[0] == mean_knn(table, target, k_y, k_a)
-        est = klr_ratio(table, target, k_y, k_a, lr_target)
-        assert (est.value, est.clamped_weights) == mean_klr(table, target, k_y, k_a,
-                                                               lr_target)
+        est = klr_ratio(table, target, k_y, k_a)
+        assert (est.value, est.clamped_weights) == mean_klr(table, target, k_y, k_a)
 
 
 class TestTableIsOnlyRead:
@@ -636,13 +650,13 @@ class TestTableIsOnlyRead:
     def test_estimators_leave_the_table_untouched(self, case):
         # the log-weights and the gathered rows are written in place; the
         # table's arrays must come out bit for bit as they went in
-        table, target, lr_target = only_read_table(case)
+        table, target = only_read_table(case)
         r = table.y.shape[1]
         before = {name: getattr(table, name).copy()
                   for name in ("y", "a", "stats", "lr_coefs", "y_mean", "a_mean")}
         knn_ratio(table, target, 4, 6)
-        est = klr_ratio(table, target, 4, 6, lr_target)
-        klr_fallback_k1(table, target, lr_target)
+        est = klr_ratio(table, target, 4, 6)
+        klr_fallback_k1(table, target)
         for name, arr in before.items():
             assert np.array_equal(getattr(table, name), arr), name
         assert est.clamped_weights == (r if case == "clamp" else 0)
@@ -652,20 +666,20 @@ class TestKlrFallback:
     def test_single_eligible_pooled_regardless_of_distance(self):
         # the ineligible rate 1 is nearest to the target; rate 50 is pooled
         table = exp_table([1.0, 50.0], y=[[1.0], [4.0]], a=[[0.0], [2.0]])
-        est = klr_fallback_k1(table, np.array([1.0]), np.array([50.0]))
-        # the only eligible parameter is at 50, weights at its own parameter
-        # equal one when the target matches it
+        est = klr_fallback_k1(table, np.array([1.0]))
+        # the only eligible parameter is at 50; its one run's weight cancels
+        # from the ratio
         assert est.value == pytest.approx(2.0)
 
     def test_zero_distance_eligible_self(self):
         table = exp_table([1.0, 2.0], y=[[2.0], [9.0]], a=[[4.0], [1.0]])
-        est = klr_fallback_k1(table, np.array([1.0]), np.array([1.0]))
+        est = klr_fallback_k1(table, np.array([1.0]))
         assert est.value == pytest.approx(0.5)
 
     def test_all_ineligible_errors(self):
         table = exp_table([1.0, 2.0], y=[[1.0], [1.0]], a=[[0.0], [0.0]])
         with pytest.raises(EstimationError):
-            klr_fallback_k1(table, np.array([1.0]), np.array([1.0]))
+            klr_fallback_k1(table, np.array([1.0]))
 
 
 class TestKnnCltSanity:

@@ -17,6 +17,7 @@ from iuq.estimators import RunTable, klr_fallback_k1, klr_ratio
 from iuq.harness import (
     DEFAULT_R,
     ExperimentConfig,
+    MacroResult,
     MacroRow,
     _run_single_macro,
     emit_report,
@@ -242,7 +243,7 @@ class TestPipelines:
         assert len(fallbacks) == zero.size
         want = [
             float(table.y[i].mean()) / float(table.a[i].mean()) if table.a_mean[i] != 0
-            else klr_ratio(table, table.params[i], 1, 1, table.lr_params[i]).value
+            else klr_ratio(table, table.params[i], 1, 1).value
             for i in range(table.params.shape[0])
         ]
         assert estimates.tolist() == want
@@ -520,6 +521,22 @@ class TestMacroExperiment:
         csv_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"trial.csv:3: {cells} cells, the header has 15"):
             load_report(csv_path)
+
+    def test_foreign_header_rejected(self, small_result, tmp_path):
+        _, result = small_result
+        csv_path, _ = emit_report(result, tmp_path / "trial")
+        lines = Path(csv_path).read_text().splitlines()
+        lines[0] = lines[0].replace("k_y,k_a", "k_a,k_y")
+        Path(csv_path).write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="unexpected report header"):
+            load_report(csv_path)
+
+    def test_no_completed_macro_writes_nothing(self, tmp_path):
+        result = MacroResult(rows=(), failures=((0, "pooled denominator vanished"),),
+                             summary={})
+        with pytest.raises(ValueError, match="nothing to report"):
+            emit_report(result, tmp_path / "trial")
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_bytes_deterministic(self, small_result, tmp_path):
         _, result = small_result

@@ -349,7 +349,7 @@ THETA = np.array([1.0, 2.0])
 BOOTS = np.random.default_rng(1).uniform(0.5, 1.5, size=(30, 2))
 ELLIPSOID = min_enclosing_ellipsoid(BOOTS)
 RUNS = RunTable(params=BOOTS, y=np.ones((30, 2)), a=np.ones((30, 2)), trace_model=MVN2,
-                stats=np.zeros((30, 2, 4)), lr_params=BOOTS)
+                stats=np.zeros((30, 2, 4)))
 
 # site id: (call(count, rng), argument name, floor)
 COUNT_SITES = {
@@ -366,8 +366,8 @@ COUNT_SITES = {
     "default_k_grid": (lambda v, rng: default_k_grid(v), "n", 1),
     "knn_ratio-k_y": (lambda v, rng: knn_ratio(RUNS, BOOTS, v, 2), "k_y", 1),
     "knn_ratio-k_a": (lambda v, rng: knn_ratio(RUNS, BOOTS, 2, v), "k_a", 1),
-    "klr_ratio-k_y": (lambda v, rng: klr_ratio(RUNS, BOOTS[0], v, 2, BOOTS[0]), "k_y", 1),
-    "klr_ratio-k_a": (lambda v, rng: klr_ratio(RUNS, BOOTS[0], 2, v, BOOTS[0]), "k_a", 1),
+    "klr_ratio-k_y": (lambda v, rng: klr_ratio(RUNS, BOOTS[0], v, 2), "k_y", 1),
+    "klr_ratio-k_a": (lambda v, rng: klr_ratio(RUNS, BOOTS[0], 2, v), "k_a", 1),
     "make_folds-n": (lambda v, rng: make_folds(v), "n", 5),
     "std_budget_split": (lambda v, rng: std_budget_split(v, "even"), "budget", 1),
     "run_pilot-seed": (lambda v, rng: run_pilot("mm1", 20, seed=v, b=10, s0=10), "seed", 0),

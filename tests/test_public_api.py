@@ -109,6 +109,6 @@ def test_results_carry_only_what_callers_read():
 
     assert [f.name for f in dataclasses.fields(RatioEstimate)] == ["value", "clamped_weights"]
     assert [f.name for f in dataclasses.fields(CIResult)] == ["lower", "upper"]
-    for fn in (klr_ratio, klr_fallback_k1):
-        lr_target = inspect.signature(fn).parameters["lr_target"]
-        assert lr_target.default is inspect.Parameter.empty
+    assert list(inspect.signature(klr_ratio).parameters) == ["table", "theta_tilde", "k_y",
+                                                             "k_a"]
+    assert list(inspect.signature(klr_fallback_k1).parameters) == ["table", "theta_tilde"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from iuq.design import PilotResult
 from iuq.harness import run_pilot
-from iuq.input_models import EstimationError
+from iuq.input_models import EstimationError, pack_stats
 from iuq.simulators import (
     ErmConfig,
     ErmTestbed,
@@ -243,6 +243,14 @@ class TestSanTopology:
     def test_unknown_t_node_rejected(self):
         with pytest.raises(ValueError, match="T-node"):
             SanConfig(arcs=(("a", "b"),), source="a", sink="b", t_nodes=("z",))
+
+    @pytest.mark.parametrize("threshold", [math.nan, np.float64("nan")],
+                             ids=["nan", "numpy-nan"])
+    def test_nan_threshold_rejected_at_build(self, threshold):
+        # every run's A would be 0; an infinite threshold stays legal
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            dataclasses.replace(SanConfig.default(), threshold=threshold)
+        assert dataclasses.replace(SanConfig.default(), threshold=math.inf).threshold == math.inf
 
 
 class TestSanRuns:
@@ -698,8 +706,10 @@ class TestErm:
         tb = ErmTestbed()
         batch = tb.simulate(tb.true_theta, 1, rng)
         assert batch.counts.tolist() == [[1.0, 1.0]]
-        # the sums are the run's log-price increments
-        spots = np.asarray(tb.config.s0) * np.exp(batch.sums)
+        # the sums are the drifts the run's log-price increments z imply,
+        # z / tau + vol**2 / 2; mapped back, they give the run's spots
+        z = (batch.sums - 0.5 * np.asarray(tb.config.vols) ** 2) * tb.config.horizon
+        spots = np.asarray(tb.config.s0) * np.exp(z)
         assert batch.a[0] == float(spots.sum() < tb.config.k_star)
         assert batch.y[0] == pytest.approx(tb.portfolio_value(spots)[0] * batch.a[0])
 
@@ -713,7 +723,8 @@ class TestErm:
         # portfolio value: cross-check against pricing lognormal draws
         tb = ErmTestbed(ErmConfig.default(k_star=np.inf))
         res = true_eta_oracle(tb, tb.true_theta, 200_000, rng)
-        z = tb.trace_model.sample(tb.lr_param(tb.true_theta), rng, size=200_000)
+        drifts = tb.trace_model.sample(tb.true_theta, rng, size=200_000)
+        z = (drifts - 0.5 * np.asarray(tb.config.vols) ** 2) * tb.config.horizon
         direct = tb.portfolio_value(np.asarray(tb.config.s0) * np.exp(z))
         se = direct.std(ddof=1) / math.sqrt(direct.size)
         assert abs(res.eta - direct.mean()) < 4 * math.hypot(se, res.se)
@@ -746,17 +757,48 @@ class TestErm:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ErmConfig.default(), **change)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"s0": (-100.0, 100.0)}, "s0"), ({"s0": (100.0, math.nan)}, "s0"),
+         ({"s0": (math.inf, 100.0)}, "s0"), ({"k_star": math.nan}, "k_star"),
+         ({"true_theta": (math.nan, 0.1)}, "true_theta"),
+         ({"true_theta": (0.05, -math.inf)}, "true_theta")],
+        ids=["negative-spot", "nan-spot", "inf-spot", "nan-k-star", "nan-drift", "inf-drift"],
+    )
+    def test_config_rejects_what_every_run_would_fail_on(self, change, message):
+        # a bad spot fails every simulate call, a NaN k_star makes every A 0
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ErmConfig.default(), **change)
+
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
     def test_portfolio_rejects_spots_bs_price_would(self, bad):
         with pytest.raises(ValueError, match="require finite spots > 0"):
             ErmTestbed().portfolio_value(np.array([[100.0, 100.0], [100.0, bad]]))
 
-    def test_lr_param_shifts_mean(self):
+    def test_trace_sums_map_back_to_the_priced_increments(self):
+        # each row's log-increments are N((theta - vol**2 / 2) tau, tau cov);
+        # the trace sums are the drifts z / tau + vol**2 / 2 they imply, and
+        # the trace model's LR between two drifts is the increments' own
+        from scipy.stats import multivariate_normal
+
         tb = ErmTestbed()
-        mapped = tb.lr_param(np.array([0.05, 0.10]))
-        tau = tb.config.horizon
-        expected = (np.array([0.05, 0.10]) - 0.5 * np.array([0.15, 0.35]) ** 2) * tau
-        assert mapped == pytest.approx(expected)
+        cfg, tau = tb.config, tb.config.horizon
+        half_var = 0.5 * np.array([0.15, 0.35]) ** 2
+        theta = np.array([[0.05, 0.10], [0.3, -0.2]])
+        batch = tb.simulate(theta, 4, np.random.default_rng(3))
+        normals = np.random.default_rng(3).standard_normal((2, 4, 2))
+        means = (theta - half_var) * tau
+        z = (means[:, None, :] + normals @ np.linalg.cholesky(tau * cfg.cov).T).reshape(8, 2)
+        np.testing.assert_allclose(batch.sums, z / tau + half_var, rtol=1e-12)
+        spots = np.asarray(cfg.s0) * np.exp((batch.sums - half_var) * tau)
+        np.testing.assert_array_equal(batch.a, spots.sum(axis=1) < cfg.k_star)
+        np.testing.assert_allclose(batch.y, tb.portfolio_value(spots) * batch.a, rtol=1e-12)
+        stats = pack_stats(batch.counts, batch.sums)[:, None, :]  # one run per batch
+        coefs = tb.trace_model.coefficients(np.repeat(theta, 4, axis=0))
+        got = tb.trace_model.log_weights(stats, coefs, theta[1])[:, 0]
+        density = [multivariate_normal(mean, tau * cfg.cov).logpdf for mean in means]
+        own = np.concatenate([density[0](z[:4]), density[1](z[4:])])
+        np.testing.assert_allclose(got, density[1](z) - own, rtol=1e-9, atol=1e-9)
 
 
 class TestOracle:
