@@ -6,20 +6,21 @@ value conditional on the total stock value falling below a threshold.  The
 stock drifts are the uncertain input parameters; per-stock volatilities,
 the correlation, and the risk-free rate are fixed.
 
-One run draws the log-price increments z over [0, tau], prices every
-option with the Black-Scholes formula at the remaining maturity, and
-reports Y = portfolio value on the event and A = the event indicator.  Its
-input trace is the drift vector z / tau + vol**2 / 2 that z implies, drawn
-from N(theta, cov / tau): a bijection of z, so the trace model takes the
-drifts themselves and its likelihood ratios are those of the increments.
+One run draws the log-price increments z over [0, tau] and reports Y = the
+portfolio's Black-Scholes value at the remaining maturity on the event and
+A = the event indicator.  Its input trace is the drift vector z / tau +
+vol**2 / 2 that z implies, drawn from N(theta, cov / tau): a bijection of
+z, so the trace model takes the drifts themselves and its likelihood
+ratios are those of the increments.
 
-The normal CDF comes from ``scipy.special``, which ``bs_price`` and
-``ErmTestbed.portfolio_value`` import when called rather than at module
-import: the other testbeds and the estimators need numpy only, and loading
-``scipy.special`` would otherwise take most of the time and much of the
-memory of ``import iuq``.  ``portfolio_value`` checks its spots once and
-prices every option through the unchecked ``_bs_price``; the config has
-checked the other terms when it was built.
+Only the runs in the event are priced, through ``bs_price``, the one
+pricing route; Y is +0.0 outside it, which is value * A, as long options
+are worth more than zero.  Every spot is checked all the same, so a run
+that overflows raises whether it is in the event or not.  The normal CDF
+comes from ``scipy.special``, which ``bs_price`` imports when called
+rather than at module import: the other testbeds and the estimators need
+numpy only, and loading ``scipy.special`` would otherwise take most of the
+time and much of the memory of ``import iuq``.
 """
 
 import math
@@ -36,7 +37,8 @@ def bs_price(kind, spot, strike, rate, vol, ttm):
 
     Vectorized over ``spot``; ``ttm`` = 0 returns the intrinsic value.  An
     unknown ``kind``, or an input that is not finite or is out of range
-    (spot or strike or vol <= 0, ttm < 0), raises ``ValueError``.
+    (spot or strike or vol <= 0, ttm < 0), raises ``ValueError``.  It is
+    the one pricing route: ``ErmTestbed.portfolio_value`` sums through it.
     """
     from scipy.special import ndtr
 
@@ -47,26 +49,21 @@ def bs_price(kind, spot, strike, rate, vol, ttm):
     if not (_finite_positive(spot) and all(map(math.isfinite, terms))
             and strike > 0 and vol > 0 and ttm >= 0):
         raise ValueError("require finite inputs with spot > 0, strike > 0, vol > 0, ttm >= 0")
-    return _bs_price(ndtr, kind == "call", spot, strike, rate, vol, ttm)
-
-
-def _finite_positive(x):
-    """Whether every entry of array ``x`` lies in (0, inf); NaN does not."""
-    return bool(((x > 0) & (x < math.inf)).all())
-
-
-def _bs_price(ndtr, call, spot, strike, rate, vol, ttm):
-    """``bs_price`` without its checks, for inputs it would accept."""
     if ttm == 0:
-        intrinsic = spot - strike if call else strike - spot
+        intrinsic = spot - strike if kind == "call" else strike - spot
         return np.maximum(intrinsic, 0.0)
     s_sqrt = vol * math.sqrt(ttm)
     d1 = (np.log(spot / strike) + (rate + 0.5 * vol * vol) * ttm) / s_sqrt
     d2 = d1 - s_sqrt
     disc = strike * math.exp(-rate * ttm)
-    if call:
+    if kind == "call":
         return spot * ndtr(d1) - disc * ndtr(d2)
     return disc * ndtr(-d2) - spot * ndtr(-d1)
+
+
+def _finite_positive(x):
+    """Whether every entry of array ``x`` lies in (0, inf); NaN does not."""
+    return bool(((x > 0) & (x < math.inf)).all())
 
 
 @dataclass(frozen=True)
@@ -92,11 +89,11 @@ class ErmConfig:
         # what every run would otherwise fail on: spots, event and drifts
         if not all(0 < s < math.inf for s in self.s0):
             raise ValueError("s0 must hold finite positive spots")
-        if math.isnan(self.k_star):
-            raise ValueError("k_star must not be NaN")
+        if not self.k_star > 0:  # spots are positive, so no run would be in the event
+            raise ValueError(f"k_star must be > 0 and not NaN, got {self.k_star!r}")
         if not all(map(math.isfinite, self.true_theta)):
             raise ValueError("true_theta must be finite")
-        # the option terms ``portfolio_value`` prices without bs_price's checks
+        # the option terms, which only the first run in the event would price
         if not 0 < self.horizon < self.expiry < math.inf:
             raise ValueError("require 0 < horizon < expiry < inf")
         if not all(0 < v < math.inf for v in self.vols):
@@ -167,8 +164,6 @@ class ErmTestbed(Testbed):
     def portfolio_value(self, spots):
         """Total Black-Scholes value of all options at the horizon; spots
         that are not finite and positive raise ``ValueError``."""
-        from scipy.special import ndtr
-
         cfg = self.config
         spots = np.atleast_2d(np.asarray(spots, dtype=float))
         if not _finite_positive(spots):
@@ -179,9 +174,9 @@ class ErmTestbed(Testbed):
             s = spots[:, ell]
             vol = cfg.vols[ell]
             for k in cfg.call_strikes:
-                total += _bs_price(ndtr, True, s, k, cfg.rate, vol, ttm)
+                total += bs_price("call", s, k, cfg.rate, vol, ttm)
             for k in cfg.put_strikes:
-                total += _bs_price(ndtr, False, s, k, cfg.rate, vol, ttm)
+                total += bs_price("put", s, k, cfg.rate, vol, ttm)
         return total
 
     def _runs(self, theta, n_runs, rng):
@@ -195,8 +190,11 @@ class ErmTestbed(Testbed):
         z = ((theta - self._half_var) * h)[:, None, :] + z @ self._chol.T
         z = z.reshape(n * n_runs, d)
         spots = self._s0 * np.exp(z)
-        value = self.portfolio_value(spots)
-        a = (spots.sum(axis=1) < self.config.k_star).astype(float)
-        y = value * a
+        if not _finite_positive(spots):  # outside the event too
+            raise ValueError("require finite spots > 0")
+        hit = spots.sum(axis=1) < self.config.k_star
+        y = np.zeros(len(spots))
+        y[hit] = self.portfolio_value(spots[hit])
+        a = hit.astype(float)
         # one vector draw per run: the counts are a read-only view of a single 1.0
         return y, a, np.broadcast_to(1.0, z.shape), z / h + self._half_var

@@ -60,8 +60,8 @@ class SanConfig:
     arc_order: tuple = field(init=False)
 
     def __post_init__(self):
-        if math.isnan(self.threshold):  # every A would be 0
-            raise ValueError("threshold must not be NaN")
+        if not self.threshold > 0:  # T >= 0, so no run would be in the event
+            raise ValueError(f"threshold must be > 0 and not NaN, got {self.threshold!r}")
         arcs = tuple((str(u), str(v)) for u, v in self.arcs)
         sorter = TopologicalSorter()
         for u, v in arcs:

@@ -244,11 +244,11 @@ class TestSanTopology:
         with pytest.raises(ValueError, match="T-node"):
             SanConfig(arcs=(("a", "b"),), source="a", sink="b", t_nodes=("z",))
 
-    @pytest.mark.parametrize("threshold", [math.nan, np.float64("nan")],
-                             ids=["nan", "numpy-nan"])
+    @pytest.mark.parametrize("threshold", [math.nan, np.float64("nan"), 0.0, -1.0],
+                             ids=["nan", "numpy-nan", "zero", "negative"])
     def test_nan_threshold_rejected_at_build(self, threshold):
-        # every run's A would be 0; an infinite threshold stays legal
-        with pytest.raises(ValueError, match="threshold must not be NaN"):
+        # T >= 0, so every run's A would be 0; an infinite threshold stays legal
+        with pytest.raises(ValueError, match="threshold must be > 0 and not NaN"):
             dataclasses.replace(SanConfig.default(), threshold=threshold)
         assert dataclasses.replace(SanConfig.default(), threshold=math.inf).threshold == math.inf
 
@@ -761,12 +761,15 @@ class TestErm:
         "change, message",
         [({"s0": (-100.0, 100.0)}, "s0"), ({"s0": (100.0, math.nan)}, "s0"),
          ({"s0": (math.inf, 100.0)}, "s0"), ({"k_star": math.nan}, "k_star"),
+         ({"k_star": 0.0}, "k_star must be > 0"), ({"k_star": -1.0}, "k_star must be > 0"),
          ({"true_theta": (math.nan, 0.1)}, "true_theta"),
          ({"true_theta": (0.05, -math.inf)}, "true_theta")],
-        ids=["negative-spot", "nan-spot", "inf-spot", "nan-k-star", "nan-drift", "inf-drift"],
+        ids=["negative-spot", "nan-spot", "inf-spot", "nan-k-star", "zero-k-star",
+             "negative-k-star", "nan-drift", "inf-drift"],
     )
     def test_config_rejects_what_every_run_would_fail_on(self, change, message):
-        # a bad spot fails every simulate call, a NaN k_star makes every A 0
+        # a bad spot fails every simulate call; spots are positive, so a NaN
+        # or non-positive k_star makes every A 0
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ErmConfig.default(), **change)
 
@@ -775,29 +778,53 @@ class TestErm:
         with pytest.raises(ValueError, match="require finite spots > 0"):
             ErmTestbed().portfolio_value(np.array([[100.0, 100.0], [100.0, bad]]))
 
-    def test_trace_sums_map_back_to_the_priced_increments(self):
+    def test_overflowing_spot_outside_the_event_raises(self, rng):
+        # a drift of 1e5 overflows the first spot to inf; inf < k_star is
+        # false, so the run is not priced, but its spot is still checked
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="require finite spots > 0"):
+                ErmTestbed().simulate([1e5, 0.0], 3, rng)
+
+    @pytest.mark.parametrize("k_star, priced", [(None, "some"), (math.inf, "all"),
+                                                (1.0, "none")],
+                             ids=["default", "inf", "one"])
+    def test_trace_sums_map_back_to_the_priced_increments(self, k_star, priced, monkeypatch):
         # each row's log-increments are N((theta - vol**2 / 2) tau, tau cov);
         # the trace sums are the drifts z / tau + vol**2 / 2 they imply, and
         # the trace model's LR between two drifts is the increments' own
         from scipy.stats import multivariate_normal
 
-        tb = ErmTestbed()
+        tb = ErmTestbed(ErmConfig.default(k_star))
+        priced_rows, value = [], tb.portfolio_value
+
+        def counted_value(spots):
+            priced_rows.append(len(spots))
+            return value(spots)
+
+        monkeypatch.setattr(tb, "portfolio_value", counted_value)
         cfg, tau = tb.config, tb.config.horizon
         half_var = 0.5 * np.array([0.15, 0.35]) ** 2
         theta = np.array([[0.05, 0.10], [0.3, -0.2]])
-        batch = tb.simulate(theta, 4, np.random.default_rng(3))
-        normals = np.random.default_rng(3).standard_normal((2, 4, 2))
+        batch = tb.simulate(theta, 50, np.random.default_rng(3))
+        normals = np.random.default_rng(3).standard_normal((2, 50, 2))
         means = (theta - half_var) * tau
-        z = (means[:, None, :] + normals @ np.linalg.cholesky(tau * cfg.cov).T).reshape(8, 2)
+        z = (means[:, None, :] + normals @ np.linalg.cholesky(tau * cfg.cov).T).reshape(100, 2)
         np.testing.assert_allclose(batch.sums, z / tau + half_var, rtol=1e-12)
-        spots = np.asarray(cfg.s0) * np.exp((batch.sums - half_var) * tau)
+        # only the runs in the event are priced; Y is exactly value * A,
+        # with +0.0 outside the event
+        spots = np.asarray(cfg.s0) * np.exp(z)
         np.testing.assert_array_equal(batch.a, spots.sum(axis=1) < cfg.k_star)
-        np.testing.assert_allclose(batch.y, tb.portfolio_value(spots) * batch.a, rtol=1e-12)
+        hits = int(batch.a.sum())
+        assert {"some": 0 < hits < 100, "all": hits == 100, "none": hits == 0}[priced]
+        assert priced_rows == [hits]
+        expected = value(spots) * batch.a
+        np.testing.assert_array_equal(batch.y, expected)
+        np.testing.assert_array_equal(np.signbit(batch.y), np.signbit(expected))
         stats = pack_stats(batch.counts, batch.sums)[:, None, :]  # one run per batch
-        coefs = tb.trace_model.coefficients(np.repeat(theta, 4, axis=0))
+        coefs = tb.trace_model.coefficients(np.repeat(theta, 50, axis=0))
         got = tb.trace_model.log_weights(stats, coefs, theta[1])[:, 0]
         density = [multivariate_normal(mean, tau * cfg.cov).logpdf for mean in means]
-        own = np.concatenate([density[0](z[:4]), density[1](z[4:])])
+        own = np.concatenate([density[0](z[:50]), density[1](z[50:])])
         np.testing.assert_allclose(got, density[1](z) - own, rtol=1e-9, atol=1e-9)
 
 
@@ -836,9 +863,20 @@ class TestOracle:
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_all_zero_denominator_fails(self, rng):
-        tb = ErmTestbed(ErmConfig.default(k_star=-1.0))  # impossible event
-        with pytest.raises(EstimationError):
-            true_eta_oracle(tb, tb.true_theta, 10_000, rng)
+        # the testbeds reject an impossible event at build, so a stand-in
+        # testbed returns A = 0 for every run
+        from iuq import IndependentExponentials
+        from iuq.simulators import Testbed
+
+        class NoEvent(Testbed):
+            input_model = IndependentExponentials(2)
+
+            def _runs(self, theta, n_runs, rng):
+                zeros = np.zeros(len(theta) * n_runs)
+                return zeros, zeros, np.ones((zeros.size, 2)), np.ones((zeros.size, 2))
+
+        with pytest.raises(EstimationError, match="denominator outputs are all zero"):
+            true_eta_oracle(NoEvent(), [1.0, 2.0], 10_000, rng)
 
     def test_make_testbed_names(self):
         assert make_testbed("san").name == "san"
