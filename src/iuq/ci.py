@@ -48,10 +48,18 @@ def empirical_quantile(values, alpha):
 
 
 def percentile_ci(estimates, alpha):
-    """Percentile bootstrap CI: [alpha/2, 1 - alpha/2] empirical quantiles."""
+    """Percentile bootstrap CI: [alpha/2, 1 - alpha/2] empirical quantiles.
+
+    Raises ``ValueError`` on fewer than two estimates, or on any estimate
+    that is not finite: np.sort puts NaN last, so it, like an infinity,
+    could become an interval end.
+    """
     estimates = np.asarray(estimates, dtype=float)
     if estimates.size < 2:
         raise ValueError("need at least two estimates")
+    bad = estimates.size - int(np.isfinite(estimates).sum())
+    if bad:
+        raise ValueError(f"{bad} of {estimates.size} estimates are not finite")
     if not (is_finite_real(alpha) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     lo = empirical_quantile(estimates, alpha / 2.0)

@@ -117,16 +117,29 @@ def min_enclosing_ellipsoid(points):
     result's shape is rescaled so that every input point satisfies
     membership <= 1 exactly.
 
-    Each rank-1 step allocates no array: it writes into buffers made once per
-    call and does the floating-point operations of the update
-    x_inv <- (x_inv - beta w w') / (1 - step) and its leverage counterpart
-    in their written order, so its results are bit for bit those of that
-    formula evaluated with fresh arrays.  The lifted inverse x_inv and the
-    leverages are two views of one buffer, and the downdate terms beta w w'
-    and beta v v the matching views of a second buffer with the same
-    layout, so one subtract and one divide over the whole buffer update
-    both.  x_inv comes first, so that the matrix products read it from the
-    start of an allocation, as they read a fresh array.
+    The weights and the lifted inverse shrink by the same factor
+    keep = 1 - step at every step, so the loop carries that factor in two
+    floats instead of applying it to whole arrays.  The true weights are the
+    stored ``u`` times ``shrink``; a step multiplies ``shrink`` by keep and
+    adds step / ``shrink`` to u[j].  The stored lifted inverse x_inv and the
+    stored leverages are the true ones times ``scale``; a step subtracts
+    (beta / ``scale``) w w' and (beta / ``scale``) v v from them, where w and
+    v are computed from the stored inverse, reads the true largest leverage
+    as the stored one over ``scale``, and multiplies ``scale`` by keep.  Both
+    factors fold back into the arrays at each 512-step refresh, which
+    rebuilds x_inv and the leverages from the weights so that rank-1
+    rounding drift stays bounded, and ``shrink`` once more on exit.
+
+    Each rank-1 step allocates no array: it writes into buffers made once
+    per call and does the floating-point operations of the update
+    x_inv <- x_inv - (beta / scale) w w' and its leverage counterpart in
+    their written order, so its results are bit for bit those of that
+    formula evaluated with fresh arrays.  x_inv and the leverages are two
+    views of one buffer, and the downdate terms w w' and v v the matching
+    views of a second buffer with the same layout, so one scaling and one
+    subtract over the whole buffer update both.  x_inv comes first, so that
+    the matrix products read it from the start of an allocation, as they
+    read a fresh array.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -152,45 +165,43 @@ def min_enclosing_ellipsoid(points):
         leverage[...] = np.einsum("ij,ji->i", qt, x_inv @ q)
 
     bound = lifted * (1.0 + MVEE_GAP_TOL)
-    # step buffers, reused by every rank-1 downdate; the step's two scalars
-    # are held in 0-d arrays too, which in-place ufuncs take faster than floats
+    # step buffers, reused by every rank-1 downdate
     w = np.empty(d + 1)
     w_col = w[:, None]
     v = np.empty(n)
-    keep_arr = np.empty(())
-    beta_arr = np.empty(())
     argmax, item = leverage.argmax, leverage.item
     try:
         if n <= d or (np.diag(np.linalg.cholesky(scatter)) ** 2 <= 1e-12 * np.diag(scatter)).any():
             raise np.linalg.LinAlgError("the cloud does not affinely span R^d")
         refresh()
+        shrink = scale = 1.0
         for it in range(MVEE_MAX_ITER):
             j = argmax()
-            maximum = item(j)
+            maximum = item(j) / scale
             if maximum <= bound:
                 break
             step = (maximum - d - 1.0) / (lifted * (maximum - 1.0))
             keep = 1.0 - step
-            keep_arr[()] = keep
-            u *= keep_arr
-            u[j] += step
+            shrink *= keep
+            u[j] += step / shrink
             if (it + 1) % 512 == 0:
-                # refresh from scratch to keep rank-1 rounding drift in check
+                # fold the factors back and refresh from scratch
+                u *= shrink
+                shrink = scale = 1.0
                 refresh()
                 continue
-            # rank-1 downdate of the lifted inverse and the membership diagonal:
-            # leverage = (leverage - beta v v) / keep and
-            # x_inv = (x_inv - beta w w') / keep, written into the buffers
+            # rank-1 downdate of the stored inverse and leverages:
+            # state = state - (beta / scale) [w w', v v]
             np.dot(x_inv, qt[j], out=w)
             c = step / keep
-            beta_arr[()] = c / (1.0 + c * maximum)
+            beta = c / (1.0 + c * maximum)
             np.dot(qt, w, out=v)
-            np.multiply(beta_arr, v, out=vv)
-            vv *= v
             np.multiply(w_col, w, out=ww)
-            ww *= beta_arr
+            np.square(v, out=vv)
+            upd *= beta / scale
             state -= upd
-            state /= keep_arr
+            scale *= keep
+        u *= shrink
         center = points.T @ u
         shape = np.linalg.inv((points.T * u) @ points - np.outer(center, center)) / d
     except np.linalg.LinAlgError:

@@ -1,11 +1,17 @@
 """``tools/bits.py`` runs in a checkout: ``digest`` prints one hash a config,
-``coverage`` one summary line a config."""
+``compare`` one line of moves a config, ``coverage`` one summary line a
+config."""
 
+import dataclasses
 import hashlib
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from iuq.harness import ExperimentConfig, MacroResult, MacroRow, emit_report, summarize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +49,49 @@ def test_coverage_prints_a_summary_line_per_config(tmp_path):
     # the rest are failure reasons, counted, with their digits masked
     for line in lines[1:]:
         assert re.fullmatch(r"  [1-3] [^0-9]+", line), done.stdout
+
+
+def write_report(folder, **change):
+    """A two-macro mm1 klr report in ``folder``, its second row with ``change``."""
+    rows = [MacroRow(macro_id=i, estimator="klr", sampling="ellipsoid", m=20, n=36,
+                     n_tilde=1000, r=7, k_y=16, k_a=4, lower=0.25, upper=3.25 + i,
+                     width=3.0 + i, covered=1, sims_used=252, seed=5) for i in range(2)]
+    rows[1] = dataclasses.replace(rows[1], **change)
+    cfg = ExperimentConfig(model="mm1", m=20, estimator="klr", macros=2, seed=5)
+    emit_report(MacroResult(rows=tuple(rows), failures=(), summary=summarize(rows, (), cfg, 1.0)),
+                folder / "mm1-klr-ellipsoid")
+
+
+@pytest.mark.parametrize("change, rel, code, line", [
+    ({}, "1e-9", 0, r"mm1-klr-ellipsoid same"),
+    (dict(upper=4.25 * (1 + 1e-12), width=4.0 + 4.25e-12), "1e-9", 0,
+     r"mm1-klr-ellipsoid lower 0 upper 1e-12 width 4\.2e-12"),
+    (dict(upper=4.25 * (1 + 1e-12), width=4.0 + 4.25e-12), "1e-13", 1,
+     r"mm1-klr-ellipsoid lower 0 upper 1e-12 width 4\.2e-12"),
+    (dict(k_y=8), "1e-9", 1, r"mm1-klr-ellipsoid lower 0 upper 0 width 0 DIFFER k_y"),
+], ids=["equal", "1e-12 move", "move above --rel", "changed k_y"])
+def test_compare_prints_moves_and_flags_exact_fields(tmp_path, change, rel, code, line):
+    # a 4.25e-12 longer second interval moves the widths' standard error,
+    # half their difference, by 4.25e-12 relative
+    old, new = tmp_path / "old", tmp_path / "new"
+    write_report(old)
+    write_report(new, **change)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bits.py"), "compare", str(old), str(new),
+         "--rel", rel],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    assert re.fullmatch(line, done.stdout.strip()), done.stdout
+
+
+def test_compare_rejects_a_missing_directory(tmp_path):
+    # a mistyped path would otherwise compare nothing and exit 0
+    write_report(tmp_path / "old")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bits.py"), "compare", str(tmp_path / "old"),
+         str(tmp_path / "missing")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "is not a directory" in done.stderr

@@ -71,6 +71,15 @@ class TestPercentileCI:
         with pytest.raises(ValueError, match="alpha must lie in"):
             percentile_ci(np.arange(1.0, 101.0), alpha)
 
+    @pytest.mark.parametrize("estimates, bad", [([np.nan, 1.0, 2.0], 1),
+                                                ([1.0, np.inf, 2.0], 1),
+                                                ([-np.inf, 1.0, np.nan, 2.0], 2)],
+                             ids=["nan", "inf", "-inf and nan"])
+    def test_non_finite_estimates_rejected(self, estimates, bad):
+        # np.sort puts NaN last, so a NaN would otherwise become the upper end
+        with pytest.raises(ValueError, match=f"{bad} of {len(estimates)} estimates are not finite"):
+            percentile_ci(estimates, 0.05)
+
     def test_width_and_covers(self):
         ci = percentile_ci(np.arange(1.0, 101.0), 0.10)
         assert ci.width == 90.0

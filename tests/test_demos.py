@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 # estimator_comparison.py is left out: its six arms of 50 mm1 macros take
-# about 10 s, and queue_steady_state.py already runs the mm1 pipeline end
+# about 8 s, and queue_steady_state.py already runs the mm1 pipeline end
 # to end
 @pytest.mark.parametrize(
     "script", ["reweighting_basics.py", "design_toolkit.py", "network_completion_time.py",

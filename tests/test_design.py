@@ -31,9 +31,52 @@ from iuq.simulators import make_testbed
 
 
 def allocating_mvee(points):
-    """The Khachiyan loop as it was before its rank-1 step wrote into
-    buffers: every step allocates w, v, the outer product and the new
-    leverage and inverse.  Returns the ellipsoid and the step count."""
+    """The Khachiyan loop of ``min_enclosing_ellipsoid`` with every step
+    allocating w, v, the outer product and the new leverage and inverse:
+    the weights are stored divided by ``shrink``, the inverse and leverages
+    multiplied by ``scale``, and both fold back at each refresh and on exit.
+    Returns the ellipsoid and the step count."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = points.shape
+    q = np.vstack([points.T, np.ones(n)])
+    u = np.full(n, 1.0 / n)
+
+    def refresh():
+        x_inv = np.linalg.inv((q * u) @ q.T)
+        return x_inv, np.einsum("ij,ji->i", q.T, x_inv @ q)
+
+    x_inv, leverage = refresh()
+    shrink = scale = 1.0
+    for it in range(design.MVEE_MAX_ITER):
+        j = int(np.argmax(leverage))
+        maximum = leverage[j] / scale
+        if maximum <= (d + 1) * (1.0 + design.MVEE_GAP_TOL):
+            break
+        step = (maximum - d - 1.0) / ((d + 1.0) * (maximum - 1.0))
+        shrink *= 1.0 - step
+        u[j] += step / shrink
+        if (it + 1) % 512 == 0:
+            u *= shrink
+            shrink = scale = 1.0
+            x_inv, leverage = refresh()
+            continue
+        w = x_inv @ q[:, j]
+        c = step / (1.0 - step)
+        beta = c / (1.0 + c * maximum)
+        v = q.T @ w
+        leverage = leverage - v * v * (beta / scale)
+        x_inv = x_inv - np.outer(w, w) * (beta / scale)
+        scale *= 1.0 - step
+    u *= shrink
+    center = points.T @ u
+    shape = np.linalg.inv((points.T * u) @ points - np.outer(center, center)) / d
+    return design._enclosing(center, shape, points), it
+
+
+def textbook_mvee(points):
+    """Khachiyan's loop as the textbook writes it, every step multiplying
+    the weights by 1 - step and dividing the downdated inverse and
+    leverages by it.  Returns the ellipsoid and the step count."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
     q = np.vstack([points.T, np.ones(n)])
@@ -144,6 +187,22 @@ class TestBootstrapParams:
             assert abs(a - b) / b < 0.05
 
 
+RANDOM_CLOUDS = [(1, 2), (1, 50), (2, 3), (2, 1000), (3, 40), (5, 300), (13, 14), (13, 500)]
+BOOTSTRAP_CLOUDS = [("san", 50), ("mm1", 800), ("erm", 200)]
+
+
+def random_cloud(d, n):
+    """n points of a random affine image of the standard normal in R^d."""
+    rng = np.random.default_rng(100 * d + n)
+    return rng.standard_normal((n, d)) @ rng.uniform(-1.0, 1.0, (d, d)) + rng.normal(size=d)
+
+
+def correlated_cloud():
+    """1000 correlated normal points in R^2, about 3k Khachiyan steps."""
+    return np.random.default_rng(0).standard_normal((1000, 2)) @ np.array(
+        [[1.0, 0.4], [0.0, 0.7]])
+
+
 class TestMvee:
     def test_four_point_symmetric_unit_circle(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -191,17 +250,15 @@ class TestMvee:
         with pytest.raises(ValueError, match="not \\+1"):
             ell.log_volume()
 
-    @pytest.mark.parametrize("d, n", [(1, 2), (1, 50), (2, 3), (2, 1000), (3, 40),
-                                      (5, 300), (13, 14), (13, 500)])
+    @pytest.mark.parametrize("d, n", RANDOM_CLOUDS)
     def test_steps_match_the_allocating_loop_bit_for_bit(self, d, n):
-        rng = np.random.default_rng(100 * d + n)
-        pts = rng.standard_normal((n, d)) @ rng.uniform(-1.0, 1.0, (d, d)) + rng.normal(size=d)
+        pts = random_cloud(d, n)
         ell = min_enclosing_ellipsoid(pts)
         ref, _ = allocating_mvee(pts)
         assert np.array_equal(ell.center, ref.center)
         assert np.array_equal(ell.shape, ref.shape)
 
-    @pytest.mark.parametrize("name, m", [("san", 50), ("mm1", 800), ("erm", 200)])
+    @pytest.mark.parametrize("name, m", BOOTSTRAP_CLOUDS)
     def test_bootstrap_clouds_match_the_allocating_loop_bit_for_bit(self, name, m):
         boots = bootstrap_cloud(name, m, seed=3)
         ell = min_enclosing_ellipsoid(boots)
@@ -213,8 +270,7 @@ class TestMvee:
     def test_iteration_cap_matches_the_allocating_loop_bit_for_bit(self, monkeypatch):
         # ~3k steps uncapped; a cap of 700 stops one refresh and 188 rank-1
         # steps later, mid-window, where the reference stops too
-        pts = np.random.default_rng(0).standard_normal((1000, 2)) @ np.array(
-            [[1.0, 0.4], [0.0, 0.7]])
+        pts = correlated_cloud()
         uncapped, uncapped_steps = allocating_mvee(pts)
         monkeypatch.setattr(design, "MVEE_MAX_ITER", 700)
         ell = min_enclosing_ellipsoid(pts)
@@ -224,12 +280,30 @@ class TestMvee:
         assert np.array_equal(ell.center, ref.center)
         assert np.array_equal(ell.shape, ref.shape)
 
+    @pytest.mark.parametrize("kind, arg", [("random", dn) for dn in RANDOM_CLOUDS]
+                             + [("bootstrap", nm) for nm in BOOTSTRAP_CLOUDS] + [("cap", 700)])
+    def test_deferred_factors_keep_the_textbook_steps(self, monkeypatch, kind, arg):
+        # carrying 1 - step in two scalars moves the result by rounding
+        # only: the same step count, the same ellipsoid to 1e-9 of its
+        # largest entry (allocating_mvee is the library's loop, bit for bit)
+        if kind == "random":
+            pts = random_cloud(*arg)
+        elif kind == "bootstrap":
+            pts = bootstrap_cloud(*arg, seed=3)
+        else:
+            pts = correlated_cloud()
+            monkeypatch.setattr(design, "MVEE_MAX_ITER", arg)
+        ell, steps = allocating_mvee(pts)
+        ref, ref_steps = textbook_mvee(pts)
+        assert steps == ref_steps
+        for got, want in ((ell.center, ref.center), (ell.shape, ref.shape)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("failing", ["first refresh", "512-step refresh", "final inverse"])
     def test_singular_matrix_falls_back_to_ridge(self, monkeypatch, failing):
         # ~3k iterations: the first refresh, six 512-step refreshes and the
         # final scatter inverse are the eight np.linalg.inv calls
-        pts = np.random.default_rng(0).standard_normal((1000, 2)) @ np.array(
-            [[1.0, 0.4], [0.0, 0.7]])
+        pts = correlated_cloud()
         mean = pts.mean(axis=0)
         diff = pts - mean
         ridge = design._ridge_ellipsoid(pts, mean, diff.T @ diff / len(pts))
@@ -257,8 +331,7 @@ class TestMvee:
     def test_scaled_cloud_gets_the_scaled_ellipsoid(self):
         # the spanning rule reads each coordinate's share of unexplained
         # variance, so a healthy cloud of tiny units is not sent to the ridge
-        pts = np.random.default_rng(0).standard_normal((1000, 2)) @ np.array(
-            [[1.0, 0.4], [0.0, 0.7]])
+        pts = correlated_cloud()
         s = 1e-14
         ell, tiny = min_enclosing_ellipsoid(pts), min_enclosing_ellipsoid(s * pts)
         np.testing.assert_allclose(tiny.shape, ell.shape / s**2, rtol=1e-9)

@@ -5,6 +5,7 @@ Run from the root of a checkout (no install needed; ``iuq`` is imported
 from the checkout's ``src``):
 
     python tools/bits.py digest [--out DIR]
+    python tools/bits.py compare DIR_A DIR_B [--rel REL]
     python tools/bits.py coverage
 
 ``digest`` runs every model x estimator x sampling config at m=20, 3 macros
@@ -19,6 +20,18 @@ and makes the command exit 1.  A config that fails with an
 ``DIR/<model>-<estimator>-<sampling>.csv`` and ``.json``; ``--model``,
 ``--estimator``, ``--sampling`` (each repeatable) and ``--macros`` narrow
 the grid.
+
+``compare`` reads two ``digest --out`` directories and prints one line per
+config found in either: ``<config> same`` when both reports' bytes are
+equal, or else the largest relative move of the interval ends and of the
+width (the rows' widths and the summary's mean width and its standard
+error), as ``<config> lower <rel> upper <rel> width <rel>``.  Every other
+field, the integer ones, the failures and the coverage among them, must be
+equal; the line of a config where one is not ends with ``DIFFER <fields>``,
+and a config that only one directory holds prints ``<config> only in
+<dir>``.  It exits 1 on any of these, or on a move above ``--rel``, by
+default 1e-9, the tolerance ``perfbench/verify.py`` allows the benchmark's
+pinned rows.
 
 ``coverage`` runs the mm1 and san models with the klr and std-even
 estimators at m = 20 and 50, each at 200 macros, seed 1 and 2 workers, with
@@ -37,7 +50,10 @@ which more than 10% of the macros fail is aborted; its line then ends with
 """
 
 import argparse
+import dataclasses
 import hashlib
+import json
+import math
 import re
 import sys
 import tempfile
@@ -51,6 +67,7 @@ from iuq.harness import (  # noqa: E402
     SAMPLING_MODES,
     ExperimentConfig,
     emit_report,
+    load_report,
     run_macro_experiment,
 )
 from iuq.input_models import EstimationError  # noqa: E402
@@ -59,6 +76,9 @@ from iuq.simulators import TESTBEDS  # noqa: E402
 M, MACROS, SEED = 20, 3, 5
 COVERAGE_MODELS, COVERAGE_ESTIMATORS, COVERAGE_M = ("mm1", "san"), ("klr", "std-even"), (20, 50)
 COVERAGE_MACROS, COVERAGE_SEED, COVERAGE_WORKERS = 200, 1, 2
+# report fields that compare lets move, and the move each one counts under
+MOVES = {"lower": "lower", "upper": "upper", "width": "width",
+         "mean_width": "width", "width_se": "width"}
 
 
 def report_bytes(cfg, base):
@@ -96,6 +116,57 @@ def digest(args):
     return 0 if same else 1
 
 
+def rel_move(old, new):
+    """|old - new| relative to the larger magnitude; inf unless both are finite."""
+    if old == new:
+        return 0.0
+    if not (math.isfinite(old) and math.isfinite(new)):
+        return math.inf
+    return abs(old - new) / max(abs(old), abs(new))
+
+
+def report_fields(base):
+    """The rows of the report at ``base``, each as a dict, and its summary."""
+    rows = [dataclasses.asdict(row) for row in load_report(f"{base}.csv")]
+    return rows, json.loads(Path(f"{base}.json").read_text())
+
+
+def compare(args):
+    dirs = Path(args.dir_a), Path(args.dir_b)
+    for folder in dirs:
+        if not folder.is_dir():
+            raise SystemExit(f"compare: {folder} is not a directory")
+    ok = True
+    for name in sorted({path.stem for folder in dirs for path in folder.glob("*.csv")}):
+        held = [folder for folder in dirs if (folder / f"{name}.csv").exists()]
+        if len(held) == 1:
+            print(f"{name} only in {held[0]}", flush=True)
+            ok = False
+            continue
+        if all((dirs[0] / f"{name}{ext}").read_bytes() == (dirs[1] / f"{name}{ext}").read_bytes()
+               for ext in (".csv", ".json")):
+            print(f"{name} same", flush=True)
+            continue
+        (old_rows, old_summary), (new_rows, new_summary) = (report_fields(folder / name)
+                                                            for folder in dirs)
+        differ = {"rows"} if len(old_rows) != len(new_rows) else set()
+        if old_summary.keys() != new_summary.keys():
+            differ.add("summary keys")
+        moves = dict.fromkeys(("lower", "upper", "width"), 0.0)
+        for old, new in [*zip(old_rows, new_rows), (old_summary, new_summary)]:
+            for key in old.keys() & new.keys():
+                if key in MOVES:
+                    moves[MOVES[key]] = max(moves[MOVES[key]], rel_move(old[key], new[key]))
+                elif old[key] != new[key]:
+                    differ.add(key)
+        line = name + "".join(f" {key} {move:.2g}" for key, move in moves.items())
+        if differ:
+            line += " DIFFER " + ",".join(sorted(differ))
+        ok = ok and not differ and max(moves.values()) <= args.rel
+        print(line, flush=True)
+    return 0 if ok else 1
+
+
 def coverage(args):
     # every config is built first, so a bad --m fails before the first run
     configs = [ExperimentConfig(model=model, m=m, estimator=estimator, macros=args.macros,
@@ -130,6 +201,12 @@ def main(argv=None):
     cmd.add_argument("--macros", type=int, default=MACROS)
     cmd.add_argument("--out", help="directory that keeps the 1-worker reports")
     cmd.set_defaults(run=digest)
+    cmd = sub.add_parser("compare", help="moves between two digest --out directories")
+    cmd.add_argument("dir_a")
+    cmd.add_argument("dir_b")
+    cmd.add_argument("--rel", type=float, default=1e-9,
+                     help="largest relative move of an interval end or width allowed")
+    cmd.set_defaults(run=compare)
     cmd = sub.add_parser("coverage", help="coverage, width and failures of each config")
     cmd.add_argument("--model", action="append", choices=TESTBEDS)
     cmd.add_argument("--estimator", action="append", choices=ESTIMATORS)
