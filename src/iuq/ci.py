@@ -43,12 +43,17 @@ def empirical_quantile(values, alpha):
         raise ValueError("cannot take a quantile of an empty sample")
     if not (is_finite_real(alpha) and 0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    rank = math.ceil(values.size * alpha)
-    return float(np.sort(values)[rank - 1])
+    return _order_statistic(np.sort(values), alpha)
+
+
+def _order_statistic(ascending, alpha):
+    """ceil(n*alpha)-th entry (1-indexed) of the sorted sample ``ascending``."""
+    return float(ascending[math.ceil(ascending.size * alpha) - 1])
 
 
 def percentile_ci(estimates, alpha):
-    """Percentile bootstrap CI: [alpha/2, 1 - alpha/2] empirical quantiles.
+    """Percentile bootstrap CI: [alpha/2, 1 - alpha/2] empirical quantiles,
+    both read from one sort of the estimates.
 
     Raises ``ValueError`` on fewer than two estimates, or on any estimate
     that is not finite: np.sort puts NaN last, so it, like an infinity,
@@ -62,6 +67,6 @@ def percentile_ci(estimates, alpha):
         raise ValueError(f"{bad} of {estimates.size} estimates are not finite")
     if not (is_finite_real(alpha) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    lo = empirical_quantile(estimates, alpha / 2.0)
-    hi = empirical_quantile(estimates, 1.0 - alpha / 2.0)
-    return CIResult(lo, hi)
+    ascending = np.sort(estimates)
+    return CIResult(_order_statistic(ascending, alpha / 2.0),
+                    _order_statistic(ascending, 1.0 - alpha / 2.0))

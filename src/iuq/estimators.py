@@ -238,11 +238,6 @@ class RunTable:
             raise ValueError(f"pool sizes must lie in [1, {self.pool.size}]")
         return k_y, k_a
 
-    def neighbors(self, theta, k_y, k_a):
-        """Rows of the max(k_y, k_a) nearest eligible parameters, closest first."""
-        k_y, k_a = self.check_pool_sizes(k_y, k_a)
-        return self.pool.take(self.index.query(theta, max(k_y, k_a)))
-
 
 def build_run_table(testbed, params, r, rng):
     """Simulate r runs at each parameter and assemble the run table.
@@ -298,18 +293,24 @@ def knn_ratio(table, thetas, k_y, k_a):
     return ratios
 
 
-def _lr_run_means(table, nbrs, theta_tilde, k_y, k_a):
-    """Likelihood-ratio reweighted run means of the neighbor rows.
+def klr_ratio(table, theta_tilde, k_y, k_a):
+    """Ratio of likelihood-ratio reweighted pooled means at ``theta_tilde``.
 
-    Returns the averages of Y*W over the first ``k_y`` neighbor rows and of
-    A*W over the first ``k_a``, with W the trace LR from each run's own
-    parameter to the target, plus the clamp counter over all of ``nbrs``.
+    With W the trace likelihood ratio from a run's own simulation parameter
+    to the target, the estimate is the mean of Y*W over every run of the k_y
+    nearest eligible parameters, divided by the mean of A*W over every run
+    of the k_a nearest; the reweighting removes the pooling bias of the
+    plain k-nearest-neighbor estimator.  Each mean is taken per row and then
+    over the rows.  Log-weights above ``LOG_WEIGHT_CLAMP`` are clamped, and
+    their count, over the max(k_y, k_a) rows, is returned with the value.
     The table's statistics and coefficients are finite, so every weight is
     too, short of a log-weight product past the float range, whose NaN then
     reaches the ratio and is rejected there.  The log-weights and the
     gathered rows are fresh arrays, so the clamp, the exponential and the
     products with W are written into them; the table itself is only read.
     """
+    k_y, k_a = table.check_pool_sizes(k_y, k_a)
+    nbrs = table.pool.take(table.index.query(theta_tilde, max(k_y, k_a)))
     log_w = table.trace_model.log_weights(
         table.stats.take(nbrs, axis=0), table.lr_coefs.take(nbrs, axis=0), theta_tilde
     )
@@ -324,21 +325,8 @@ def _lr_run_means(table, nbrs, theta_tilde, k_y, k_a):
     a_w *= w[:k_a]
     a_lr = np.add.reduce(a_w, axis=1)
     a_lr /= r
-    return y_lr, a_lr, clamped
-
-
-def klr_ratio(table, theta_tilde, k_y, k_a):
-    """Ratio of likelihood-ratio reweighted pooled means.
-
-    Each pooled run is reweighted by the trace likelihood ratio from its own
-    simulation parameter to the target ``theta_tilde``, which removes the
-    pooling bias of the plain k-nearest-neighbor estimator.
-    """
-    nbrs = table.neighbors(theta_tilde, k_y, k_a)
-    y_lr, a_lr, clamped = _lr_run_means(table, nbrs, theta_tilde, k_y, k_a)
-    # divide by the row counts, ints even for numpy-integer k_y and k_a
-    num = float(np.add.reduce(y_lr)) / len(y_lr)
-    den = float(np.add.reduce(a_lr)) / len(a_lr)
+    num = float(np.add.reduce(y_lr)) / k_y
+    den = float(np.add.reduce(a_lr)) / k_a
     if den == 0.0:
         raise EstimationError("pooled denominator vanished")
     return RatioEstimate(value=num / den, clamped_weights=clamped)

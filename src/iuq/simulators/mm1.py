@@ -62,11 +62,15 @@ def mm1_steady_state_mean(lam, mu, capacity=10):
 
     The stationary law is pi_n proportional to rho^n on {0, ..., capacity};
     rates outside the support of the exponential inputs, or a capacity that
-    ``QueueConfig`` rejects, raise ``ValueError``.
+    ``QueueConfig`` rejects, raise ``ValueError``.  For rho > 1 the mean is
+    capacity less that of the mirrored law, proportional to (1/rho)^n, whose
+    powers cannot overflow.
     """
     lam, mu = IndependentExponentials(2).check_theta([lam, mu]).tolist()
     capacity = QueueConfig(capacity).capacity
     rho = lam / mu
+    if rho > 1.0:
+        return capacity - mm1_steady_state_mean(mu, lam, capacity)
     n = np.arange(capacity + 1)
     w = rho ** n
     return float((n * w).sum() / w.sum())

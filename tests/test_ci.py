@@ -85,3 +85,12 @@ class TestPercentileCI:
         assert ci.width == 90.0
         assert ci.covers(5.0) and ci.covers(95.0) and not ci.covers(95.5)
 
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
+    @pytest.mark.parametrize("n", [2, 3, 999, 1000, 3045])
+    def test_ends_are_the_two_empirical_quantiles(self, rng, n, alpha, tied):
+        # the one sort must pick the order statistics of the two separate calls
+        values = rng.integers(0, 4, size=n).astype(float) if tied else rng.normal(size=n)
+        ci = percentile_ci(values, alpha)
+        assert (ci.lower, ci.upper) == (empirical_quantile(values, alpha / 2.0),
+                                        empirical_quantile(values, 1.0 - alpha / 2.0))

@@ -192,7 +192,7 @@ class TestKnnQuery:
         # the table's index covers its eligible rows only
         table = knn_table([0.0, 1.0, 2.0], y=[[1.0]] * 3, a=[[0.0], [1.0], [1.0]])
         assert table.pool.tolist() == [1, 2]
-        assert table.neighbors(np.array([0.1]), 1, 1).tolist() == [1]
+        assert table.pool.take(table.index.query(np.array([0.1]), 1)).tolist() == [1]
 
     def test_matches_bruteforce_sort(self, rng):
         pts = rng.normal(size=(1000, 3))
@@ -315,6 +315,19 @@ class TestKlrRatio:
         table = RunTable(params=params, y=y, a=a, trace_model=model, stats=stats)
         assert (klr_ratio(table, target, 4, 2).value
                 == knn_ratio(table, target, 4, 2)[0])
+
+    def test_ineligible_nearest_row_is_skipped(self):
+        # row 0 is nearest to the target but has zero average denominator and
+        # a Y of its own; at k = 1 the estimate is row 1's reweighted ratio
+        table = exp_table([1.0, 1.5, 3.0], y=[[100.0, 100.0], [2.0, 3.0], [5.0, 7.0]],
+                          a=[[0.0, 0.0], [1.0, 2.0], [1.0, 1.0]],
+                          sums=[[1.0, 1.0], [0.4, 1.7], [0.2, 0.9]])
+        target = 1.05
+        w = target / 1.5 * np.exp(-(target - 1.5) * np.array([0.4, 1.7]))
+        want = np.mean([2.0, 3.0] * w) / np.mean([1.0, 2.0] * w)
+        est = klr_ratio(table, np.array([target]), 1, 1)
+        assert est.value == pytest.approx(want, rel=1e-12)
+        assert est.clamped_weights == 0
 
     def test_numerator_unbiased_under_reweighting(self, rng):
         # single simulation parameter at rate 1, target rate 1.2, output is
@@ -643,6 +656,17 @@ class TestPerTargetBits:
         assert knn_ratio(table, target, k_y, k_a)[0] == mean_knn(table, target, k_y, k_a)
         est = klr_ratio(table, target, k_y, k_a)
         assert (est.value, est.clamped_weights) == mean_klr(table, target, k_y, k_a)
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    @pytest.mark.parametrize("case", ["finite", "clamp"])
+    @pytest.mark.parametrize("k_y, k_a", [(4, 6), (7, 3), (12, 12), (1, 1)])
+    def test_numpy_integer_pool_sizes_give_the_int_bits(self, case, k_y, k_a, int_type):
+        table, target = only_read_table(case)
+        want = klr_ratio(table, target, k_y, k_a)
+        got = klr_ratio(table, target, int_type(k_y), int_type(k_a))
+        assert (got.value.hex(), got.clamped_weights) == (want.value.hex(), want.clamped_weights)
+        assert (knn_ratio(table, target, int_type(k_y), int_type(k_a)).tobytes()
+                == knn_ratio(table, target, k_y, k_a).tobytes())
 
 
 class TestTableIsOnlyRead:

@@ -8,7 +8,7 @@ import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 REMOVED = ("InputTrace", "SimRun", "knn_query", "san_run", "mm1_cycle", "erm_run",
-           "BootstrapSet", "basic_ci", "ConfigurationError")
+           "BootstrapSet", "basic_ci", "ConfigurationError", "_lr_run_means")
 
 
 def api_names():
@@ -33,6 +33,9 @@ def test_readme_api_names_import_and_removed_names_do_not():
         for name in REMOVED:
             with pytest.raises(ImportError):
                 exec(f"from {module} import {name}", {})
+    from iuq.estimators import RunTable
+
+    assert not hasattr(RunTable, "neighbors")
 
 
 def test_every_simulation_carries_trace_statistics():

@@ -648,6 +648,22 @@ class TestMm1Cycle:
         # rho = 1/3, capacity 10: sum(n rho^n)/sum(rho^n)
         assert mm1_steady_state_mean(0.5, 1.5) == pytest.approx(0.4999379, abs=1e-6)
 
+    @pytest.mark.parametrize("lam, mu, capacity, want",
+                             [(1e31, 1.0, 10, 10.0), (2.0, 1.0, 1023, 1022.0)],
+                             ids=["rho-1e31", "capacity-1023"])
+    def test_closed_form_past_the_float_range_of_rho_powers(self, lam, mu, capacity, want):
+        # rho^capacity (or capacity * rho^capacity) overflows; the mirrored
+        # law (1/rho)^n does not, and its mean lies just below capacity
+        assert mm1_steady_state_mean(lam, mu, capacity) == want
+
+    def test_closed_form_above_unit_load_is_the_mirrored_mean(self):
+        # rho = 3: capacity less the mean at rho = 1/3, bit for bit the
+        # direct sum(n rho^n)/sum(rho^n)
+        n = np.arange(11)
+        w = 3.0 ** n
+        assert mm1_steady_state_mean(3.0, 1.0) == float((n * w).sum() / w.sum())
+        assert mm1_steady_state_mean(3.0, 1.0) == 9.500062095672495
+
     @pytest.mark.parametrize(
         "lam, mu",
         [(0.0, 1.5), (0.5, -1.0), (np.nan, 1.5), (0.5, np.nan), (np.inf, 1.5), (0.5, np.inf)],
