@@ -20,6 +20,10 @@ from .input_models import EstimationError, is_finite_real, require_int
 # consumer here, and an iteration cap
 MVEE_GAP_TOL = 5e-4
 MVEE_MAX_ITER = 100_000
+# screen level of min_enclosing_ellipsoid: a step updates only the points
+# whose stored leverage was at least (d+1) times this share of the scale at
+# the last screen
+_MVEE_SCREEN = 0.9
 
 # cap on the replication count r that anova_select_r returns
 PILOT_MAX_R = 10_000
@@ -130,16 +134,35 @@ def min_enclosing_ellipsoid(points):
     rebuilds x_inv and the leverages from the weights so that rank-1
     rounding drift stays bounded, and ``shrink`` once more on exit.
 
+    A step downdates only the leverages that can still be the argmax; the
+    weights of all n points stay.  Between refreshes every stored leverage
+    only falls: a step subtracts (beta / ``scale``) v^2 >= 0 from it, and a
+    floating-point subtraction of a non-negative number never rounds up.
+    The true leverages average d + 1 under the weights, so the largest
+    stored one is at least (d + 1) ``scale``.  A screen keeps the points
+    whose stored leverage is at least (d + 1) times a wake level, 0.9
+    (``_MVEE_SCREEN``) at a refresh, and gathers their lifted rows into a
+    (d+1, a) block that the step's v is computed from.  While ``scale``
+    stays at or above the wake level, a skipped point's leverage is below
+    every maximum it could meet, so the pick is the unscreened loop's.  Once
+    ``scale`` falls below it, a re-screen reads every point's stored
+    leverage afresh from the stored inverse as q_i' x_inv q_i, while the
+    active points keep their chain values, and screens again at a wake level
+    of ``scale`` times ``_MVEE_SCREEN``.  Reading the stored inverse, rather
+    than inverting the weighted scatter anew as a refresh does, leaves
+    everything a step reads as it was and calls no np.linalg.inv: the
+    re-screen only decides which leverages the next steps update.
+
     Each rank-1 step allocates no array: it writes into buffers made once
     per call and does the floating-point operations of the update
     x_inv <- x_inv - (beta / scale) w w' and its leverage counterpart in
     their written order, so its results are bit for bit those of that
-    formula evaluated with fresh arrays.  x_inv and the leverages are two
-    views of one buffer, and the downdate terms w w' and v v the matching
-    views of a second buffer with the same layout, so one scaling and one
-    subtract over the whole buffer update both.  x_inv comes first, so that
-    the matrix products read it from the start of an allocation, as they
-    read a fresh array.
+    formula evaluated with fresh arrays.  x_inv and the active leverages are
+    two views of a prefix of one buffer, and the downdate terms w w' and v v
+    the matching views of a second buffer with the same layout, so one
+    scaling and one subtract over the prefix update both.  x_inv comes
+    first, so that the matrix products read it from the start of an
+    allocation, as they read a fresh array.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -153,33 +176,52 @@ def min_enclosing_ellipsoid(points):
     u = np.full(n, 1.0 / n)
     lifted = d + 1.0
     square = (d + 1) ** 2
+    leverage = np.empty(n)  # every point's stored leverage at the last screen
     state = np.empty(square + n)
     x_inv = state[:square].reshape(d + 1, d + 1)
-    leverage = state[square:]
     upd = np.empty(square + n)
     ww = upd[:square].reshape(d + 1, d + 1)
-    vv = upd[square:]
+    # step buffers, reused by every rank-1 downdate
+    w = np.empty(d + 1)
+    w_col = w[:, None]
+    v_all = np.empty(n)
+
+    def screen(level):
+        # the points that can still be the argmax while scale >= level, their
+        # lifted rows as a (d+1, a) block, and the views of the shared
+        # buffers that hold x_inv and their leverages
+        active = np.flatnonzero(leverage >= lifted * level)
+        a = square + active.size
+        state[square:a] = leverage[active]
+        lev = state[square:a]
+        return (active, q[:, active].T, state[:a], lev, upd[:a], upd[square:a],
+                v_all[: active.size], lev.argmax, lev.item)
 
     def refresh():
         x_inv[...] = np.linalg.inv((q * u) @ qt)
         leverage[...] = np.einsum("ij,ji->i", qt, x_inv @ q)
+        return screen(_MVEE_SCREEN)
 
     bound = lifted * (1.0 + MVEE_GAP_TOL)
-    # step buffers, reused by every rank-1 downdate
-    w = np.empty(d + 1)
-    w_col = w[:, None]
-    v = np.empty(n)
-    argmax, item = leverage.argmax, leverage.item
     try:
         if n <= d or (np.diag(np.linalg.cholesky(scatter)) ** 2 <= 1e-12 * np.diag(scatter)).any():
             raise np.linalg.LinAlgError("the cloud does not affinely span R^d")
-        refresh()
+        active, rows, live, lev, live_upd, vv, v, argmax, item = refresh()
         shrink = scale = 1.0
+        wake = _MVEE_SCREEN
         for it in range(MVEE_MAX_ITER):
-            j = argmax()
-            maximum = item(j) / scale
+            if scale < wake:
+                # re-screen: every point's stored leverage from the stored
+                # inverse, the active points keeping their chain values
+                leverage[...] = np.einsum("ij,ji->i", qt, x_inv @ q)
+                leverage[active] = lev
+                wake = scale * _MVEE_SCREEN
+                active, rows, live, lev, live_upd, vv, v, argmax, item = screen(wake)
+            k = argmax()
+            maximum = item(k) / scale
             if maximum <= bound:
                 break
+            j = active[k]
             step = (maximum - d - 1.0) / (lifted * (maximum - 1.0))
             keep = 1.0 - step
             shrink *= keep
@@ -188,18 +230,19 @@ def min_enclosing_ellipsoid(points):
                 # fold the factors back and refresh from scratch
                 u *= shrink
                 shrink = scale = 1.0
-                refresh()
+                wake = _MVEE_SCREEN
+                active, rows, live, lev, live_upd, vv, v, argmax, item = refresh()
                 continue
-            # rank-1 downdate of the stored inverse and leverages:
-            # state = state - (beta / scale) [w w', v v]
+            # rank-1 downdate of the stored inverse and active leverages:
+            # live = live - (beta / scale) [w w', v v]
             np.dot(x_inv, qt[j], out=w)
             c = step / keep
             beta = c / (1.0 + c * maximum)
-            np.dot(qt, w, out=v)
+            np.dot(rows, w, out=v)
             np.multiply(w_col, w, out=ww)
             np.square(v, out=vv)
-            upd *= beta / scale
-            state -= upd
+            live_upd *= beta / scale
+            live -= live_upd
             scale *= keep
         u *= shrink
         center = points.T @ u

@@ -30,26 +30,53 @@ from iuq.input_models import (
 from iuq.simulators import make_testbed
 
 
-def allocating_mvee(points):
-    """The Khachiyan loop of ``min_enclosing_ellipsoid`` with every step
-    allocating w, v, the outer product and the new leverage and inverse:
-    the weights are stored divided by ``shrink``, the inverse and leverages
-    multiplied by ``scale``, and both fold back at each refresh and on exit.
-    Returns the ellipsoid and the step count."""
+def allocating_mvee(points, audit=None):
+    """The screened Khachiyan loop of ``min_enclosing_ellipsoid`` with every
+    step allocating w, v, the outer product and the new leverages and
+    inverse: the weights are stored divided by ``shrink``, the inverse and
+    leverages multiplied by ``scale``, both fold back at each refresh and on
+    exit, and a step updates only the leverages of the points screened
+    active.  Returns the ellipsoid and the step count.
+
+    Given a list as ``audit``, the loop also carries every point's leverage
+    through the unscreened rank-1 downdates and checks at every step that
+    the screened pick is that chain's argmax, that every skipped point's
+    leverage there is below (d+1) ``scale``, and that the weights sum to 1
+    within 1e-9; it appends the step of each re-screen to the list."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
     q = np.vstack([points.T, np.ones(n)])
     u = np.full(n, 1.0 / n)
+    level = design._MVEE_SCREEN
 
-    def refresh():
-        x_inv = np.linalg.inv((q * u) @ q.T)
-        return x_inv, np.einsum("ij,ji->i", q.T, x_inv @ q)
+    def leverages(x_inv):
+        return np.einsum("ij,ji->i", q.T, x_inv @ q)
 
-    x_inv, leverage = refresh()
+    def screen(leverage, wake):
+        active = np.flatnonzero(leverage >= (d + 1) * wake)
+        return active, q[:, active], leverage[active]
+
+    x_inv = np.linalg.inv((q * u) @ q.T)
+    full = leverages(x_inv)
+    active, block, lev = screen(full, level)
     shrink = scale = 1.0
+    wake = level
     for it in range(design.MVEE_MAX_ITER):
-        j = int(np.argmax(leverage))
-        maximum = leverage[j] / scale
+        if scale < wake:
+            leverage = leverages(x_inv)
+            leverage[active] = lev
+            wake = scale * level
+            active, block, lev = screen(leverage, wake)
+            if audit is not None:
+                audit.append(it)
+        k = int(np.argmax(lev))
+        maximum = lev[k] / scale
+        j = active[k]
+        if audit is not None:
+            skipped = np.delete(full, active)
+            assert j == np.argmax(full), f"step {it}: picked {j}, not {np.argmax(full)}"
+            assert skipped.size == 0 or skipped.max() < (d + 1) * scale, f"step {it}"
+            assert abs(u.sum() * shrink - 1.0) <= 1e-9, f"step {it}"
         if maximum <= (d + 1) * (1.0 + design.MVEE_GAP_TOL):
             break
         step = (maximum - d - 1.0) / ((d + 1.0) * (maximum - 1.0))
@@ -58,13 +85,19 @@ def allocating_mvee(points):
         if (it + 1) % 512 == 0:
             u *= shrink
             shrink = scale = 1.0
-            x_inv, leverage = refresh()
+            wake = level
+            x_inv = np.linalg.inv((q * u) @ q.T)
+            full = leverages(x_inv)
+            active, block, lev = screen(full, level)
             continue
         w = x_inv @ q[:, j]
         c = step / (1.0 - step)
         beta = c / (1.0 + c * maximum)
-        v = q.T @ w
-        leverage = leverage - v * v * (beta / scale)
+        v = block.T @ w
+        lev = lev - v * v * (beta / scale)
+        if audit is not None:
+            v = q.T @ w
+            full = full - v * v * (beta / scale)
         x_inv = x_inv - np.outer(w, w) * (beta / scale)
         scale *= 1.0 - step
     u *= shrink
@@ -203,6 +236,36 @@ def correlated_cloud():
         [[1.0, 0.4], [0.0, 0.7]])
 
 
+def sphere_cloud():
+    """1000 points on the unit sphere of R^13: at the start almost every
+    point's leverage is near d + 1, so the screen skips almost none."""
+    g = np.random.default_rng(0).standard_normal((1000, 13))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def heavy_tailed_cloud():
+    """500 Cauchy points in R^3: the first steps are long, so ``scale``
+    falls fast and the first 512-step window re-screens dozens of times."""
+    return np.random.default_rng(1).standard_cauchy((500, 3))
+
+
+MVEE_CASES = ([("random", dn) for dn in RANDOM_CLOUDS]
+              + [("bootstrap", nm) for nm in BOOTSTRAP_CLOUDS] + [("cap", 700)])
+
+
+def mvee_case(monkeypatch, kind, arg):
+    """The cloud of an ``MVEE_CASES`` entry or of a "sphere" or "heavy
+    tails" case; the cap case also caps ``MVEE_MAX_ITER`` at ``arg``."""
+    if kind == "random":
+        return random_cloud(*arg)
+    if kind == "bootstrap":
+        return bootstrap_cloud(*arg, seed=3)
+    if kind == "cap":
+        monkeypatch.setattr(design, "MVEE_MAX_ITER", arg)
+        return correlated_cloud()
+    return {"sphere": sphere_cloud, "heavy tails": heavy_tailed_cloud}[kind]()
+
+
 class TestMvee:
     def test_four_point_symmetric_unit_circle(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -280,29 +343,36 @@ class TestMvee:
         assert np.array_equal(ell.center, ref.center)
         assert np.array_equal(ell.shape, ref.shape)
 
-    @pytest.mark.parametrize("kind, arg", [("random", dn) for dn in RANDOM_CLOUDS]
-                             + [("bootstrap", nm) for nm in BOOTSTRAP_CLOUDS] + [("cap", 700)])
+    @pytest.mark.parametrize("kind, arg", MVEE_CASES)
     def test_deferred_factors_keep_the_textbook_steps(self, monkeypatch, kind, arg):
         # carrying 1 - step in two scalars moves the result by rounding
         # only: the same step count, the same ellipsoid to 1e-9 of its
         # largest entry (allocating_mvee is the library's loop, bit for bit)
-        if kind == "random":
-            pts = random_cloud(*arg)
-        elif kind == "bootstrap":
-            pts = bootstrap_cloud(*arg, seed=3)
-        else:
-            pts = correlated_cloud()
-            monkeypatch.setattr(design, "MVEE_MAX_ITER", arg)
+        pts = mvee_case(monkeypatch, kind, arg)
         ell, steps = allocating_mvee(pts)
         ref, ref_steps = textbook_mvee(pts)
         assert steps == ref_steps
         for got, want in ((ell.center, ref.center), (ell.shape, ref.shape)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("kind, arg", MVEE_CASES + [("sphere", None), ("heavy tails", None)])
+    def test_the_screen_never_skips_the_pick(self, monkeypatch, kind, arg):
+        # the audit carries every leverage through the unscreened downdates
+        # and checks each step's pick, skipped points and weight sum
+        pts = mvee_case(monkeypatch, kind, arg)
+        rescreens = []
+        ref, steps = allocating_mvee(pts, audit=rescreens)
+        ell = min_enclosing_ellipsoid(pts)
+        assert np.array_equal(ell.center, ref.center)
+        assert np.array_equal(ell.shape, ref.shape)
+        if kind == "heavy tails":
+            assert steps > 512 and sum(it < 512 for it in rescreens) >= 30
+
     @pytest.mark.parametrize("failing", ["first refresh", "512-step refresh", "final inverse"])
     def test_singular_matrix_falls_back_to_ridge(self, monkeypatch, failing):
         # ~3k iterations: the first refresh, six 512-step refreshes and the
-        # final scatter inverse are the eight np.linalg.inv calls
+        # final scatter inverse are the eight np.linalg.inv calls; a
+        # re-screen reads the stored inverse and calls none
         pts = correlated_cloud()
         mean = pts.mean(axis=0)
         diff = pts - mean

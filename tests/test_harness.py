@@ -255,16 +255,16 @@ class TestPipelines:
 KNN_ROWS = {
     "mm1": dict(r=7, k_y=16, k_a=4, lower=0.19789649417052554,
                 upper=3.214362548861756, width=3.0164660546912305, sims_used=252),
-    "san": dict(r=99, k_y=8, k_a=8, lower=3.933103426449908,
-                upper=5.319048689119827, width=1.3859452626699196, sims_used=3564),
+    "san": dict(r=99, k_y=8, k_a=8, lower=3.933103426450108,
+                upper=5.319048689119593, width=1.3859452626694848, sims_used=3564),
     "erm": dict(r=423, k_y=8, k_a=8, lower=284.114212202185,
                 upper=284.974185988486, width=0.8599737863009977, sims_used=15228),
 }
 KLR_ROWS = {
     "mm1": dict(r=7, k_y=16, k_a=4, lower=0.14888385583598443,
                 upper=1.0051548699017112, width=0.8562710140657268, sims_used=252),
-    "san": dict(r=99, k_y=8, k_a=8, lower=3.5650703184008483,
-                upper=5.289714547774981, width=1.7246442293741326, sims_used=3564),
+    "san": dict(r=99, k_y=8, k_a=8, lower=3.56507031840087,
+                upper=5.289714547775141, width=1.7246442293742708, sims_used=3564),
     "erm": dict(r=423, k_y=8, k_a=8, lower=284.08118432143795,
                 upper=284.96076519822134, width=0.8795808767833933, sims_used=15228),
 }
