@@ -416,16 +416,14 @@ def cv_losses(params, means, ks, folds):
     (``knn_means``), one list of fold losses per k in ``ks``: each held-out
     parameter's run mean is predicted by the average of the run means of
     its k nearest training-fold parameters."""
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    if params.shape[0] != np.asarray(means).shape[0]:
+    params, means = np.atleast_2d(np.asarray(params, dtype=float)), np.asarray(means, dtype=float)
+    if params.shape[0] != means.shape[0]:
         raise ValueError("params and means must align")
-    means = np.asarray(means, dtype=float)
     losses = [[] for _ in ks]
     for fold in folds:
         train = np.delete(np.arange(params.shape[0]), fold)  # np.setdiff1d would import numpy.ma
         train_means = means[train]
-        preds = knn_means(np.ascontiguousarray(params[train].T), params[fold],
-                          [(train_means, k) for k in ks])
+        preds = knn_means(params[train], params[fold], [(train_means, k) for k in ks])
         for loss, pred in zip(losses, preds):
             loss.append(float(np.mean((means[fold] - pred) ** 2)))
     return losses

@@ -120,7 +120,7 @@ def nearest(dist, k):
 
 
 def _sq_dists(coords, block):
-    """Squared distances from each query of ``block`` to each point of ``coords``."""
+    """Squared distances from each query of ``block`` to each point of (d, n) ``coords``."""
     dist = block[:, 0, None] - coords[0]
     dist *= dist
     for c in range(1, coords.shape[0]):
@@ -130,11 +130,12 @@ def _sq_dists(coords, block):
     return dist
 
 
-def knn_means(coords, queries, columns):
+def knn_means(points, queries, columns):
     """Mean of each ``(values, k)`` column over each query's k nearest points,
-    as a (len(columns), q) array, for (d, n) ``coords`` and (q, d) ``queries``.
+    as a (len(columns), q) array, for (n, d) ``points`` and (q, d) ``queries``.
 
-    Each block of queries selects its nearest points once, for the largest k,
+    The points are copied once, coordinate-major, for ``_sq_dists``.  Each
+    block of queries selects its nearest points once, for the largest k,
     within ``KNN_BLOCK_BYTES``.  The block's distances go straight into
     ``nearest``, which frees each scratch array after its last use, so a
     query holds, in turn: its distance row and one squared difference; its
@@ -144,6 +145,7 @@ def knn_means(coords, queries, columns):
     The block size counts 25 bytes a point and 48 a k slot per query, which
     bounds each of these sets with room to spare.
     """
+    coords = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     k_max = max(k for _, k in columns)
     out = np.empty((len(columns), queries.shape[0]))
     step = max(1, KNN_BLOCK_BYTES // (coords.shape[1] * (8 + 8 + 8 + 1) + 6 * 8 * k_max))
@@ -155,12 +157,12 @@ def knn_means(coords, queries, columns):
 
 
 class NeighborIndex:
-    """Euclidean k-nearest-neighbor queries over a fixed set of parameters.
+    """Euclidean k-nearest-neighbor search of one target at a time, the
+    likelihood-ratio estimator's, over a fixed set of parameters.
 
     Queries are a brute-force distance scan with ties broken by insertion
     index, which makes them deterministic.  The parameters are stored
-    coordinate-major, as a contiguous (d, n) array, so that each squared
-    distance sums over the short leading axis in one pass over n.
+    coordinate-major, as a contiguous (d, n) array, as in ``knn_means``.
     """
 
     def __init__(self, params):
@@ -186,8 +188,8 @@ class RunTable:
     ``params`` must lie in its support; ``lr_coefs`` are their
     likelihood-ratio coefficients.
     ``pool`` lists the eligible rows, those whose average denominator
-    output is nonzero, and ``index`` searches exactly those rows, so no
-    estimator can pool an ineligible one.
+    output is nonzero; every estimator pools only those rows, and
+    ``index``, the likelihood-ratio estimator's search, covers exactly them.
     """
 
     params: np.ndarray  # (n, d)
@@ -283,8 +285,8 @@ def knn_ratio(table, thetas, k_y, k_a):
     thetas, d = np.atleast_2d(np.asarray(thetas, dtype=float)), table.params.shape[1]
     if thetas.shape[1] != d:
         raise ValueError(f"targets must have shape (t, {d}), got {thetas.shape}")
-    num, den = knn_means(table.index.coords, thetas, [(table.y_mean[table.pool], k_y),
-                                                       (table.a_mean[table.pool], k_a)])
+    num, den = knn_means(table.params[table.pool], thetas, [(table.y_mean[table.pool], k_y),
+                                                            (table.a_mean[table.pool], k_a)])
     with np.errstate(all="ignore"):  # a zero or overflowing division is raised below
         ratios = num / den
     for i in np.flatnonzero(~np.isfinite(ratios))[:1]:

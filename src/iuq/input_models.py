@@ -120,12 +120,15 @@ class ExponentialFamily:
         return thetas
 
     def _check_data(self, data):
-        """Data as an (m, dim) float array, 1-D read as one column; m >= 1."""
+        """Data as an (m, dim) float array, 1-D read as one column; m >= 1
+        and every observation finite."""
         data = np.asarray(data, dtype=float)
         if data.ndim == 1:
             data = data[:, None]
         if data.shape[0] == 0 or data.shape[1] != self.dim:
             raise EstimationError(f"need non-empty (m, {self.dim}) data")
+        if not np.isfinite(data).all():
+            raise EstimationError("observations must be finite")
         return data
 
     def coefficients(self, theta):

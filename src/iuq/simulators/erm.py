@@ -102,8 +102,12 @@ class ErmConfig:
             raise ValueError("strikes must be finite and positive")
         if not math.isfinite(self.rate):
             raise ValueError("rate must be finite")
-        if not -1.0 < self.corr < 1.0:
-            raise ValueError("correlation must lie in (-1, 1)")
+        # the equal-correlation matrix has eigenvalues 1 - corr and
+        # 1 + (L - 1) corr, so it is positive definite only above -1/(L - 1)
+        low = -1.0 / max(self.n_stocks - 1, 1)
+        if not low < self.corr < 1.0:
+            raise ValueError(f"corr must lie in ({low:.6g}, 1) for n_stocks={self.n_stocks}, "
+                             f"got {self.corr!r}")
 
     @property
     def cov(self):

@@ -78,6 +78,8 @@ class SanConfig:
         object.__setattr__(self, "arc_order", arc_order)
         if self.source not in rank or self.sink not in rank:
             raise ValueError("source/sink must be nodes of the network")
+        if not self.t_nodes:  # T is the latest T-node completion, so it needs one
+            raise ValueError("t_nodes must name at least one node")
         for t in self.t_nodes:
             if t not in rank:
                 raise ValueError(f"T-node {t!r} is not a node of the network")

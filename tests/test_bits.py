@@ -45,7 +45,8 @@ def test_coverage_prints_a_summary_line_per_config(tmp_path):
     number = r"-?[0-9.]+(e[-+][0-9]+)?|nan"
     assert re.fullmatch(
         rf"mm1 std-even bootstrap m=20 coverage ({number}) \+- ({number}) "
-        rf"width ({number}) \+- ({number}) failed [0-3] of 3", lines[0]), done.stdout
+        rf"width ({number}) \+- ({number}) median ({number}) failed [0-3] of 3", lines[0]
+    ), done.stdout
     # the rest are failure reasons, counted, with their digits masked
     for line in lines[1:]:
         assert re.fullmatch(r"  [1-3] [^0-9]+", line), done.stdout

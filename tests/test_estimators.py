@@ -164,13 +164,12 @@ class TestKnnMeansMemory:
         fold = make_folds(n)[0]
         train = np.setdiff1d(np.arange(n), fold)
         columns = [(means[train], k) for k in default_k_grid(n)]
-        coords = np.ascontiguousarray(params[train].T)
-        queries = params[fold]
+        points, queries = params[train], params[fold]
         assert (train.size, fold.size, columns[-1][1]) == (2436, 609, 1024)
-        knn_means(coords, queries, columns)  # first-call allocations outside the trace
+        knn_means(points, queries, columns)  # first-call allocations outside the trace
         tracemalloc.start()
         try:
-            knn_means(coords, queries, columns)
+            knn_means(points, queries, columns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

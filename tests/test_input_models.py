@@ -120,6 +120,19 @@ class TestMle:
         with pytest.raises(EstimationError, match=rf"need non-empty \(m, {dim}\) data"):
             model.mle(data)
 
+    @pytest.mark.parametrize("family", ["exp", "mvn"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "minus-inf", "nan"])
+    def test_non_finite_observations_errors(self, family, bad):
+        # an infinite exponential observation would give a rate of 0 and a
+        # NaN a NaN rate; a normal mean would be inf or NaN
+        if family == "exp":
+            model = IndependentExponentials(2)
+        else:
+            model = MultivariateNormalKnownCov(np.eye(2))
+        with pytest.raises(EstimationError, match="observations must be finite"):
+            model.mle([[1.0, bad], [2.0, 1.0]])
+
     def test_nonpositive_exponential_data_errors(self):
         model = IndependentExponentials(1)
         with pytest.raises(EstimationError):

@@ -24,10 +24,18 @@ from iuq.simulators import (
     true_eta_oracle,
 )
 from iuq.simulators.mm1 import EXP_BLOCK, MAX_CYCLE_DRAWS
+from iuq.simulators.san import DEFAULT_ARCS
 
 # the two ways ``simulate`` rejects a parameter, before any draw
 SHAPE = "parameter must have shape"
 SUPPORT = "outside the support"
+
+
+def erm_config(stocks, corr):
+    """The default erm config with ``stocks`` copies of its first stock."""
+    cfg = ErmConfig.default()
+    return dataclasses.replace(cfg, corr=corr, s0=cfg.s0[:1] * stocks,
+                               vols=cfg.vols[:1] * stocks, true_theta=cfg.true_theta[:1] * stocks)
 
 
 def assert_rejected_without_draw(testbed, theta, message, n_runs=1):
@@ -243,6 +251,12 @@ class TestSanTopology:
     def test_unknown_t_node_rejected(self):
         with pytest.raises(ValueError, match="T-node"):
             SanConfig(arcs=(("a", "b"),), source="a", sink="b", t_nodes=("z",))
+
+    def test_empty_t_nodes_rejected(self):
+        # T is the latest completion over the T-nodes; with none, path_times
+        # would reduce an empty array on the first simulate
+        with pytest.raises(ValueError, match="t_nodes"):
+            SanConfig(arcs=DEFAULT_ARCS, t_nodes=())
 
     @pytest.mark.parametrize("threshold", [math.nan, np.float64("nan"), 0.0, -1.0],
                              ids=["nan", "numpy-nan", "zero", "negative"])
@@ -788,6 +802,24 @@ class TestErm:
         # or non-positive k_star makes every A 0
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(ErmConfig.default(), **change)
+
+    @pytest.mark.parametrize(
+        "stocks, corr, message",
+        [(3, -0.6, r"corr must lie in \(-0\.5, 1\) for n_stocks=3, got -0\.6"),
+         (3, -0.5, r"\(-0\.5, 1\) for n_stocks=3"), (2, -1.0, r"\(-1, 1\) for n_stocks=2"),
+         (2, 1.0, r"\(-1, 1\) for n_stocks=2")],
+        ids=["three-below", "three-at-bound", "two-minus-one", "two-one"],
+    )
+    def test_config_rejects_a_correlation_that_is_not_positive_definite(self, stocks, corr,
+                                                                       message):
+        # the equal-correlation matrix of L stocks is positive definite only
+        # for -1/(L - 1) < corr < 1; two stocks keep the open unit interval
+        with pytest.raises(ValueError, match=message):
+            erm_config(stocks, corr)
+
+    def test_three_stocks_simulate_above_the_correlation_bound(self, rng):
+        tb = ErmTestbed(erm_config(3, -0.4))
+        assert tb.simulate(tb.true_theta, 2, rng).y.shape == (2,)
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
     def test_portfolio_rejects_spots_bs_price_would(self, bad):

@@ -38,12 +38,14 @@ estimators at m = 20 and 50, each at 200 macros, seed 1 and 2 workers, with
 the default sampling (ellipsoid for klr; std-even always uses bootstrap).
 Per config it prints one line,
 
-    <model> <estimator> <sampling> m=<m> coverage <c> +- <se> width <w> +- <se> failed <f> of <macros>
+    <model> <estimator> <sampling> m=<m> coverage <c> +- <se> width <w> +- <se> median <w50> failed <f> of <macros>
 
 with the summary's coverage and mean interval width, each with its standard
-error, followed by one indented ``<count> <reason>`` line per distinct
-failure reason, most frequent first, with every run of digits masked as
-``#`` (the M/M/1 cycle cap names each macro's rates).  An experiment in
+error, and the median width of the completed macros (a few wide intervals
+can pull the mean far above it), followed by one indented ``<count>
+<reason>`` line per distinct failure reason, most frequent first, with
+every run of digits masked as ``#`` (the M/M/1 cycle cap names each
+macro's rates).  An experiment in
 which more than 10% of the macros fail is aborted; its line then ends with
 ``error:`` and the ``EstimationError`` message.  ``--model``,
 ``--estimator``, ``--m`` (each repeatable) and ``--macros`` narrow the grid.
@@ -55,6 +57,7 @@ import hashlib
 import json
 import math
 import re
+import statistics
 import sys
 import tempfile
 from collections import Counter
@@ -182,8 +185,9 @@ def coverage(args):
             print(f"{name} error: {exc}", flush=True)
             continue
         s = result.summary
+        median = statistics.median(row.width for row in result.rows) if result.rows else math.nan
         print(f"{name} coverage {s['coverage']:.3f} +- {s['coverage_se']:.3f} "
-              f"width {s['mean_width']:.4g} +- {s['width_se']:.2g} "
+              f"width {s['mean_width']:.4g} +- {s['width_se']:.2g} median {median:.4g} "
               f"failed {s['failed']} of {s['macros']}", flush=True)
         reasons = Counter(re.sub(r"\d+", "#", reason) for _, reason in result.failures)
         for reason, count in reasons.most_common():
